@@ -603,6 +603,7 @@ class HyperbolicFrame:
         self.eps_inv = int(ring.inv[self.eps])
         # abstract copy of the hyperbolic part
         self.H_std = hyperbolic(Q.param, self.g) if self.g else None
+        self._gen_split = None  # per generator of Q: (P-part in Q, H-part)
 
     @classmethod
     def from_witt(cls, Q, usr=None, cap=1 << 12):
@@ -655,12 +656,11 @@ class HyperbolicFrame:
     def extend_h_unitary(self, psi_std):
         """1_P + psi: extend a unitary of the abstract H^g to Q."""
         Q = self.Q
-        imgs = []
-        for gidx in range(Q.module.ngens):
-            gme = Q.module.gen(gidx)
-            p = self.p_component(gme)
-            z = self.project_std(gme)
-            imgs.append(self.P_incl(p) + self.embed_std(psi_std(z)))
+        if self._gen_split is None:
+            self._gen_split = [
+                (self.P_incl(self.p_component(gme)), self.project_std(gme))
+                for gme in Q.module.gens()]
+        imgs = [p + self.embed_std(psi_std(z)) for p, z in self._gen_split]
         f = ModuleMap(Q.module, Q.module, imgs, check=False)
         return UnitaryMap(Q, f, check=True,
                           tag=("map", tuple(x.vec for x in imgs)))
@@ -788,61 +788,24 @@ def _dual_completion(H_std, zs, usr, cap, sweep=300, budget=1 << 22):
 
 
 def _eu_reach_span(H_std, zs, k, budget):
-    """BFS word of elementary unitary generators carrying the whole tuple
-    into the span of the first k hyperbolic pairs."""
-    from wittlab.stable_range import elementary_unitary_generators
+    """Word of elementary unitary generators carrying the whole tuple into
+    the span of the first k hyperbolic pairs."""
+    d = H_std.ring.base_dim
+    return _eu_word(H_std, zs, lambda E: ~E[:, 2 * k * d:].any(axis=1),
+                    budget, "EU span-reach")
 
-    ring = H_std.ring
-    g = frame_g(H_std)
 
-    def in_span(xs):
-        for x in xs:
-            if any(b != ring.zero for b in x.ring_blocks()[2 * k:]):
-                return False
-        return True
+def _eu_word(H_std, xs, target, budget, what):
+    """The engine's word for xs and target, with its budget exit and its
+    failure both raised as BlockError."""
+    from wittlab.stable_range import BudgetExceeded, eu_search
 
-    if in_span(zs):
-        return []
-
-    def bfs(gens):
-        start = tuple(x.vec for x in zs)
-        parents = {start: None}
-        frontier = [list(zs)]
-        visits = 0
-        while frontier:
-            nxt = []
-            for xs in frontier:
-                for idx, t in enumerate(gens):
-                    visits += 1
-                    if visits > budget:
-                        raise BlockError("EU span-reach budget exhausted")
-                    ys = [t(x) for x in xs]
-                    key = tuple(y.vec for y in ys)
-                    if key in parents:
-                        continue
-                    parents[key] = (tuple(x.vec for x in xs), idx)
-                    if in_span(ys):
-                        word = []
-                        cur = key
-                        while parents[cur] is not None:
-                            prev, gidx = parents[cur]
-                            word.append(gens[gidx])
-                            cur = prev
-                        word.reverse()
-                        return word
-                    nxt.append(ys)
-            frontier = nxt
-        return None
-
-    _, gens = elementary_unitary_generators(ring, H_std.param, g,
-                                            u_mode="basis", H=H_std)
-    word = bfs(gens)
+    try:
+        word = eu_search(H_std, xs, target, budget=budget)[0]
+    except BudgetExceeded as exc:
+        raise BlockError("%s budget exhausted" % what) from exc
     if word is None:
-        _, gens_all = elementary_unitary_generators(ring, H_std.param, g,
-                                                    u_mode="all", H=H_std)
-        word = bfs(gens_all)
-    if word is None:
-        raise BlockError("no elementary word reaches the hyperbolic span")
+        raise BlockError("%s: no elementary word reaches the target" % what)
     return word
 
 
@@ -977,60 +940,13 @@ def transitive_move(Q, v, r, frame=None, usr=1, sr=None, cap=1 << 12,
 
 
 def _eu_reach_first_pair(H_std, z, budget):
-    """BFS word of elementary unitary generators carrying z into
+    """Word of elementary unitary generators carrying z into
     {e_1 + f_1 s}; raises when the budget exhausts."""
-    from wittlab.stable_range import elementary_unitary_generators
-
     ring = H_std.ring
-    g = frame_g(H_std)
-    module = H_std.module
-
-    def is_target(x):
-        blocks = x.ring_blocks()
-        return blocks[0] == ring.one and \
-            all(b == ring.zero for b in blocks[2:])
-
-    if is_target(z):
-        return []
-
-    def bfs(gens):
-        parents = {z.vec: None}
-        frontier = [z]
-        visits = 0
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for idx, t in enumerate(gens):
-                    visits += 1
-                    if visits > budget:
-                        raise BlockError("EU reach budget exhausted")
-                    y = t(x)
-                    if y.vec in parents:
-                        continue
-                    parents[y.vec] = (x.vec, idx)
-                    if is_target(y):
-                        word = []
-                        cur = y.vec
-                        while parents[cur] is not None:
-                            prev, gidx = parents[cur]
-                            word.append(gens[gidx])
-                            cur = prev
-                        word.reverse()  # application order: seed -> target
-                        return word
-                    nxt.append(y)
-            frontier = nxt
-        return None
-
-    _, gens = elementary_unitary_generators(ring, H_std.param, g,
-                                            u_mode="basis", H=H_std)
-    word = bfs(gens)
-    if word is None:
-        _, gens_all = elementary_unitary_generators(ring, H_std.param, g,
-                                                    u_mode="all", H=H_std)
-        word = bfs(gens_all)
-    if word is None:
-        raise BlockError("EU orbit does not reach the first hyperbolic pair")
-    return word
+    d = ring.base_dim
+    one = ring.to_base[ring.one]
+    return _eu_word(H_std, [z], lambda E: (E[:, :d] == one).all(axis=1)
+                    & ~E[:, 2 * d:].any(axis=1), budget, "EU reach")
 
 
 # -- cancellation --------------------------------------------------------------

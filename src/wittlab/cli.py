@@ -10,15 +10,20 @@
     wittlab complex {build,homology,verify} --theorem ID --instance JSON
 
 Exit codes: 0 verified/ok, 1 inconclusive, 2 critical finding.
-Set WITTLAB_CACHE_DIR to cache complex homology runs by instance digest.
+Set WITTLAB_CACHE_DIR to cache complex homology runs by instance digest;
+the cache key also covers the package version and sources.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
+import pathlib
 import sys
+import tempfile
 
+import wittlab
 from wittlab import blocks as B
 from wittlab import catalog as C
 from wittlab import stable_range as S
@@ -177,6 +182,36 @@ def _instance_digest(theorem, instance):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def _source_digest():
+    """sha256 over the package's Python sources (paths and contents)."""
+    root = pathlib.Path(wittlab.__file__).resolve().parent
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+def _cache_key(digest):
+    """The instance digest bound to the code that computes the verdict, so a
+    cached verdict never outlives that code."""
+    payload = "%s:%s:%s" % (digest, wittlab.__version__, _source_digest())
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _write_atomic(path, data):
+    """Write JSON to path through a temp file in the same directory."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(data, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _resolve_instance(instance):
     ring = C.resolve_ring(instance["ring"])
     param = C.resolve_parameter(ring, instance.get("epsilon"),
@@ -198,7 +233,7 @@ def cmd_complex(args):
     cache_path = None
     if cache_dir and args.action in ("homology", "verify"):
         os.makedirs(cache_dir, exist_ok=True)
-        cache_path = os.path.join(cache_dir, digest + ".json")
+        cache_path = os.path.join(cache_dir, _cache_key(digest) + ".json")
         if os.path.exists(cache_path) and not args.no_cache:
             with open(cache_path) as fh:
                 data = json.load(fh)
@@ -281,8 +316,7 @@ def cmd_complex(args):
     out = report.to_dict()
     out["instance_digest"] = digest
     if cache_path:
-        with open(cache_path, "w") as fh:
-            json.dump(out, fh, sort_keys=True)
+        _write_atomic(cache_path, out)
     print(json.dumps(out, indent=2, sort_keys=True))
     if report.critical:
         return 2

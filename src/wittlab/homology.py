@@ -8,7 +8,6 @@ is augmented, so all reported numbers are reduced homology.
 """
 
 from wittlab import kernels
-from wittlab.posets import PosetCapExceeded
 
 
 class ChainComplexData:
@@ -49,10 +48,7 @@ def build_chain_complex(poset, up_to_degree):
     index = {}
     levels = {}
     for p in range(0, up_to_degree + 2):
-        try:
-            level = poset.simplices(p)
-        except PosetCapExceeded:
-            raise
+        level = poset.simplices(p)
         levels[p] = level
         counts[p] = len(level)
         index[p] = {seq: i for i, seq in enumerate(level)}

@@ -2,7 +2,9 @@
 
 Everything downstream (unimodularity, splittings, unitary groups, posets)
 reduces to row-oriented problems  x * A = b  over Z/m; this module wraps the
-kernel calls with caching, solution enumeration and size bookkeeping.
+kernel calls with solving, kernels, membership, element enumeration and
+size bookkeeping.  It keeps no cache: callers that repeat a system keep
+their LinearSolver.
 """
 
 import itertools
@@ -88,12 +90,6 @@ class LinearSolver:
 
 def transpose(rows):
     return [list(col) for col in zip(*rows)] if rows else []
-
-
-def solve_columns(M_rows, b, m):
-    """One z with M @ z == b (column orientation), or None."""
-    solver = LinearSolver(transpose(M_rows), m)
-    return solver.solve(b)
 
 
 def matvec(M_rows, v, m):

@@ -406,14 +406,6 @@ class ModuleMap:
         return LinearSolver(proj, self.domain.ring.base_mod,
                             width=self.domain.nd).module_size
 
-    def kernel_module(self):
-        """The kernel as a presented submodule of the domain."""
-        ker = self._preimage_solver().kernel_rows()
-        proj = [row[:self.domain.nd] for row in ker]
-        sol = LinearSolver(proj, self.domain.ring.base_mod, width=self.domain.nd)
-        gens = [self.domain.from_vec(list(r)) for r in sol.H]
-        return submodule(self.domain, gens)
-
     def is_injective(self):
         return self.kernel_preimage_size() == self.domain.rel.module_size
 

@@ -82,6 +82,9 @@ class QuadraticModule:
             if not parameter.coset_rep(self.q_vec(vec, vec)) == parameter.coset_rep(ring.zero):
                 raise RingError("mu does not vanish on a relator")
         self.hyperbolic_pairs = []  # populated by the hyperbolic constructors
+        # elementary unitary generators and their permutation tables, filled
+        # by the EU-orbit engine in stable_range
+        self.eu_cache = {}
 
     # -- evaluation -------------------------------------------------------
 
@@ -97,9 +100,6 @@ class QuadraticModule:
 
     def mu_rep(self, x):
         return self.param.coset_rep(self.q_vec(x.vec, x.vec))
-
-    def mu_coset(self, x):
-        return self.param.coset(self.q_vec(x.vec, x.vec))
 
     def mu_zero(self, x):
         return self.mu_rep(x) == self.param.coset_rep(self.ring.zero)

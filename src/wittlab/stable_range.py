@@ -8,6 +8,8 @@ budgeted; RangeReports carry the verdict plus a witness or certificate.
 
 import itertools
 
+import numpy as np
+
 from wittlab.linalg import LinearSolver
 from wittlab.quadratic import hyperbolic, transvection, unitary_group
 
@@ -120,7 +122,12 @@ def stable_rank(ring, n_max, budget=DEFAULT_BUDGET):
     return StableRankResult(None, reports)
 
 
-# -- elementary unitary generators and (T_n) ---------------------------------
+# -- the EU-orbit engine and (T_n) -------------------------------------------
+# Generators, their int32 permutation tables and H's element coordinates are
+# cached in H.eu_cache, so they are built (each transvection verified
+# unitary) once per H and live exactly as long as H.
+
+TABLE_CAP = 1 << 24  # table entries (and enumerated elements) per H
 
 
 def elementary_unitary_generators(ring, param, n, u_mode="all", H=None):
@@ -131,10 +138,13 @@ def elementary_unitary_generators(ring, param, n, u_mode="all", H=None):
     u_mode "all" emits the full family; "basis" restricts u to the zero
     vector and single-coordinate vectors (the subgroup generated is the
     same by the Eichler composition law, which check_Tn does not assume:
-    it only uses the reduced family for sound "holds" verdicts).
+    it only uses the reduced family for sound "holds" verdicts).  The
+    family is cached on H: a repeated call returns the cached list.
     """
     if H is None:
         H = hyperbolic(param, n)
+    if ("gens", u_mode) in H.eu_cache:
+        return H, list(H.eu_cache[("gens", u_mode)])
     module = H.module
     gens = []
     lam = param.lam
@@ -172,7 +182,38 @@ def elementary_unitary_generators(ring, param, n, u_mode="all", H=None):
         if k not in seen:
             seen.add(k)
             out.append(t)
-    return H, out
+    H.eu_cache[("gens", u_mode)] = out
+    return H, list(out)
+
+
+def _element_space(H):
+    """(E, encode), cached: H's elements as coordinate rows in enumeration
+    order, and the map from coordinate rows to element indices (one
+    mixed-radix product for a free module, canon + dict otherwise)."""
+    if "space" in H.eu_cache:
+        return H.eu_cache["space"]
+    module = H.module
+    if module.size > TABLE_CAP:
+        raise BudgetExceeded("H has %d elements, cap %d"
+                             % (module.size, TABLE_CAP))
+    m = module.ring.base_mod
+    if module.relators:
+        elems = list(module.elements(cap=module.size))
+        index = {x.vec: i for i, x in enumerate(elems)}
+        E = np.array([x.vec for x in elems],
+                     dtype=np.int64).reshape(len(elems), module.nd)
+
+        def encode(V):
+            return np.array([index[module.canon(row)] for row in
+                             np.asarray(V).tolist()], dtype=np.int64)
+    else:
+        radix = m ** np.arange(module.nd - 1, -1, -1, dtype=np.int64)
+        E = (np.arange(module.size, dtype=np.int64)[:, None] // radix) % m
+
+        def encode(V):
+            return (np.asarray(V, dtype=np.int64) % m) @ radix
+    H.eu_cache["space"] = E, encode
+    return E, encode
 
 
 def _mu_class_partition(H, budget):
@@ -191,44 +232,82 @@ def _mu_class_partition(H, budget):
 
 
 def _gen_permutations(H, gens):
-    """Each generator as a permutation of the (free) module's element list."""
-    import numpy as np
-
-    module = H.module
-    m = module.ring.base_mod
-    elems = list(module.elements(cap=module.size))
-    index = {x.vec: i for i, x in enumerate(elems)}
-    E = np.array([x.vec for x in elems], dtype=np.int64)
-    perms = []
-    for t in gens:
-        B = np.array(t.f.B, dtype=np.int64)
-        imgs = (E @ B.T) % m
-        if module.relators:
-            perm = np.array([index[module.canon(list(row))] for row in imgs],
-                            dtype=np.int64)
-        else:
-            perm = np.array([index[tuple(int(v) for v in row)] for row in imgs],
-                            dtype=np.int64)
-        perms.append(perm)
-    return elems, index, perms
+    """Each generator as a row of an int32 permutation table over H's
+    enumerated elements."""
+    E, encode = _element_space(H)
+    if len(gens) * len(E) > TABLE_CAP:
+        raise BudgetExceeded("a %d x %d permutation table exceeds the cap"
+                             % (len(gens), len(E)))
+    perms = np.empty((len(gens), len(E)), dtype=np.int32)
+    for row, t in zip(perms, gens):
+        row[:] = encode(E @ np.array(t.f.B, dtype=np.int64).T)
+    return perms
 
 
-def _orbit_of(seed_idx, perms, budget, visits_box):
-    frontier = [seed_idx]
-    seen = {seed_idx}
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for perm in perms:
-                visits_box[0] += 1
-                if visits_box[0] > budget:
-                    raise BudgetExceeded("orbit BFS budget")
-                j = int(perm[i])
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return seen
+def _bfs(perms, start, target, budget, spent):
+    """Level-synchronous BFS from `start`, a tuple of element indices moved
+    entrywise by the rows of `perms`; a state is one int with radix |H|.
+
+    With a boolean `target` mask over elements it stops at the first state
+    whose entries all lie in the mask, in the (state, generator) order of
+    an object-by-object BFS, and returns the generator path to it; without
+    one it walks the whole orbit.  Each level costs frontier size x
+    generator count visits, counted with `spent` against `budget`.
+    Returns (path or None, sorted codes of the reached states, spent).
+    """
+    ngens, size = perms.shape
+    if size ** len(start) >= 1 << 62:
+        raise BudgetExceeded("state space of %d-tuples too large" % len(start))
+    radix = size ** np.arange(len(start), dtype=np.int64)
+    seen = frontier = np.array([np.dot(start, radix)], dtype=np.int64)
+    hit = [0] if target is not None and target[list(start)].all() else []
+    levels = []  # per level: (parent position, generator) of each new state
+    while frontier.size and not len(hit):
+        spent += frontier.size * ngens
+        if spent > budget:
+            raise BudgetExceeded("EU orbit BFS budget")
+        imgs = perms[:, (frontier[:, None] // radix) % size]  # G x F x k
+        codes = (imgs.astype(np.int64) @ radix).T.ravel()
+        pos = np.flatnonzero(~np.isin(codes, seen))
+        new, first = np.unique(codes[pos], return_index=True)
+        order = np.argsort(first)
+        frontier, pos = new[order], pos[first[order]]
+        levels.append((pos // ngens, pos % ngens))
+        seen = np.union1d(seen, new)
+        if target is not None:
+            hit = np.flatnonzero(
+                target[(frontier[:, None] // radix) % size].all(axis=1))
+    if not len(hit):
+        return None, seen, spent
+    i, path = hit[0], []
+    for parent, gen in reversed(levels):
+        path.append(int(gen[i]))
+        i = parent[i]
+    return path[::-1], seen, spent
+
+
+def eu_search(H, xs, target=None, want=None, budget=DEFAULT_BUDGET, spent=0):
+    """BFS from the elements xs of H (moved entrywise) under the basis-u
+    family, and again under the full family when that one falls short: no
+    state inside target(E) reached (E: H's coordinate rows), or with no
+    target an orbit other than the sorted index array `want`.  Returns
+    (word or None, reached, u_mode, spent); the word lists the cached
+    generators in application order."""
+    E, encode = _element_space(H)
+    start = tuple(int(i) for i in encode([x.vec for x in xs]))
+    mask = None if target is None else target(E)
+    for u_mode in ("basis", "all"):
+        _, gens = elementary_unitary_generators(
+            H.ring, H.param, len(H.hyperbolic_pairs), u_mode=u_mode, H=H)
+        if ("perms", u_mode) not in H.eu_cache:
+            H.eu_cache[("perms", u_mode)] = _gen_permutations(H, gens)
+        path, reached, spent = _bfs(H.eu_cache[("perms", u_mode)], start,
+                                    mask, budget, spent)
+        if path is not None or (target is None
+                                and np.array_equal(reached, want)):
+            break
+    word = None if path is None else [gens[i] for i in path]
+    return word, reached, u_mode, spent
 
 
 def check_Tn(ring, param, n, budget=DEFAULT_BUDGET, mode="transvection"):
@@ -247,38 +326,32 @@ def check_Tn(ring, param, n, budget=DEFAULT_BUDGET, mode="transvection"):
     else:
         raise ValueError("unknown mode %r" % mode)
     classes = _mu_class_partition(H, budget)
-    elems, index, perms = _gen_permutations(H, gens)
-    visits = [0]
+    E, encode = _element_space(H)
+    visits = 0
     stats = {"classes": len(classes), "generators": len(gens)}
-    full_perms = None
     for rep_mu, members in sorted(classes.items()):
-        member_idx = {index[x.vec] for x in members}
-        seed = index[members[0].vec]
+        member_idx = np.sort(encode([x.vec for x in members]))
         if mode == "full-u":
             # the orbit under the whole group is the set of images of the seed
-            visits[0] += len(perms)
-            if visits[0] > budget:
+            visits += len(gens)
+            if visits > budget:
                 raise BudgetExceeded("full-U orbit budget")
-            seen = {int(perm[seed]) for perm in perms}
+            seen = np.unique(encode([t(members[0]).vec for t in gens]))
         else:
-            seen = _orbit_of(seed, perms, budget, visits)
-        if seen & member_idx != member_idx and mode == "transvection":
-            if full_perms is None:
-                _, full_gens = elementary_unitary_generators(
-                    ring, param, n, u_mode="all", H=H)
-                _, _, full_perms = _gen_permutations(H, full_gens)
-                stats["generators_full"] = len(full_gens)
-            seen = _orbit_of(seed, full_perms, budget, visits)
-        if seen != member_idx:
-            missing = elems[next(iter(member_idx - seen))]
+            _, seen, u_mode, visits = eu_search(
+                H, members[:1], want=member_idx, budget=budget, spent=visits)
+            if u_mode == "all":
+                stats["generators_full"] = len(H.eu_cache[("gens", "all")])
+        if not np.array_equal(seen, member_idx):
+            missing = E[np.setdiff1d(member_idx, seen)[0]]
             return RangeReport(ring, "T", n, "fails",
                                witness={"mu": rep_mu,
                                         "orbit_size": len(seen),
                                         "class_size": len(member_idx),
-                                        "unreached": list(missing.vec)},
-                               stats=dict(stats, visits=visits[0]), mode=mode)
+                                        "unreached": missing.tolist()},
+                               stats=dict(stats, visits=visits), mode=mode)
     return RangeReport(ring, "T", n, "holds",
-                       stats=dict(stats, visits=visits[0]), mode=mode)
+                       stats=dict(stats, visits=visits), mode=mode)
 
 
 class UsrResult:

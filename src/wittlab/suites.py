@@ -411,6 +411,9 @@ def suite_link_isos(config=None, seed=0):
             continue
         e1, f1 = Q.hyperbolic_pairs[0]
         res = verify_link_isos(Q, [(e1, f1)], usr=usr)
+        if res.get("result") == "inconclusive":
+            rep.add("H^%d" % g, "inconclusive", res, inconclusive=True)
+            continue
         ok = res["iu"] and res["hu"] and res["decoration_count"]
         rep.add("H^%d" % g, "pass" if ok else "iso-failure",
                 {k: v for k, v in res.items() if k != "Y_size"},

@@ -8,7 +8,7 @@ carry witnesses.
 """
 
 from wittlab.homology import build_chain_complex, homology
-from wittlab.modules import rank as module_rank
+from wittlab.modules import CapExceeded, rank as module_rank
 from wittlab.posets import (
     PosetCapExceeded,
     gl_poset,
@@ -23,7 +23,7 @@ from wittlab.quadratic import witt_index, stable_witt_index
 
 
 VERDICTS = ("vacuous", "nonempty-verified", "homology-verified",
-            "fully-verified", "refuted", "inconclusive", "empty")
+            "fully-verified", "refuted", "inconclusive")
 
 
 class ConnectivityVerdict:
@@ -132,8 +132,8 @@ def connectivity_verdict(poset, d, pi1_budget=200000):
     if d <= -2:
         return ConnectivityVerdict(d, "vacuous")
     if poset.is_empty():
-        return ConnectivityVerdict(d, "empty" if d >= -1 else "vacuous",
-                                   {"reason": "no vertices"})
+        # d >= -1 asks for nonemptiness at least: no vertices refutes it
+        return ConnectivityVerdict(d, "refuted", {"reason": "no vertices"})
     if d == -1:
         return ConnectivityVerdict(
             d, "nonempty-verified",
@@ -215,47 +215,53 @@ def verify_gl_connectivity(M, sr, base=None, cap=5_000_000):
     return TheoremReport(name, bound, verdict, hypothesis, poset.name)
 
 
-def verify_iu_connectivity(Q, usr, base=None, cap=5_000_000):
-    """IU(M) is floor((g - usr - 2)/2)-connected; links lose |x|."""
-    g = witt_index(Q, usr=usr).g
-    tables = _PairTables(Q)
-    poset = iu_poset(Q, tables=tables, cap=cap)
-    hypothesis = {"g": g, "usr": usr}
+def _theorem_report(name, hypothesis, run, base):
+    """Report on the poset run() builds, with its bound (on its link at
+    base, if given).  A cap exit in the Witt search or the pair tables ends
+    as inconclusive with the reason, and with no bound or poset name."""
+    try:
+        bound, poset = run()
+    except (CapExceeded, PosetCapExceeded) as exc:
+        verdict = ConnectivityVerdict(None, "inconclusive",
+                                      {"reason": str(exc)})
+        return TheoremReport(name, None, verdict, hypothesis, None)
     if base:
-        k = len(base)
-        bound = floor_div(g - usr - k - 2, 2)
         poset = link(poset, base)
-        hypothesis["k"] = k
-        name = "iu-link"
-    else:
-        bound = floor_div(g - usr - 2, 2)
-        name = "iu"
     verdict = connectivity_verdict(poset, bound)
     return TheoremReport(name, bound, verdict, hypothesis, poset.name)
+
+
+def verify_iu_connectivity(Q, usr, base=None, cap=5_000_000):
+    """IU(M) is floor((g - usr - 2)/2)-connected; links lose |x|."""
+    k = len(base) if base else 0
+    hypothesis = {"usr": usr, "k": k} if base else {"usr": usr}
+
+    def run():
+        g = hypothesis["g"] = witt_index(Q, usr=usr).g
+        poset = iu_poset(Q, tables=_PairTables(Q), cap=cap)
+        return floor_div(g - usr - k - 2, 2), poset
+
+    return _theorem_report("iu-link" if base else "iu", hypothesis, run, base)
 
 
 def verify_hu_connectivity(Q, usr, base=None, cap=5_000_000, stable=False,
                            k_max=1):
     """HU(M) is floor((g - usr - 3)/2)-connected (floor((gbar - usr - 3)/2)
     in the stable variant); links lose |x|."""
-    if stable:
-        g = stable_witt_index(Q, k_max, usr=usr)["gbar"]
-    else:
-        g = witt_index(Q, usr=usr).g
-    tables = _PairTables(Q)
-    poset = hu_poset(Q, tables=tables, cap=cap)
-    hypothesis = {"gbar" if stable else "g": g, "usr": usr}
-    if base:
-        k = len(base)
-        bound = floor_div(g - usr - k - 3, 2)
-        poset = link(poset, base)
-        hypothesis["k"] = k
-        name = ("hu-stable-link" if stable else "hu-link")
-    else:
-        bound = floor_div(g - usr - 3, 2)
-        name = "hu-stable" if stable else "hu"
-    verdict = connectivity_verdict(poset, bound)
-    return TheoremReport(name, bound, verdict, hypothesis, poset.name)
+    k = len(base) if base else 0
+    hypothesis = {"usr": usr, "k": k} if base else {"usr": usr}
+
+    def run():
+        if stable:
+            g = hypothesis["gbar"] = stable_witt_index(Q, k_max,
+                                                       usr=usr)["gbar"]
+        else:
+            g = hypothesis["g"] = witt_index(Q, usr=usr).g
+        poset = hu_poset(Q, tables=_PairTables(Q), cap=cap)
+        return floor_div(g - usr - k - 3, 2), poset
+
+    name = ("hu-stable" if stable else "hu") + ("-link" if base else "")
+    return _theorem_report(name, hypothesis, run, base)
 
 
 def verify_lambda_poset(Q, usr, base=None, cap=5_000_000):
@@ -343,19 +349,24 @@ THEOREMS = {
 def verify_link_isos(Q, x_pairs, usr, cap=100000):
     """Check the three link decompositions at x = ((v_1,w_1)..(v_k,w_k)):
     the IU link against IU(Y)<V>, and the HU link against HU(Y), with
-    Y = V-perp cap W-perp; each checked as an explicit poset isomorphism."""
+    Y = V-perp cap W-perp; each checked as an explicit poset isomorphism.
+    A cap exit in the Witt search or the pair tables returns
+    {"result": "inconclusive", "reason": ...} instead."""
     from wittlab.quadratic import orthogonal_complement
 
     ring = Q.ring
     k = len(x_pairs)
     vs = [p[0] for p in x_pairs]
     ws = [p[1] for p in x_pairs]
-    g = witt_index(Q, usr=usr).g
-    if g < usr + k:
-        raise ValueError("link isomorphism check needs g >= usr + k")
-    Y, y_incl = orthogonal_complement(Q, vs + ws)
-    tables = _PairTables(Q)
-    tables_Y = _PairTables(Y)
+    try:
+        g = witt_index(Q, usr=usr).g
+        if g < usr + k:
+            raise ValueError("link isomorphism check needs g >= usr + k")
+        Y, y_incl = orthogonal_complement(Q, vs + ws)
+        tables = _PairTables(Q)
+        tables_Y = _PairTables(Y)
+    except (CapExceeded, PosetCapExceeded) as exc:
+        return {"result": "inconclusive", "reason": str(exc)}
 
     def decompose(u):
         """u in V-perp as (y in Y, x in V)."""

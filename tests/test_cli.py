@@ -90,6 +90,43 @@ def test_complex_verify_and_cache(tmp_path, capsys, monkeypatch):
     assert data3["verdict"] == data["verdict"]
 
 
+def test_complex_empty_poset_is_refuted(tmp_path, capsys, monkeypatch):
+    # an empty poset at d >= -1 refutes non-emptiness: exit 2, fresh or cached
+    from wittlab import verify
+    from wittlab.posets import SequencePoset
+
+    monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(verify, "gl_poset", lambda M, cap=None: SequencePoset(
+        "empty", [], lambda seq: True))
+    instance = json.dumps({"ring": "gf2", "module": "free:2"})
+    for cached in (False, True):
+        code, out = run_cli(capsys, "complex", "verify", "--theorem", "gl",
+                            "--instance", instance)
+        data = json.loads(out)
+        assert bool(data.get("cached")) == cached
+        assert data["verdict"]["result"] == "refuted"
+        assert data["verdict"]["detail"] == {"reason": "no vertices"}
+        assert code == 2
+
+
+def test_complex_cache_misses_after_source_change(tmp_path, capsys,
+                                                  monkeypatch):
+    from wittlab import cli
+
+    monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
+    instance = json.dumps({"ring": "gf2", "module": "free:2"})
+    argv = ("complex", "verify", "--theorem", "gl", "--instance", instance)
+    run_cli(capsys, *argv)
+    code, out = run_cli(capsys, *argv)
+    assert json.loads(out)["cached"]
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and not json.loads(out).get("cached")
+    # every write went through a temp file that was renamed into place
+    assert not list(tmp_path.glob("*.tmp"))
+    assert len(list(tmp_path.glob("*.json"))) == 2
+
+
 def test_complex_hu_tiers(capsys):
     instance = json.dumps({"ring": "gf2", "quadratic": "H^1"})
     code, out = run_cli(capsys, "complex", "verify", "--theorem", "hu",

@@ -218,7 +218,33 @@ def test_verdict_tiers():
     assert connectivity_verdict(F, 0).ok()
     # empty poset
     E = simple_poset([])
-    assert connectivity_verdict(E, -1).result == "empty"
+    assert connectivity_verdict(E, -1).result == "refuted"
+
+
+def test_cap_exits_are_inconclusive(monkeypatch):
+    # GF(2) H^7 has 16384 elements: past the Witt-search and pair-table caps
+    from types import SimpleNamespace
+
+    from wittlab import verify
+
+    H7 = hyperbolic(P2, 7)
+    e1, f1 = H7.hyperbolic_pairs[0]
+    for rep in (verify.verify_iu_connectivity(H7, usr=1),
+                verify.verify_hu_connectivity(H7, usr=1)):
+        assert rep.verdict.result == "inconclusive" and not rep.critical
+        assert "Witt search" in rep.verdict.detail["reason"]
+    res = verify.verify_link_isos(H7, [(e1, f1)], usr=1)
+    assert res["result"] == "inconclusive"
+    # past the Witt search, the pair tables' own cap exit
+    monkeypatch.setattr(verify, "witt_index",
+                        lambda Q, usr=None: SimpleNamespace(g=7))
+    for rep in (verify.verify_iu_connectivity(H7, usr=1),
+                verify.verify_hu_connectivity(H7, usr=1, base=[(e1, f1)])):
+        assert rep.verdict.result == "inconclusive"
+        assert "pair tables" in rep.verdict.detail["reason"]
+    res = verify.verify_link_isos(H7, [(e1, f1)], usr=1)
+    assert res == {"result": "inconclusive",
+                   "reason": "module too large for pair tables"}
 
 
 def test_homology_invariant_under_vertex_shuffle():
