@@ -791,13 +791,13 @@ def _eu_reach_span(H_std, zs, k, budget):
     """Word of elementary unitary generators carrying the whole tuple into
     the span of the first k hyperbolic pairs."""
     d = H_std.ring.base_dim
-    return _eu_word(H_std, zs, lambda E: ~E[:, 2 * k * d:].any(axis=1),
+    return _eu_word(H_std, zs, lambda V: ~V[:, 2 * k * d:].any(axis=1),
                     budget, "EU span-reach")
 
 
 def _eu_word(H_std, xs, target, budget, what):
-    """The engine's word for xs and target, with its budget exit and its
-    failure both raised as BlockError."""
+    """The engine's word for xs and target (coordinate rows -> bool mask),
+    with its budget exit and its failure both raised as BlockError."""
     from wittlab.stable_range import BudgetExceeded, eu_search
 
     try:
@@ -945,8 +945,8 @@ def _eu_reach_first_pair(H_std, z, budget):
     ring = H_std.ring
     d = ring.base_dim
     one = ring.to_base[ring.one]
-    return _eu_word(H_std, [z], lambda E: (E[:, :d] == one).all(axis=1)
-                    & ~E[:, 2 * d:].any(axis=1), budget, "EU reach")
+    return _eu_word(H_std, [z], lambda V: (V[:, :d] == one).all(axis=1)
+                    & ~V[:, 2 * d:].any(axis=1), budget, "EU reach")
 
 
 # -- cancellation --------------------------------------------------------------

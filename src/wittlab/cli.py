@@ -246,7 +246,8 @@ def cmd_complex(args):
     parts = _resolve_instance(instance)
     ring = parts["ring"]
     param = parts["param"]
-    from wittlab.posets import gl_poset, hu_poset, iu_poset
+    from wittlab.modules import CapExceeded
+    from wittlab.posets import PosetCapExceeded, gl_poset, hu_poset, iu_poset
     from wittlab.verify import (
         verify_gl_connectivity,
         verify_hu_connectivity,
@@ -254,65 +255,68 @@ def cmd_complex(args):
     )
 
     base = None
+    # build only counts the poset's vertices; homology and verify run the
+    # theorem's verifier, which turns cap exits into inconclusive verdicts
     if args.theorem.startswith("gl"):
         M = parts["M"]
         if parts.get("base"):
             base = [_element(M, b) for b in parts["base"]]
         sr = S.stable_rank(ring, 2).value
-        report = verify_gl_connectivity(M, sr=sr, base=base)
-        poset = gl_poset(M)
+        run = lambda: verify_gl_connectivity(M, sr=sr, base=base)
+        poset = lambda: gl_poset(M)
     else:
         Q = parts["Q"]
         usr = S.unitary_stable_rank(ring, param, 2).value
         if args.theorem.startswith("iu"):
             if parts.get("base"):
                 base = [_element(Q.module, b) for b in parts["base"]]
-            report = verify_iu_connectivity(Q, usr=usr, base=base)
-            poset = iu_poset(Q)
+            run = lambda: verify_iu_connectivity(Q, usr=usr, base=base)
+            poset = lambda: iu_poset(Q)
         elif args.theorem.startswith("hu"):
             if parts.get("base"):
                 base = [(_element(Q.module, b[0]), _element(Q.module, b[1]))
                         for b in parts["base"]]
-            report = verify_hu_connectivity(
+            run = lambda: verify_hu_connectivity(
                 Q, usr=usr, base=base, stable=args.theorem == "hu-stable")
-            poset = hu_poset(Q)
+            poset = lambda: hu_poset(Q)
         elif args.theorem.startswith("lambda-poset"):
             from wittlab.verify import verify_lambda_poset
 
             if parts.get("base"):
                 base = [_element(Q.module, b) for b in parts["base"]]
-            report = verify_lambda_poset(Q, usr=usr, base=base)
-            poset = iu_poset(Q)  # vertex count shown for the build action
+            run = lambda: verify_lambda_poset(Q, usr=usr, base=base)
+            poset = lambda: iu_poset(Q)  # vertex count shown for build
         elif args.theorem.startswith("mu-poset"):
             from wittlab.posets import mu_poset
             from wittlab.verify import verify_mu_poset
 
             if parts.get("base"):
                 base = [_element(Q.module, b) for b in parts["base"]]
-            report = verify_mu_poset(Q, usr=usr, base=base)
-            poset = mu_poset(Q)
+            run = lambda: verify_mu_poset(Q, usr=usr, base=base)
+            poset = lambda: mu_poset(Q)
         elif args.theorem == "perp-link":
+            from wittlab.posets import mu_poset
             from wittlab.verify import verify_perp_link
 
             base = [_element(Q.module, b) for b in parts.get("base") or []]
             if not base:
                 print(json.dumps({"error": "perp-link needs a base"}))
                 return 1
-            report = verify_perp_link(Q, base, usr=usr)
-            from wittlab.posets import mu_poset
-
-            poset = mu_poset(Q)
+            run = lambda: verify_perp_link(Q, base, usr=usr)
+            poset = lambda: mu_poset(Q)
         else:
             print(json.dumps({"error": "unknown theorem %r" % args.theorem}))
             return 1
     if args.action == "build":
-        out = {
-            "theorem": args.theorem,
-            "instance_digest": digest,
-            "vertices": len(poset.vertex_ids),
-        }
+        out = {"theorem": args.theorem, "instance_digest": digest}
+        try:
+            out["vertices"] = len(poset().vertex_ids)
+        except (CapExceeded, PosetCapExceeded) as exc:
+            out["verdict"] = {"result": "inconclusive",
+                              "detail": {"reason": str(exc)}}
         print(json.dumps(out, indent=2, sort_keys=True))
-        return 0
+        return 1 if "verdict" in out else 0
+    report = run()
     out = report.to_dict()
     out["instance_digest"] = digest
     if cache_path:

@@ -82,7 +82,7 @@ class QuadraticModule:
             if not parameter.coset_rep(self.q_vec(vec, vec)) == parameter.coset_rep(ring.zero):
                 raise RingError("mu does not vanish on a relator")
         self.hyperbolic_pairs = []  # populated by the hyperbolic constructors
-        # elementary unitary generators and their permutation tables, filled
+        # elementary unitary generators and their stacked matrices, filled
         # by the EU-orbit engine in stable_range
         self.eu_cache = {}
 

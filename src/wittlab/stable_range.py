@@ -123,11 +123,12 @@ def stable_rank(ring, n_max, budget=DEFAULT_BUDGET):
 
 
 # -- the EU-orbit engine and (T_n) -------------------------------------------
-# Generators, their int32 permutation tables and H's element coordinates are
-# cached in H.eu_cache, so they are built (each transvection verified
-# unitary) once per H and live exactly as long as H.
+# The generators of each (H, u_mode) and their stacked matrices are cached in
+# H.eu_cache, so each transvection is built and verified unitary once per H
+# and the cache lives exactly as long as H.  The BFS keeps only its frontier,
+# so what it holds does not grow with |H|.
 
-TABLE_CAP = 1 << 24  # table entries (and enumerated elements) per H
+CHUNK = 1 << 18  # image coordinates the BFS computes at once
 
 
 def elementary_unitary_generators(ring, param, n, u_mode="all", H=None):
@@ -186,36 +187,6 @@ def elementary_unitary_generators(ring, param, n, u_mode="all", H=None):
     return H, list(out)
 
 
-def _element_space(H):
-    """(E, encode), cached: H's elements as coordinate rows in enumeration
-    order, and the map from coordinate rows to element indices (one
-    mixed-radix product for a free module, canon + dict otherwise)."""
-    if "space" in H.eu_cache:
-        return H.eu_cache["space"]
-    module = H.module
-    if module.size > TABLE_CAP:
-        raise BudgetExceeded("H has %d elements, cap %d"
-                             % (module.size, TABLE_CAP))
-    m = module.ring.base_mod
-    if module.relators:
-        elems = list(module.elements(cap=module.size))
-        index = {x.vec: i for i, x in enumerate(elems)}
-        E = np.array([x.vec for x in elems],
-                     dtype=np.int64).reshape(len(elems), module.nd)
-
-        def encode(V):
-            return np.array([index[module.canon(row)] for row in
-                             np.asarray(V).tolist()], dtype=np.int64)
-    else:
-        radix = m ** np.arange(module.nd - 1, -1, -1, dtype=np.int64)
-        E = (np.arange(module.size, dtype=np.int64)[:, None] // radix) % m
-
-        def encode(V):
-            return (np.asarray(V, dtype=np.int64) % m) @ radix
-    H.eu_cache["space"] = E, encode
-    return E, encode
-
-
 def _mu_class_partition(H, budget):
     ring = H.ring
     module = H.module
@@ -231,78 +202,113 @@ def _mu_class_partition(H, budget):
     return classes
 
 
+def _codes(rows, m):
+    """Mixed-radix codes (base m, first column most significant) of the rows
+    of an integer array."""
+    rows = np.asarray(rows, dtype=np.int64)
+    width = rows.shape[1]
+    return (rows % m) @ (m ** np.arange(width - 1, -1, -1, dtype=np.int64))
+
+
+def element_codes(H, rows):
+    """Indices in H's element enumeration of coordinate rows; H must be
+    free (no relators to reduce by), as every H^n is."""
+    if H.module.relators:
+        raise ValueError("the EU-orbit engine needs a free module")
+    return _codes(rows, H.ring.base_mod)
+
+
 def _gen_permutations(H, gens):
-    """Each generator as a row of an int32 permutation table over H's
-    enumerated elements."""
-    E, encode = _element_space(H)
-    if len(gens) * len(E) > TABLE_CAP:
-        raise BudgetExceeded("a %d x %d permutation table exceeds the cap"
-                             % (len(gens), len(E)))
-    perms = np.empty((len(gens), len(E)), dtype=np.int32)
-    for row, t in zip(perms, gens):
-        row[:] = encode(E @ np.array(t.f.B, dtype=np.int64).T)
-    return perms
+    """The generators' actions on coordinate rows, as one nd x (G * nd)
+    matrix: row block x @ M holds the images of x under each generator."""
+    return np.hstack([np.array(t.f.B, dtype=np.int64).T for t in gens])
 
 
-def _bfs(perms, start, target, budget, spent):
-    """Level-synchronous BFS from `start`, a tuple of element indices moved
-    entrywise by the rows of `perms`; a state is one int with radix |H|.
+def _bfs(mats, m, start, target, budget, spent):
+    """Level-synchronous BFS from `start`, a k x nd array of coordinate rows
+    moved entrywise by the generators stacked in `mats` (as built by
+    _gen_permutations).  Only the frontier is kept as coordinates; a state
+    is one mixed-radix int over its k * nd coordinates.
 
-    With a boolean `target` mask over elements it stops at the first state
-    whose entries all lie in the mask, in the (state, generator) order of
+    With a `target` (coordinate rows -> bool mask) it stops at the first
+    state whose entries all satisfy it, in the (state, generator) order of
     an object-by-object BFS, and returns the generator path to it; without
-    one it walks the whole orbit.  Each level costs frontier size x
-    generator count visits, counted with `spent` against `budget`.
+    one it walks the whole orbit.  Expanding a state costs one visit per
+    generator, counted with `spent` against `budget`.
     Returns (path or None, sorted codes of the reached states, spent).
     """
-    ngens, size = perms.shape
-    if size ** len(start) >= 1 << 62:
-        raise BudgetExceeded("state space of %d-tuples too large" % len(start))
-    radix = size ** np.arange(len(start), dtype=np.int64)
-    seen = frontier = np.array([np.dot(start, radix)], dtype=np.int64)
-    hit = [0] if target is not None and target[list(start)].all() else []
+    k, nd = start.shape
+    ngens = mats.shape[1] // nd
+    if m ** (k * nd) >= 1 << 62:
+        raise BudgetExceeded("state space of %d-tuples too large" % k)
+    radix = m ** np.arange(k * nd - 1, -1, -1, dtype=np.int64)
+    frontier = start.reshape(1, k * nd) % m
+    seen = frontier @ radix
     levels = []  # per level: (parent position, generator) of each new state
-    while frontier.size and not len(hit):
-        spent += frontier.size * ngens
-        if spent > budget:
-            raise BudgetExceeded("EU orbit BFS budget")
-        imgs = perms[:, (frontier[:, None] // radix) % size]  # G x F x k
-        codes = (imgs.astype(np.int64) @ radix).T.ravel()
-        pos = np.flatnonzero(~np.isin(codes, seen))
-        new, first = np.unique(codes[pos], return_index=True)
+    hit = None
+    while len(frontier) and hit is None:
+        # chunks of 1, 2, 4, ... states: a hit early in the level ends the
+        # level early, and a long level still takes few numpy calls
+        lo, step, cap = 0, 1, max(1, CHUNK // (ngens * k * nd))
+        found = []  # per chunk: (position, code, coordinates) of unseen images
+        while lo < len(frontier):
+            rows = frontier[lo:lo + step]
+            spent += len(rows) * ngens
+            if spent > budget:
+                raise BudgetExceeded("EU orbit BFS budget")
+            imgs = (rows.reshape(-1, nd) @ mats) % m  # (F*k) x (G*nd)
+            imgs = imgs.reshape(len(rows), k, ngens, nd).transpose(0, 2, 1, 3)
+            imgs = imgs.reshape(len(rows) * ngens, k * nd)
+            codes = imgs @ radix
+            at = np.minimum(np.searchsorted(seen, codes), len(seen) - 1)
+            fresh = np.flatnonzero(seen[at] != codes)
+            found.append((fresh + lo * ngens, codes[fresh], imgs[fresh]))
+            if target is not None and target(
+                    imgs[fresh].reshape(-1, nd)).reshape(-1, k).all(1).any():
+                break  # the level's first hit lies in this chunk
+            lo, step = lo + len(rows), min(2 * step, cap)
+        pos, codes, imgs = (np.concatenate(a) for a in zip(*found))
+        codes, first = np.unique(codes, return_index=True)
         order = np.argsort(first)
-        frontier, pos = new[order], pos[first[order]]
+        frontier = imgs[first[order]]
+        pos = pos[first[order]]
         levels.append((pos // ngens, pos % ngens))
-        seen = np.union1d(seen, new)
+        seen = np.union1d(seen, codes)
         if target is not None:
-            hit = np.flatnonzero(
-                target[(frontier[:, None] // radix) % size].all(axis=1))
-    if not len(hit):
+            hits = np.flatnonzero(
+                target(frontier.reshape(-1, nd)).reshape(-1, k).all(1))
+            hit = hits[0] if len(hits) else None
+    if hit is None:
         return None, seen, spent
-    i, path = hit[0], []
+    path = []
     for parent, gen in reversed(levels):
-        path.append(int(gen[i]))
-        i = parent[i]
+        path.append(int(gen[hit]))
+        hit = parent[hit]
     return path[::-1], seen, spent
 
 
 def eu_search(H, xs, target=None, want=None, budget=DEFAULT_BUDGET, spent=0):
     """BFS from the elements xs of H (moved entrywise) under the basis-u
     family, and again under the full family when that one falls short: no
-    state inside target(E) reached (E: H's coordinate rows), or with no
-    target an orbit other than the sorted index array `want`.  Returns
-    (word or None, reached, u_mode, spent); the word lists the cached
-    generators in application order."""
-    E, encode = _element_space(H)
-    start = tuple(int(i) for i in encode([x.vec for x in xs]))
-    mask = None if target is None else target(E)
+    state whose coordinate rows all satisfy target(rows) -> bool mask, or
+    with no target an orbit other than the sorted code array `want` (codes
+    as element_codes gives them).  A start already on target returns the
+    empty word before any generator is built.  Returns (word or None,
+    sorted codes of the reached states, u_mode, spent); the word lists the
+    cached generators in application order."""
+    m = H.ring.base_mod
+    start = np.array([x.vec for x in xs], dtype=np.int64).reshape(
+        len(xs), H.module.nd)
+    element_codes(H, start)  # refuses a presented H
+    if target is not None and target(start).all():
+        return [], _codes(start.reshape(1, -1), m), "basis", spent
     for u_mode in ("basis", "all"):
         _, gens = elementary_unitary_generators(
             H.ring, H.param, len(H.hyperbolic_pairs), u_mode=u_mode, H=H)
-        if ("perms", u_mode) not in H.eu_cache:
-            H.eu_cache[("perms", u_mode)] = _gen_permutations(H, gens)
-        path, reached, spent = _bfs(H.eu_cache[("perms", u_mode)], start,
-                                    mask, budget, spent)
+        if ("mats", u_mode) not in H.eu_cache:
+            H.eu_cache[("mats", u_mode)] = _gen_permutations(H, gens)
+        path, reached, spent = _bfs(H.eu_cache[("mats", u_mode)], m, start,
+                                    target, budget, spent)
         if path is not None or (target is None
                                 and np.array_equal(reached, want)):
             break
@@ -326,29 +332,32 @@ def check_Tn(ring, param, n, budget=DEFAULT_BUDGET, mode="transvection"):
     else:
         raise ValueError("unknown mode %r" % mode)
     classes = _mu_class_partition(H, budget)
-    E, encode = _element_space(H)
     visits = 0
     stats = {"classes": len(classes), "generators": len(gens)}
     for rep_mu, members in sorted(classes.items()):
-        member_idx = np.sort(encode([x.vec for x in members]))
+        member_idx = np.sort(element_codes(H, [x.vec for x in members]))
         if mode == "full-u":
             # the orbit under the whole group is the set of images of the seed
             visits += len(gens)
             if visits > budget:
                 raise BudgetExceeded("full-U orbit budget")
-            seen = np.unique(encode([t(members[0]).vec for t in gens]))
+            seen = np.unique(element_codes(H, [t(members[0]).vec
+                                               for t in gens]))
         else:
             _, seen, u_mode, visits = eu_search(
                 H, members[:1], want=member_idx, budget=budget, spent=visits)
             if u_mode == "all":
                 stats["generators_full"] = len(H.eu_cache[("gens", "all")])
         if not np.array_equal(seen, member_idx):
-            missing = E[np.setdiff1d(member_idx, seen)[0]]
+            missing = int(np.setdiff1d(member_idx, seen)[0])
+            m = ring.base_mod
+            unreached = [missing // m ** i % m
+                         for i in reversed(range(H.module.nd))]
             return RangeReport(ring, "T", n, "fails",
                                witness={"mu": rep_mu,
                                         "orbit_size": len(seen),
                                         "class_size": len(member_idx),
-                                        "unreached": missing.tolist()},
+                                        "unreached": unreached},
                                stats=dict(stats, visits=visits), mode=mode)
     return RangeReport(ring, "T", n, "holds",
                        stats=dict(stats, visits=visits), mode=mode)

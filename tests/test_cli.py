@@ -109,6 +109,19 @@ def test_complex_empty_poset_is_refuted(tmp_path, capsys, monkeypatch):
         assert code == 2
 
 
+def test_complex_cap_exits_are_inconclusive(capsys):
+    # GF(2) H^7 has 16384 elements: past the Witt-search and pair-table caps
+    instance = json.dumps({"ring": "gf2", "quadratic": "H^7"})
+    for theorem in ("iu", "hu"):
+        for action in ("verify", "homology", "build"):
+            code, out = run_cli(capsys, "complex", action, "--theorem",
+                                theorem, "--instance", instance)
+            data = json.loads(out)
+            assert data["verdict"]["result"] == "inconclusive"
+            assert data["verdict"]["detail"]["reason"]
+            assert code == 1
+
+
 def test_complex_cache_misses_after_source_change(tmp_path, capsys,
                                                   monkeypatch):
     from wittlab import cli

@@ -1,6 +1,6 @@
 """The EU-orbit engine against plain-Python oracles.
 
-The engine (stable_range: cached generators, int32 permutation tables,
+The engine (stable_range: cached generators, a frontier-only
 level-synchronous numpy BFS) must reach exactly the orbits an
 element-by-element BFS reaches, give the (T_n) verdicts the full-U route
 gives, and emit words that replay externally.
@@ -51,20 +51,26 @@ def reference_orbit(H, gens, seed):
     return seen
 
 
-def test_permutation_tables_match_maps():
-    # free modules encode by mixed radix, presented ones by canon + dict
+def test_stacked_matrices_match_maps():
+    Q = hyperbolic(P4, 1)
+    gens = unitary_group(Q)
+    mats = S._gen_permutations(Q, gens)
+    nd = Q.module.nd
+    assert mats.shape == (nd, len(gens) * nd)
+    for x in Q.module.elements():
+        imgs = (np.array(x.vec) @ mats) % Z4.base_mod
+        assert [tuple(imgs[i * nd:(i + 1) * nd].tolist())
+                for i in range(len(gens))] == [t(x).vec for t in gens]
+    assert S.element_codes(Q, [x.vec for x in Q.module.elements()]).tolist() \
+        == list(range(Q.module.size))
+
+
+def test_presented_module_is_refused():
     D = make_quadratic(cyclic_module(Z4, 2), [[0]], [0], P4)
     presented, _, _ = direct_sum_quadratic(hyperbolic(P4, 1), D)
-    for Q in (hyperbolic(P4, 1), presented):
-        elems = list(Q.module.elements())
-        index = {x.vec: i for i, x in enumerate(elems)}
-        E, _ = S._element_space(Q)
-        assert [tuple(row) for row in E.tolist()] == [x.vec for x in elems]
-        gens = unitary_group(Q)
-        perms = S._gen_permutations(Q, gens)
-        assert perms.dtype == np.int32 and perms.shape == (len(gens), len(E))
-        for row, t in zip(perms, gens):
-            assert row.tolist() == [index[t(x).vec] for x in elems]
+    x = presented.module.gen(0)
+    with pytest.raises(ValueError, match="free"):
+        S.eu_search(presented, [x], want=np.array([0]))
 
 
 def small_h2_rings():
@@ -76,14 +82,14 @@ def test_engine_orbits_match_reference_bfs(rname):
     ring = C.catalog_ring(rname)
     param = C.catalog_parameters(rname)[0][1]
     H, gens = S.elementary_unitary_generators(ring, param, 2, u_mode="basis")
-    E, encode = S._element_space(H)
+    elems = [x.vec for x in H.module.elements()]
     classes = S._mu_class_partition(H, S.DEFAULT_BUDGET)
     for members in classes.values():
         seed = members[0]
-        want = np.sort(encode([x.vec for x in members]))
+        want = np.sort(S.element_codes(H, [x.vec for x in members]))
         word, reached, u_mode, _ = S.eu_search(H, [seed], want=want)
         assert word is None and u_mode == "basis"
-        got = {tuple(int(v) for v in E[i]) for i in reached}
+        got = {elems[i] for i in reached}
         assert got == reference_orbit(H, gens, seed)
         assert got == {x.vec for x in members}
 
@@ -117,6 +123,27 @@ def test_first_pair_words_replay_on_z4_h2():
         assert phi(v).vec in targets
         moved += 1
     assert moved == 240
+
+
+@pytest.mark.parametrize("pname", ["z4:eps3:min", "z4:eps3:max"])
+def test_transitive_move_on_z4_h4(pname):
+    # H^4 has 65,536 elements and, at eps3:max, 529 basis-u generators: a
+    # table over all of H would hold 34.7M entries; the BFS keeps only its
+    # frontier
+    param = dict(C.catalog_parameters("z4"))[pname]
+    H = hyperbolic(param, 4)
+    for vec in [(0, 0, 1, 0, 0, 0, 0, 0), (2, 0, 1, 0, 0, 3, 0, 0),
+                (0, 1, 0, 0, 0, 0, 0, 1)]:
+        v = H.module.element(vec)
+        phi, target = transitive_move(H, v, H.mu_rep(v))
+        assert phi(v) == target
+
+
+def test_start_on_target_builds_nothing():
+    H = hyperbolic(P4, 4)
+    e1, f1 = H.hyperbolic_pairs[0]
+    assert _eu_reach_first_pair(H, e1 + f1 * 2, budget=1) == []
+    assert H.eu_cache == {}
 
 
 def test_tiny_budgets_still_raise():
