@@ -4,7 +4,17 @@ A SequencePoset holds an explicit vertex universe and a lazily memoized
 membership predicate on sequences of distinct atoms; p-simplices are the
 members of length p+1 and faces delete one entry.  Links, truncations and
 decorations compose the predicates.
+
+Enumeration extends each member by the atoms one candidate mask allows.  A
+kind may give an `extend(ids)` hook that returns that mask exactly: given a
+member prefix `ids`, the atoms a for which ids + (a,) is a member.  The hook
+is valid only for kinds whose membership does not depend on the order of
+the entries (unimodularity is one), because links compose it by putting the
+base sequence after the prefix.  Without the hook, the `pair_ok` rows and
+the vertex mask prefilter the candidates and the raw predicate decides.
 """
+
+import numpy as np
 
 from wittlab.modules import is_unimodular
 from wittlab.quadratic import is_lambda_unimodular
@@ -19,10 +29,17 @@ class PosetCapExceeded(RuntimeError):
 class SequencePoset:
     """pair_ok (optional, numpy bool over atom indices) prefilters
     extensions; pairwise_complete marks kinds whose membership is exactly
-    the conjunction of vertex and pair conditions, skipping the raw test."""
+    the conjunction of vertex and pair conditions, skipping the raw test.
+
+    extend (optional) maps a member prefix (a tuple of ids) to the numpy
+    bool mask of the atoms a with prefix + (a,) a member.  The mask is
+    exact, so no raw test runs on the candidates it allows.  Give it only
+    for kinds whose membership does not depend on order: neighbors reads
+    (v, w) and (w, v) off one mask, and link puts the base after the
+    prefix."""
 
     def __init__(self, name, atoms, raw_member, entry_cap=SIMPLEX_ENTRY_CAP,
-                 pair_ok=None, pairwise_complete=False):
+                 pair_ok=None, pairwise_complete=False, extend=None):
         self.name = name
         self.atoms = list(atoms)
         self._raw = raw_member
@@ -31,6 +48,7 @@ class SequencePoset:
         self.entry_cap = entry_cap
         self.pair_ok = pair_ok
         self.pairwise_complete = pairwise_complete
+        self.extend = extend
         self.vertex_ids = [i for i in range(len(self.atoms))
                            if self.member_ids((i,))]
         self._vmask = None
@@ -58,37 +76,44 @@ class SequencePoset:
 
     def _vertex_mask(self):
         if self._vmask is None:
-            import numpy as np
-
             self._vmask = np.zeros(len(self.atoms), dtype=bool)
             self._vmask[self.vertex_ids] = True
         return self._vmask
 
+    def _candidates(self, seq):
+        """Atoms that may extend the member seq, as a bool mask, and whether
+        the mask is exact (every seq + (a,) it allows is a member).  The
+        extend hook is exact; the pair_ok rows are exact when the kind is
+        pairwise complete; the vertex mask alone is a prefilter."""
+        if self.extend is not None:
+            return self.extend(seq), True
+        mask = self._vertex_mask().copy()
+        for u in seq:
+            if self.pair_ok is not None:
+                mask &= self.pair_ok[u]
+            mask[u] = False
+        return mask, self.pair_ok is not None and self.pairwise_complete
+
     def neighbors(self, vid):
         """Vertices adjacent to vid in the 1-skeleton (either orientation)."""
-        import numpy as np
-
-        if self.pair_ok is not None:
+        if self.extend is None and self.pair_ok is not None:
             mask = (self.pair_ok[vid] | self.pair_ok[:, vid]) \
                 & self._vertex_mask()
             mask[vid] = False
-            cand = np.nonzero(mask)[0]
-            if self.pairwise_complete:
-                return [int(w) for w in cand]
-            return [int(w) for w in cand
-                    if self.member_ids((vid, int(w)))
-                    or self.member_ids((int(w), vid))]
-        out = []
-        for w in self.vertex_ids:
-            if w != vid and (self.member_ids((vid, w))
-                             or self.member_ids((w, vid))):
-                out.append(w)
-        return out
+            exact = self.pairwise_complete
+        else:  # an extend mask holds (w, vid) too, by order independence
+            mask, exact = self._candidates((vid,))
+        cand = [int(w) for w in np.nonzero(mask)[0]]
+        if exact:
+            return cand
+        return [w for w in cand
+                if self.member_ids((vid, w)) or self.member_ids((w, vid))]
 
     # -- simplices ---------------------------------------------------------
 
     def simplices(self, p):
-        """Members of length p+1, generated by extension (chain condition)."""
+        """Members of length p+1, generated by extension (chain condition),
+        each member's extensions in ascending atom id."""
         if p in self._levels:
             return self._levels[p]
         if p == 0:
@@ -97,40 +122,13 @@ class SequencePoset:
             lower = self.simplices(p - 1)
             level = []
             budget = self.entry_cap // (p + 2)
-            if self.pair_ok is not None:
-                import numpy as np
-
-                vmask = self._vertex_mask()
-                for seq in lower:
-                    allowed = vmask.copy()
-                    for u in seq:
-                        allowed &= self.pair_ok[u]
-                        allowed[u] = False
-                    cands = np.nonzero(allowed)[0]
-                    if self.pairwise_complete:
-                        level.extend(seq + (int(v),) for v in cands)
-                    else:
-                        for v in cands:
-                            cand = seq + (int(v),)
-                            if self.member_ids(cand):
-                                level.append(cand)
-                    if len(level) > budget:
-                        raise PosetCapExceeded(
-                            "%s has > %d %d-simplices" %
-                            (self.name, budget, p))
-            else:
-                for seq in lower:
-                    taken = set(seq)
-                    for v in self.vertex_ids:
-                        if v in taken:
-                            continue
-                        cand = seq + (v,)
-                        if self.member_ids(cand):
-                            level.append(cand)
-                            if len(level) > budget:
-                                raise PosetCapExceeded(
-                                    "%s has > %d %d-simplices" %
-                                    (self.name, budget, p))
+            for seq in lower:
+                mask, exact = self._candidates(seq)
+                cands = (seq + (int(v),) for v in np.nonzero(mask)[0])
+                level.extend(cands if exact else filter(self.member_ids, cands))
+                if len(level) > budget:
+                    raise PosetCapExceeded(
+                        "%s has > %d %d-simplices" % (self.name, budget, p))
         self._levels[p] = level
         return level
 
@@ -162,24 +160,38 @@ class SequencePoset:
 
 
 def link(F, base_atoms, name=None):
-    """F_v: sequences w with (w, v) in F; the vertex universe drops v's atoms."""
+    """F_v: sequences w with (w, v) in F; the vertex universe drops v's atoms.
+
+    When F has an extend hook and v's atoms are among F's, the link's hook
+    is F's at the prefix followed by v, read on the kept atoms.  That puts v
+    after the extension where membership puts it last, so it is exact only
+    because a hook's kind is order independent."""
     base_atoms = tuple(base_atoms)
     if not F.member_atoms(base_atoms):
         raise ValueError("base sequence is not a member of the poset")
-    kept = [i for i, a in enumerate(F.atoms) if a not in set(base_atoms)]
+    base_set = set(base_atoms)
+    kept = [i for i, a in enumerate(F.atoms) if a not in base_set]
     atoms = [F.atoms[i] for i in kept]
     pair_ok = None
     if F.pair_ok is not None:
-        import numpy as np
-
         pair_ok = F.pair_ok[np.ix_(kept, kept)]
+    extend = None
+    if F.extend is not None:
+        index = {a: i for i, a in enumerate(F.atoms)}
+        base_ids = tuple(index.get(a) for a in base_atoms)
+        kept_ids = np.array(kept, dtype=np.intp)
+        if None not in base_ids:
+            def extend(ids):
+                return F.extend(tuple(kept[i] for i in ids)
+                                + base_ids)[kept_ids]
 
     def raw(seq):
         return F.member_atoms(tuple(seq) + base_atoms)
 
     return SequencePoset(name or "%s_link" % F.name, atoms, raw,
                          entry_cap=F.entry_cap, pair_ok=pair_ok,
-                         pairwise_complete=F.pairwise_complete)
+                         pairwise_complete=F.pairwise_complete,
+                         extend=extend)
 
 
 def truncate(F, kmax, name=None):
@@ -196,8 +208,6 @@ def decorate(F, decorations, name=None):
     atoms = [(a, s) for a in F.atoms for s in decorations]
     pair_ok = None
     if F.pair_ok is not None and len(atoms) <= 4000:
-        import numpy as np
-
         ns = len(decorations)
         base = np.repeat(np.arange(len(F.atoms)), ns)
         pair_ok = F.pair_ok[np.ix_(base, base)].copy()
@@ -235,26 +245,44 @@ def gl_poset(M, universe=None, ambient=None, embed=None, name=None,
     amb = ambient if ambient is not None else M
     if embed is None:
         embed = lambda x: x
-    if universe is None:
-        universe = list(M.elements())
-    field = _field_like(M.ring) and amb is M
+    universe = list(M.elements()) if universe is None else list(universe)
+    extend = None
 
-    if field:
+    if _field_like(M.ring) and amb is M:
         from wittlab.linalg import LinearSolver
+
+        ring = M.ring
 
         def raw(seq):
             rows = []
             for x in seq:
                 v = embed(x)
-                rows.extend(list(M.act_vec(v.vec, t)) for t in M.ring.basis)
-            sol = LinearSolver(rows, M.ring.base_mod, width=M.nd)
-            return sol.module_size == M.ring.size ** len(seq)
+                rows.extend(list(M.act_vec(v.vec, t)) for t in ring.basis)
+            sol = LinearSolver(rows, ring.base_mod, width=M.nd)
+            return sol.module_size == ring.size ** len(seq)
+
+        # Over a field a prefix is unimodular iff it is independent, and it
+        # stays so after a exactly when a lies outside its span.
+        vecs = [embed(x).vec for x in universe]
+        atom_rows = [[list(M.act_vec(v, t)) for t in ring.basis]
+                     for v in vecs]
+        coords = np.array(vecs, dtype=np.int64).reshape(len(vecs), M.nd)
+        m = ring.base_mod
+
+        def extend(ids):
+            sol = LinearSolver([r for i in ids for r in atom_rows[i]], m,
+                               width=M.nd)
+            rem = coords.copy()
+            for row, j in zip(sol.H, sol.pivots):  # reduce_vec, all at once
+                rem -= np.outer(rem[:, j] // row[j], row)
+                rem %= m
+            return rem.any(axis=1)
     else:
         def raw(seq):
             return is_unimodular(amb, [embed(x) for x in seq]) is not None
 
     return SequencePoset(name or "U(%s)" % M.name, universe, raw,
-                         entry_cap=cap)
+                         entry_cap=cap, extend=extend)
 
 
 def lambda_poset(Q_ambient, universe, name=None, cap=SIMPLEX_ENTRY_CAP):
@@ -293,8 +321,6 @@ class _PairTables:
         self.Q = Q
         self.elems = list(module.elements(cap=cap))
         self.index = {x.vec: i for i, x in enumerate(self.elems)}
-        import numpy as np
-
         ring = Q.ring
         m = ring.base_mod
         X = np.array([x.vec for x in self.elems], dtype=np.int64)
@@ -313,8 +339,6 @@ class _PairTables:
 
 def iu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
     """Isotropic lambda-unimodular sequences I U(M)."""
-    import numpy as np
-
     if tables is None:
         tables = _PairTables(Q)
     ring = Q.ring
@@ -351,8 +375,6 @@ def hu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
     with mu(x) = mu(y) = 0 and lambda(x, y) = 1; sequence membership reduces
     to pairwise lambda conditions (the witnesses are built into the pairs),
     so the poset is pairwise-complete and fully vectorized."""
-    import numpy as np
-
     if tables is None:
         tables = _PairTables(Q)
     ring = Q.ring

@@ -193,10 +193,14 @@ def _mu_class_partition(H, budget):
     if module.size > budget:
         raise BudgetExceeded("H^n too large to enumerate")
     classes = {}
+    unimodular = {}  # left-unimodularity depends only on the set of entries
     for x in module.elements(cap=module.size):
         if x.is_zero():
             continue
-        if not row_unimodular(ring, x.ring_blocks()):
+        entries = frozenset(x.ring_blocks())
+        if entries not in unimodular:
+            unimodular[entries] = row_unimodular(ring, entries)
+        if not unimodular[entries]:
             continue
         classes.setdefault(H.mu_rep(x), []).append(x)
     return classes

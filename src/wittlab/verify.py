@@ -170,10 +170,6 @@ def connectivity_verdict(poset, d, pi1_budget=200000):
 # -- theorem registry ----------------------------------------------------------
 
 
-def floor_div(a, b):
-    return a // b
-
-
 class TheoremReport:
     def __init__(self, theorem, bound, verdict, hypothesis, poset_name):
         self.theorem = theorem
@@ -199,26 +195,21 @@ class TheoremReport:
 def verify_gl_connectivity(M, sr, base=None, cap=5_000_000):
     """O(M) cap U(M-infinity) is (rk - sr - 1)-connected; with a base
     sequence the link variant at (rk - sr - k - 1)."""
-    rk = module_rank(M)
-    poset = gl_poset(M, cap=cap)
-    hypothesis = {"rank": rk, "sr": sr}
-    if base:
-        k = len(base)
-        bound = rk - sr - k - 1
-        poset = link(poset, base)
-        hypothesis["k"] = k
-        name = "gl-link"
-    else:
-        bound = rk - sr - 1
-        name = "gl"
-    verdict = connectivity_verdict(poset, bound)
-    return TheoremReport(name, bound, verdict, hypothesis, poset.name)
+    k = len(base) if base else 0
+    hypothesis = {"sr": sr, "k": k} if base else {"sr": sr}
+
+    def run():
+        rk = hypothesis["rank"] = module_rank(M)
+        return rk - sr - k - 1, gl_poset(M, cap=cap)
+
+    return _theorem_report("gl-link" if base else "gl", hypothesis, run, base)
 
 
 def _theorem_report(name, hypothesis, run, base):
     """Report on the poset run() builds, with its bound (on its link at
-    base, if given).  A cap exit in the Witt search or the pair tables ends
-    as inconclusive with the reason, and with no bound or poset name."""
+    base, if given).  A cap exit in the Witt search, the module enumeration
+    or the pair tables ends as inconclusive with the reason, and with no
+    bound or poset name."""
     try:
         bound, poset = run()
     except (CapExceeded, PosetCapExceeded) as exc:
@@ -239,7 +230,7 @@ def verify_iu_connectivity(Q, usr, base=None, cap=5_000_000):
     def run():
         g = hypothesis["g"] = witt_index(Q, usr=usr).g
         poset = iu_poset(Q, tables=_PairTables(Q), cap=cap)
-        return floor_div(g - usr - k - 2, 2), poset
+        return (g - usr - k - 2) // 2, poset
 
     return _theorem_report("iu-link" if base else "iu", hypothesis, run, base)
 
@@ -258,7 +249,7 @@ def verify_hu_connectivity(Q, usr, base=None, cap=5_000_000, stable=False,
         else:
             g = hypothesis["g"] = witt_index(Q, usr=usr).g
         poset = hu_poset(Q, tables=_PairTables(Q), cap=cap)
-        return floor_div(g - usr - k - 3, 2), poset
+        return (g - usr - k - 3) // 2, poset
 
     name = ("hu-stable" if stable else "hu") + ("-link" if base else "")
     return _theorem_report(name, hypothesis, run, base)
@@ -276,58 +267,49 @@ def verify_lambda_poset(Q, usr, base=None, cap=5_000_000):
     from wittlab.posets import lambda_poset
     from wittlab.quadratic import direct_sum_quadratic, hyperbolic
 
-    dec = witt_index(Q, usr=usr)
-    g = dec.g
     N, lift, _ = direct_sum_quadratic(Q, hyperbolic(Q.param, 1),
                                       name="%s + H" % Q.name)
-    ring = Q.ring
-    e_only = [lift(x) for x, _y in dec.pairs]
-    P_elems = [lift(dec.complement_incl(p))
-               for p in dec.complement.module.elements()]
-    universe = []
-    seen = set()
-    for coeffs in it.product(range(ring.size), repeat=len(e_only)):
-        h = N.module.zero()
-        for c, e in zip(coeffs, e_only):
-            h = h + e * c
-        for p in P_elems:
-            v = p + h
-            if v.vec not in seen and N.mu_zero(v):
-                seen.add(v.vec)
-                universe.append(v)
-    poset = lambda_poset(N, universe, cap=cap)
-    hypothesis = {"g": g, "usr": usr}
     if base:
         base = [lift(v) if v.module is Q.module else v for v in base]
-        k = len(base)
-        bound = g - usr - k - 1
-        poset = link(poset, base)
-        hypothesis["k"] = k
-        name = "lambda-poset-link"
-    else:
-        bound = g - usr - 1
-        name = "lambda-poset"
-    verdict = connectivity_verdict(poset, bound)
-    return TheoremReport(name, bound, verdict, hypothesis, poset.name)
+    k = len(base) if base else 0
+    hypothesis = {"usr": usr, "k": k} if base else {"usr": usr}
+
+    def run():
+        dec = witt_index(Q, usr=usr)
+        g = hypothesis["g"] = dec.g
+        ring = Q.ring
+        e_only = [lift(x) for x, _y in dec.pairs]
+        P_elems = [lift(dec.complement_incl(p))
+                   for p in dec.complement.module.elements()]
+        universe = []
+        seen = set()
+        for coeffs in it.product(range(ring.size), repeat=len(e_only)):
+            h = N.module.zero()
+            for c, e in zip(coeffs, e_only):
+                h = h + e * c
+            for p in P_elems:
+                v = p + h
+                if v.vec not in seen and N.mu_zero(v):
+                    seen.add(v.vec)
+                    universe.append(v)
+        return g - usr - k - 1, lambda_poset(N, universe, cap=cap)
+
+    name = "lambda-poset-link" if base else "lambda-poset"
+    return _theorem_report(name, hypothesis, run, base)
 
 
 def verify_mu_poset(Q, usr, base=None, cap=5_000_000):
     """O(M) cap U(N, lambda, mu) is (g(M) - usr - 1)-connected (N = M here);
     links lose |v|."""
-    g = witt_index(Q, usr=usr).g
-    poset = mu_poset(Q, cap=cap)
-    hypothesis = {"g": g, "usr": usr}
-    if base:
-        k = len(base)
-        bound = g - usr - k - 1
-        poset = link(poset, base)
-        hypothesis["k"] = k
-        name = "mu-poset-link"
-    else:
-        bound = g - usr - 1
-        name = "mu-poset"
-    verdict = connectivity_verdict(poset, bound)
-    return TheoremReport(name, bound, verdict, hypothesis, poset.name)
+    k = len(base) if base else 0
+    hypothesis = {"usr": usr, "k": k} if base else {"usr": usr}
+
+    def run():
+        g = hypothesis["g"] = witt_index(Q, usr=usr).g
+        return g - usr - k - 1, mu_poset(Q, cap=cap)
+
+    return _theorem_report("mu-poset-link" if base else "mu-poset",
+                           hypothesis, run, base)
 
 
 THEOREMS = {
@@ -476,20 +458,19 @@ def tuple_key(v):
 def verify_perp_link(Q, base, usr, cap=5_000_000):
     """O(<v>-perp) cap U(M, lambda, mu)_v is (g - usr - |v| - 1)-connected:
     the orthogonal-complement link variant."""
-    from wittlab.posets import mu_poset
     from wittlab.quadratic import orthogonal_complement
 
-    g = witt_index(Q, usr=usr).g
     k = len(base)
-    perp, incl = orthogonal_complement(Q, list(base))
-    universe = [incl(x) for x in perp.module.elements()]
-    big = mu_poset(Q, cap=cap)
-    restricted = SequencePosetRestriction(big, universe)
-    poset = link(restricted, base)
-    bound = g - usr - k - 1
-    verdict = connectivity_verdict(poset, bound)
-    return TheoremReport("perp-link", bound, verdict,
-                         {"g": g, "usr": usr, "k": k}, poset.name)
+    hypothesis = {"usr": usr, "k": k}
+
+    def run():
+        g = hypothesis["g"] = witt_index(Q, usr=usr).g
+        perp, incl = orthogonal_complement(Q, list(base))
+        universe = [incl(x) for x in perp.module.elements()]
+        restricted = SequencePosetRestriction(mu_poset(Q, cap=cap), universe)
+        return g - usr - k - 1, restricted
+
+    return _theorem_report("perp-link", hypothesis, run, base)
 
 
 def SequencePosetRestriction(F, universe):

@@ -110,16 +110,22 @@ def test_complex_empty_poset_is_refuted(tmp_path, capsys, monkeypatch):
 
 
 def test_complex_cap_exits_are_inconclusive(capsys):
-    # GF(2) H^7 has 16384 elements: past the Witt-search and pair-table caps
-    instance = json.dumps({"ring": "gf2", "quadratic": "H^7"})
-    for theorem in ("iu", "hu"):
-        for action in ("verify", "homology", "build"):
-            code, out = run_cli(capsys, "complex", action, "--theorem",
-                                theorem, "--instance", instance)
-            data = json.loads(out)
-            assert data["verdict"]["result"] == "inconclusive"
-            assert data["verdict"]["detail"]["reason"]
-            assert code == 1
+    # GF(2) H^7 has 16384 elements: past the Witt-search and pair-table caps;
+    # GF(2)^13 has 8192: past the module-enumeration cap.  mu-poset's build
+    # only counts mu_poset's vertices, which no cap stops.
+    h7 = {"ring": "gf2", "quadratic": "H^7"}
+    cases = [(t, a, h7) for t in ("iu", "hu", "lambda-poset")
+             for a in ("verify", "homology", "build")]
+    cases += [("mu-poset", a, h7) for a in ("verify", "homology")]
+    cases += [("gl", a, {"ring": "gf2", "module": "free:13"})
+              for a in ("verify", "homology", "build")]
+    for theorem, action, instance in cases:
+        code, out = run_cli(capsys, "complex", action, "--theorem",
+                            theorem, "--instance", json.dumps(instance))
+        data = json.loads(out)
+        assert data["verdict"]["result"] == "inconclusive"
+        assert data["verdict"]["detail"]["reason"]
+        assert code == 1
 
 
 def test_complex_cache_misses_after_source_change(tmp_path, capsys,

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from wittlab.homology import build_chain_complex, homology, homology_plain
 from wittlab.modules import free_module
 from wittlab.posets import (
@@ -371,3 +373,42 @@ def test_reduced_vs_plain_on_real_posets():
         slow = homology_plain(chain, d)
         assert fast["betti"] == slow["betti"], (poset.name, fast, slow)
         assert fast["torsion"] == slow["torsion"]
+
+
+HOOK_CASES = [(q, n, k) for q, ns in ((2, (2, 3, 4)), (3, (2, 3)), (4, (2,)))
+              for n in ns for k in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("q,n,k", HOOK_CASES)
+def test_gl_extend_hook_matches_raw(q, n, k):
+    # GF(q)^n, or its link at (e_1..e_k), against a copy with no hook: the
+    # same levels and homology, neighbors against the pairwise raw test, and
+    # the extend mask against the raw test on every member prefix through
+    # p = 2.  The copy memoizes the raw test of every extension it tried,
+    # which covers the prefixes through p = d; past d a seeded sample of at
+    # most 500 prefixes per level is tested.
+    M = free_module(make_ring({"kind": "gf", "q": q}), n)
+    F = gl_poset(M)
+    if k:
+        F = link(F, M.gens()[:k])
+    assert F.extend is not None
+    plain = SequencePoset(F.name, F.atoms, F.member_atoms)
+    d = max(n - k - 2, 0)
+    for p in range(d + 2):
+        assert F.simplices(p) == plain.simplices(p)
+    a = homology(build_chain_complex(F, d), d)
+    b = homology(build_chain_complex(plain, d), d)
+    assert a["cells"] == b["cells"]
+    assert a["betti"] == b["betti"] and a["torsion"] == b["torsion"]
+    ids = range(len(F.atoms))
+    for v in F.vertex_ids:
+        assert F.neighbors(v) == [w for w in ids if plain.member_ids((v, w))
+                                  or plain.member_ids((w, v))]
+    rng = random.Random(100 * q + 10 * n + k)
+    for p in range(-1, 3):
+        level = [()] if p < 0 else F.simplices(p)
+        if p > d and len(level) > 500:
+            level = rng.sample(level, 500)
+        for seq in level:
+            want = [plain.member_ids(seq + (w,)) for w in ids]
+            assert F.extend(seq).tolist() == want, seq

@@ -1,5 +1,8 @@
 """Stable rank, transitivity and unitary stable rank sweeps."""
 
+import pytest
+
+from wittlab import catalog as C
 from wittlab.rings import make_form_parameter, make_ring
 from wittlab.stable_range import (
     check_Sn,
@@ -117,3 +120,21 @@ def test_orbit_order_independence():
             frontier = nxt
         assert seen == {x.vec for x in members}
     assert rep1.verdict == "holds"
+
+
+@pytest.mark.parametrize("rname", C.ring_names())
+def test_mu_partition_memo_matches_per_element(rname):
+    # the partition tests each set of entries once; the oracle tests every
+    # element of H^1 and H^2
+    from wittlab.quadratic import hyperbolic
+    from wittlab.stable_range import _mu_class_partition
+
+    ring = C.catalog_ring(rname)
+    param = C.catalog_parameters(rname)[0][1]
+    for n in (1, 2):
+        H = hyperbolic(param, n)
+        want = {}
+        for x in H.module.elements(cap=H.module.size):
+            if not x.is_zero() and row_unimodular(ring, x.ring_blocks()):
+                want.setdefault(H.mu_rep(x), []).append(x)
+        assert _mu_class_partition(H, 1 << 22) == want
