@@ -1,6 +1,7 @@
 """CLI surface: subcommands, JSON interfaces, exit codes, caching."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -194,9 +195,16 @@ def test_exit_code_contract():
 
 
 def test_console_script_entry():
+    # the child imports the same wittlab as this process, however pytest
+    # put it on the path (PYTHONPATH or pyproject's pythonpath)
+    import wittlab
+
+    src = os.path.dirname(os.path.dirname(wittlab.__file__))
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     proc = subprocess.run(
         [sys.executable, "-m", "wittlab.cli", "stable-rank", "--ring", "gf3"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["sr"] == 1
 
