@@ -5,13 +5,20 @@ membership predicate on sequences of distinct atoms; p-simplices are the
 members of length p+1 and faces delete one entry.  Links, truncations and
 decorations compose the predicates.
 
-Enumeration extends each member by the atoms one candidate mask allows.  A
-kind may give an `extend(ids)` hook that returns that mask exactly: given a
-member prefix `ids`, the atoms a for which ids + (a,) is a member.  The hook
-is valid only for kinds whose membership does not depend on the order of
-the entries (unimodularity is one), because links compose it by putting the
-base sequence after the prefix.  Without the hook, the `pair_ok` rows and
-the vertex mask prefilter the candidates and the raw predicate decides.
+Enumeration extends each member by the atoms one candidate set allows.  A
+kind may give an `extend(ids)` hook that returns that set exactly, as a mask:
+given a member prefix `ids`, the atoms a for which ids + (a,) is a member.
+The hook is valid only for kinds whose membership does not depend on the
+order of the entries (unimodularity is one), because links compose it by
+putting the base sequence after the prefix.  Without the hook, the pair rows
+and the vertex set prefilter the candidates and the raw predicate decides.
+
+A pair row, `pair_row(a, cols)`, is atom a's pair condition against the atom
+ids `cols`: a necessary condition on every two entries of a member, read off
+the element-level table `lam == 0` of `_PairTables` on demand.  No atom x
+atom matrix is ever built.  Rows are symmetric (row a at c equals row c at
+a): lambda(x, y) = 0 iff lambda(y, x) = 0, by axiom (1), lambda(x, y) =
+eps * conj(lambda(y, x)) with eps a unit.
 """
 
 import numpy as np
@@ -27,9 +34,10 @@ class PosetCapExceeded(RuntimeError):
 
 
 class SequencePoset:
-    """pair_ok (optional, numpy bool over atom indices) prefilters
-    extensions; pairwise_complete marks kinds whose membership is exactly
-    the conjunction of vertex and pair conditions, skipping the raw test.
+    """pair_row (optional) maps an atom id and an int array of atom ids to
+    the numpy bool array of the pair condition, symmetric in its two atoms;
+    pairwise_complete marks kinds whose membership is exactly the
+    conjunction of vertex and pair conditions, skipping the raw test.
 
     extend (optional) maps a member prefix (a tuple of ids) to the numpy
     bool mask of the atoms a with prefix + (a,) a member.  The mask is
@@ -39,19 +47,22 @@ class SequencePoset:
     prefix."""
 
     def __init__(self, name, atoms, raw_member, entry_cap=SIMPLEX_ENTRY_CAP,
-                 pair_ok=None, pairwise_complete=False, extend=None):
+                 pair_row=None, pairwise_complete=False, extend=None):
         self.name = name
         self.atoms = list(atoms)
         self._raw = raw_member
         self._memo = {}
         self._levels = {}
         self.entry_cap = entry_cap
-        self.pair_ok = pair_ok
+        self.pair_row = pair_row
+        # no dense atom x atom matrix exists; perfbench/tracing.py still
+        # reads the size of this attribute when it is not None
+        self.pair_ok = None
         self.pairwise_complete = pairwise_complete
         self.extend = extend
         self.vertex_ids = [i for i in range(len(self.atoms))
                            if self.member_ids((i,))]
-        self._vmask = None
+        self._varr = np.array(self.vertex_ids, dtype=np.intp)
 
     # -- membership -------------------------------------------------------
 
@@ -59,12 +70,6 @@ class SequencePoset:
         if len(set(ids)) != len(ids):
             return False
         if ids not in self._memo:
-            if self.pair_ok is not None:
-                for a in range(len(ids)):
-                    for b in range(a + 1, len(ids)):
-                        if not self.pair_ok[ids[a], ids[b]]:
-                            self._memo[ids] = False
-                            return False
             self._memo[ids] = bool(
                 self._raw(tuple(self.atoms[i] for i in ids)))
         return self._memo[ids]
@@ -74,40 +79,35 @@ class SequencePoset:
             return False
         return bool(self._raw(tuple(atoms)))
 
-    def _vertex_mask(self):
-        if self._vmask is None:
-            self._vmask = np.zeros(len(self.atoms), dtype=bool)
-            self._vmask[self.vertex_ids] = True
-        return self._vmask
-
-    def _candidates(self, seq):
-        """Atoms that may extend the member seq, as a bool mask, and whether
-        the mask is exact (every seq + (a,) it allows is a member).  The
-        extend hook is exact; the pair_ok rows are exact when the kind is
-        pairwise complete; the vertex mask alone is a prefilter."""
+    def _candidates(self, seq, among=None):
+        """Atom ids that may extend the member seq, as an ascending int
+        array drawn from among (ascending vertex ids; all vertices if None),
+        and whether they are exact (every seq + (a,) they give is a member).
+        The extend hook is exact; the pair rows are exact when the kind is
+        pairwise complete; the vertex set alone is a prefilter."""
+        ids = self._varr if among is None else among
         if self.extend is not None:
-            return self.extend(seq), True
-        mask = self._vertex_mask().copy()
+            return ids[self.extend(seq)[ids]], True
         for u in seq:
-            if self.pair_ok is not None:
-                mask &= self.pair_ok[u]
-            mask[u] = False
-        return mask, self.pair_ok is not None and self.pairwise_complete
+            keep = ids != u
+            if self.pair_row is not None:
+                keep &= self.pair_row(u, ids)
+            ids = ids[keep]
+        return ids, self.pair_row is not None and self.pairwise_complete
 
-    def neighbors(self, vid):
-        """Vertices adjacent to vid in the 1-skeleton (either orientation)."""
-        if self.extend is None and self.pair_ok is not None:
-            mask = (self.pair_ok[vid] | self.pair_ok[:, vid]) \
-                & self._vertex_mask()
-            mask[vid] = False
-            exact = self.pairwise_complete
-        else:  # an extend mask holds (w, vid) too, by order independence
-            mask, exact = self._candidates((vid,))
-        cand = [int(w) for w in np.nonzero(mask)[0]]
+    def neighbors(self, vid, among=None):
+        """Ids of the vertices adjacent to vid in the 1-skeleton (either
+        orientation), as an ascending int array, restricted to the
+        ascending vertex ids among when given.  Pair rows are symmetric,
+        and an extend mask holds (w, vid) too by order independence, so one
+        candidate set serves both orientations; only inexact candidates get
+        the raw test."""
+        cand, exact = self._candidates((vid,), among)
         if exact:
             return cand
-        return [w for w in cand
-                if self.member_ids((vid, w)) or self.member_ids((w, vid))]
+        return cand[np.array([self.member_ids((vid, w))
+                              or self.member_ids((w, vid))
+                              for w in cand.tolist()], dtype=bool)]
 
     # -- simplices ---------------------------------------------------------
 
@@ -123,8 +123,8 @@ class SequencePoset:
             level = []
             budget = self.entry_cap // (p + 2)
             for seq in lower:
-                mask, exact = self._candidates(seq)
-                cands = (seq + (int(v),) for v in np.nonzero(mask)[0])
+                cand, exact = self._candidates(seq)
+                cands = (seq + (v,) for v in cand.tolist())
                 level.extend(cands if exact else filter(self.member_ids, cands))
                 if len(level) > budget:
                     raise PosetCapExceeded(
@@ -172,14 +172,15 @@ def link(F, base_atoms, name=None):
     base_set = set(base_atoms)
     kept = [i for i, a in enumerate(F.atoms) if a not in base_set]
     atoms = [F.atoms[i] for i in kept]
-    pair_ok = None
-    if F.pair_ok is not None:
-        pair_ok = F.pair_ok[np.ix_(kept, kept)]
+    kept_ids = np.array(kept, dtype=np.intp)
+    pair_row = None
+    if F.pair_row is not None:
+        def pair_row(a, cols):
+            return F.pair_row(kept_ids[a], kept_ids[cols])
     extend = None
     if F.extend is not None:
         index = {a: i for i, a in enumerate(F.atoms)}
         base_ids = tuple(index.get(a) for a in base_atoms)
-        kept_ids = np.array(kept, dtype=np.intp)
         if None not in base_ids:
             def extend(ids):
                 return F.extend(tuple(kept[i] for i in ids)
@@ -189,7 +190,7 @@ def link(F, base_atoms, name=None):
         return F.member_atoms(tuple(seq) + base_atoms)
 
     return SequencePoset(name or "%s_link" % F.name, atoms, raw,
-                         entry_cap=F.entry_cap, pair_ok=pair_ok,
+                         entry_cap=F.entry_cap, pair_row=pair_row,
                          pairwise_complete=F.pairwise_complete,
                          extend=extend)
 
@@ -199,28 +200,26 @@ def truncate(F, kmax, name=None):
         return len(seq) <= kmax and F.member_atoms(seq)
 
     return SequencePoset(name or "%s<=%d" % (F.name, kmax), F.atoms, raw,
-                         entry_cap=F.entry_cap, pair_ok=F.pair_ok,
+                         entry_cap=F.entry_cap, pair_row=F.pair_row,
                          pairwise_complete=False)
 
 
 def decorate(F, decorations, name=None):
     """F<S>: atoms (v, s), membership tested on the v-part."""
     atoms = [(a, s) for a in F.atoms for s in decorations]
-    pair_ok = None
-    if F.pair_ok is not None and len(atoms) <= 4000:
-        ns = len(decorations)
-        base = np.repeat(np.arange(len(F.atoms)), ns)
-        pair_ok = F.pair_ok[np.ix_(base, base)].copy()
-        same_v = base[:, None] == base[None, :]
-        pair_ok &= ~same_v
+    base = np.repeat(np.arange(len(F.atoms)), len(decorations))
+    pair_row = None
+    if F.pair_row is not None:
+        def pair_row(i, cols):
+            b = base[cols]
+            return F.pair_row(base[i], b) & (b != base[i])
 
     def raw(seq):
         return F.member_atoms(tuple(v for v, _s in seq))
 
     return SequencePoset(name or "%s<S>" % F.name, atoms, raw,
-                         entry_cap=F.entry_cap, pair_ok=pair_ok,
-                         pairwise_complete=F.pairwise_complete
-                         if pair_ok is not None else False)
+                         entry_cap=F.entry_cap, pair_row=pair_row,
+                         pairwise_complete=F.pairwise_complete)
 
 
 # -- concrete kinds ------------------------------------------------------------
@@ -312,7 +311,8 @@ def mu_poset(Q_ambient, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
 
 
 class _PairTables:
-    """Precomputed lambda values and mu flags over an enumerated module."""
+    """Precomputed lambda values and mu flags over an enumerated module;
+    lam_zero is the |M| x |M| table lam == 0 that pair rows read."""
 
     def __init__(self, Q, cap=4096):
         module = Q.module
@@ -331,6 +331,7 @@ class _PairTables:
             coords.append((X @ T @ X.T) % m)
         powers = np.array([m ** k for k in range(d)], dtype=np.int64)
         self.lam = sum(c * p for c, p in zip(coords, powers))
+        self.lam_zero = self.lam == ring.zero
         self.mu0 = np.array([Q.mu_zero(x) for x in self.elems], dtype=bool)
 
     def lam_idx(self, i, j):
@@ -345,10 +346,12 @@ def iu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
     zero = ring.zero
     lam_solver_memo = {}
 
-    keep = [i for i in range(len(tables.elems)) if tables.mu0[i]]
+    keep = np.flatnonzero(tables.mu0)
     universe = [tables.elems[i] for i in keep]
-    lam_zero = tables.lam == zero
-    pair_ok = lam_zero[np.ix_(keep, keep)]
+    Z = tables.lam_zero
+
+    def pair_row(a, cols):
+        return Z[keep[a], keep[cols]]
 
     def lam_uni(seq):
         key = tuple(x.vec for x in seq)
@@ -367,7 +370,7 @@ def iu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
         return lam_uni(seq)
 
     return SequencePoset(name or "IU(%s)" % Q.name, universe, raw,
-                         entry_cap=cap, pair_ok=pair_ok)
+                         entry_cap=cap, pair_row=pair_row)
 
 
 def hu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
@@ -385,13 +388,13 @@ def hu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
     X = mu0_idx[pairs_rc[:, 0]]
     Y = mu0_idx[pairs_rc[:, 1]]
     atoms = [(tables.elems[i], tables.elems[j]) for i, j in zip(X, Y)]
-    lam_zero = lam == zero
-    pair_ok = lam_zero[np.ix_(X, X)]
-    pair_ok &= lam_zero[np.ix_(Y, Y)]
-    tmp = lam_zero[np.ix_(X, Y)]
-    pair_ok &= tmp
-    pair_ok &= tmp.T
-    del tmp
+    Z = tables.lam_zero
+
+    def pair_row(a, cols):
+        # both entries of each atom c lambda-orthogonal to both of atom a's:
+        # Z[x, X[c]] & Z[y, Y[c]] & Z[x, Y[c]] & Z[y, X[c]]
+        z = Z[X[a]] & Z[Y[a]]
+        return z[X[cols]] & z[Y[cols]]
 
     def raw(seq):
         idx = [(tables.index[x.vec], tables.index[y.vec]) for x, y in seq]
@@ -415,7 +418,7 @@ def hu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
         return True
 
     return SequencePoset(name or "HU(%s)" % Q.name, atoms, raw,
-                         entry_cap=cap, pair_ok=pair_ok,
+                         entry_cap=cap, pair_row=pair_row,
                          pairwise_complete=True)
 
 

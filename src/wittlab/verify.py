@@ -7,6 +7,8 @@ simplification upgrading the certificate when it succeeds.  Refutations
 carry witnesses.
 """
 
+import numpy as np
+
 from wittlab.homology import build_chain_complex, homology
 from wittlab.modules import CapExceeded, rank as module_rank
 from wittlab.posets import (
@@ -45,28 +47,42 @@ class ConnectivityVerdict:
 
 
 def _component_count(poset):
-    """Number of path components, by BFS with on-the-fly neighbor masks."""
-    todo = set(poset.vertex_ids)
+    """Number of path components, by BFS over the shrinking array of
+    unvisited vertex ids: each vertex asks for its neighbors among those
+    only, so no pair is tested once both ends are visited."""
+    todo = np.array(poset.vertex_ids, dtype=np.intp)
     comps = 0
-    while todo:
+    while todo.size:
         comps += 1
-        seed = next(iter(todo))
-        todo.discard(seed)
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in poset.neighbors(v):
-                    if w in todo:
-                        todo.discard(w)
-                        nxt.append(w)
-            frontier = nxt
+        stack = [int(todo[0])]
+        todo = todo[1:]
+        while stack and todo.size:
+            found = poset.neighbors(stack.pop(), among=todo)
+            if found.size:
+                todo = np.setdiff1d(todo, found, assume_unique=True)
+                stack.extend(found.tolist())
     return comps
 
 
+def _free_reduce(word):
+    """The freely and cyclically reduced form of a word in signed
+    generators (g or -g for the inverse)."""
+    out = []
+    for s in word:
+        if out and out[-1] == -s:
+            out.pop()
+        else:
+            out.append(s)
+    i, j = 0, len(out)
+    while j - i > 1 and out[i] == -out[j - 1]:
+        i, j = i + 1, j - 1
+    return out[i:j]
+
+
 def _pi1_trivial(poset, budget=200000):
-    """Spanning-tree edge-path presentation plus greedy length-1/2 Tietze
-    eliminations; True only when every generator dies."""
+    """Spanning-tree edge-path presentation plus length-1/2 Tietze
+    eliminations (`_presentation_trivial`); True only when every generator
+    dies."""
     verts = poset.vertex_ids
     if not verts:
         return False
@@ -88,44 +104,64 @@ def _pi1_trivial(poset, budget=200000):
                 stack.append(w)
     if seen != set(verts):
         return False  # disconnected
-    gens = {idx for idx in range(len(edges)) if idx not in tree}
-    if not gens:
+    ngens = len(edges) - len(tree)
+    if not ngens:
         return True
     edge_index = {e: i for i, e in enumerate(edges)}
-    relations = []
+    relators = []
     for (a, b, c) in poset.simplices(2):
         word = []
-        for e in ((a, b), (b, c)):
+        for e, sign in (((a, b), 1), ((b, c), 1), ((a, c), -1)):
             idx = edge_index.get(e)
             if idx is None:
                 return False
-            if idx in gens:
-                word.append(idx + 1)
-        e = (a, c)
-        idx = edge_index.get(e)
-        if idx is None:
-            return False
-        if idx in gens:
-            word.append(-(idx + 1))
-        if word:
-            relations.append(word)
+            if idx not in tree:
+                word.append(sign * (idx + 1))
+        relators.append(word)
+    return _presentation_trivial(ngens, relators, budget)
+
+
+def _presentation_trivial(ngens, relators, budget=200000):
+    """True when length-1/2 Tietze eliminations kill all ngens generators
+    of the presentation; relators are words in signed generators (g or -g
+    for the inverse, g > 0).
+
+    A relator that reduces to g^(+-1) sets g = 1; one that reduces to
+    g^s h^t with g != h sets g = h^(-s t) by substitution.  The eliminated
+    generators form a forest of signed pointers (g -> a word of length at
+    most one), and every pass reads each relator through it, then reduces
+    it freely and cyclically, so each step is a Tietze transformation and
+    the presented group never changes."""
+    dead = {}  # eliminated generator -> its value: a signed generator or 0
+
+    def value(s):
+        path = []
+        while abs(s) in dead:
+            path.append(s)
+            s = dead[abs(s)] if s > 0 else -dead[abs(s)]
+        for t in path:  # path compression
+            dead[abs(t)] = s if t > 0 else -s
+        return s
+
     steps = 0
     changed = True
-    while changed and gens and steps < budget:
+    while changed and len(dead) < ngens and steps < budget:
         changed = False
-        for word in list(relations):
+        kept = []
+        for word in relators:
             steps += 1
-            live = [g for g in word if abs(g) - 1 in gens]
-            if len(live) == 1:
-                gens.discard(abs(live[0]) - 1)
+            word = _free_reduce([t for t in map(value, word) if t])
+            if len(word) == 1:
+                dead[abs(word[0])] = 0
                 changed = True
-            elif len(live) == 2 and abs(live[0]) != abs(live[1]):
-                # g = h^(+-1): eliminate one generator by substitution
-                gens.discard(abs(live[0]) - 1)
+            elif len(word) == 2 and abs(word[0]) != abs(word[1]):
+                g, h = word  # g h = 1: |g| is h^-1 if g > 0, else h
+                dead[abs(g)] = -h if g > 0 else h
                 changed = True
-        relations = [[g for g in w if abs(g) - 1 in gens] for w in relations]
-        relations = [w for w in relations if w]
-    return not gens
+            elif word:
+                kept.append(word)
+        relators = kept
+    return len(dead) == ngens
 
 
 def connectivity_verdict(poset, d, pi1_budget=200000):

@@ -19,6 +19,8 @@ from wittlab.posets import (
 from wittlab.quadratic import hyperbolic
 from wittlab.rings import make_form_parameter, make_ring
 from wittlab.verify import (
+    _pi1_trivial,
+    _presentation_trivial,
     connectivity_verdict,
     verify_gl_connectivity,
     verify_hu_connectivity,
@@ -223,6 +225,48 @@ def test_verdict_tiers():
     assert connectivity_verdict(E, -1).result == "refuted"
 
 
+def test_pi1_counterexample_is_not_trivial():
+    # edges (0,2) (1,2) (1,3) (2,3) (3,0) and the one triangle (1,2,3):
+    # H_1 = Z, so pi_1 is not trivial; the filled triangle and the boundary
+    # of a tetrahedron are simply connected
+    F = simple_poset(closure([(0, 2), (3, 0), (1, 2, 3)]))
+    assert sorted(F.simplices(1)) == [(0, 2), (1, 2), (1, 3), (2, 3), (3, 0)]
+    assert homology(build_chain_complex(F, 1), 1)["betti"][1] == 1
+    assert not _pi1_trivial(F)
+    assert _pi1_trivial(simple_poset(closure([(0, 1, 2)])))
+    sphere = closure([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    assert _pi1_trivial(simple_poset(sphere))
+
+
+def test_pi1_never_trivial_with_nonzero_h1():
+    # random small semisimplicial sets (face-closed sets of sequences)
+    rng = random.Random(29)
+    nonzero = 0
+    for _ in range(1000):
+        n = rng.randrange(4, 7)
+        tops = {tuple(rng.sample(range(n), 3))
+                for _ in range(rng.randrange(3, 12))}
+        F = simple_poset(closure(tops))
+        hom = homology(build_chain_complex(F, 1), 1)
+        if hom["betti"][1] or hom["torsion"][1]:
+            nonzero += 1
+            assert not _pi1_trivial(F), sorted(tops)
+    assert nonzero >= 500
+
+
+@pytest.mark.parametrize("ngens,relators,trivial", [
+    (2, [[1, 2], [1, 2, 2]], True),       # g = h^-1, then h = 1
+    (2, [[1, 2], [1, -2, -2]], False),    # g = h^-1 leaves h^3: Z/3
+    (2, [[1, -2], [1, 2]], False),        # g = h leaves h^2: Z/2
+    (2, [[2, 1, -2], [-1, 2, 1, 1]], True),   # cyclically g, then h
+    (2, [[2, 1, -2]], False),             # g = 1 leaves h free: Z
+    (1, [[1, 1]], False),                 # Z/2
+    (3, [[1, 2, 3], [3, -1], [2]], False),   # k = g, h = 1 leave g^2
+])
+def test_presentation_trivial_substitutes(ngens, relators, trivial):
+    assert _presentation_trivial(ngens, relators) is trivial
+
+
 def test_cap_exits_are_inconclusive(monkeypatch):
     # GF(2) H^7 has 16384 elements: past the Witt-search and pair-table caps
     from types import SimpleNamespace
@@ -402,8 +446,9 @@ def test_gl_extend_hook_matches_raw(q, n, k):
     assert a["betti"] == b["betti"] and a["torsion"] == b["torsion"]
     ids = range(len(F.atoms))
     for v in F.vertex_ids:
-        assert F.neighbors(v) == [w for w in ids if plain.member_ids((v, w))
-                                  or plain.member_ids((w, v))]
+        assert F.neighbors(v).tolist() == [
+            w for w in ids
+            if plain.member_ids((v, w)) or plain.member_ids((w, v))]
     rng = random.Random(100 * q + 10 * n + k)
     for p in range(-1, 3):
         level = [()] if p < 0 else F.simplices(p)
