@@ -27,6 +27,9 @@ import wittlab
 from wittlab import blocks as B
 from wittlab import catalog as C
 from wittlab import stable_range as S
+from wittlab import verify as V
+from wittlab.modules import CapExceeded
+from wittlab.posets import PosetCapExceeded
 from wittlab.reports import render_csv, render_table
 from wittlab.suites import SUITES, run_suite
 
@@ -221,9 +224,13 @@ def _resolve_instance(instance):
         out["Q"] = C.resolve_quadratic(param, instance["quadratic"])
     if "module" in instance:
         out["M"] = C.resolve_module(ring, instance["module"])
-    if "base" in instance:
-        out["base"] = instance["base"]
     return out
+
+
+def _exit_code(verdict):
+    """0 when the verdict holds, 2 when it is refuted, 1 otherwise."""
+    result = verdict.get("result")
+    return 0 if result in V.PROVED else 2 if result == "refuted" else 1
 
 
 def cmd_complex(args):
@@ -239,94 +246,36 @@ def cmd_complex(args):
                 data = json.load(fh)
             data["cached"] = True
             print(json.dumps(data, indent=2, sort_keys=True))
-            return {"vacuous": 0, "nonempty-verified": 0,
-                    "homology-verified": 0, "fully-verified": 0,
-                    "refuted": 2}.get(
-                        data.get("verdict", {}).get("result"), 1)
+            return _exit_code(data.get("verdict", {}))
     parts = _resolve_instance(instance)
-    ring = parts["ring"]
-    param = parts["param"]
-    from wittlab.modules import CapExceeded
-    from wittlab.posets import PosetCapExceeded, gl_poset, hu_poset, iu_poset
-    from wittlab.verify import (
-        verify_gl_connectivity,
-        verify_hu_connectivity,
-        verify_iu_connectivity,
-    )
-
-    base = None
-    # build only counts the poset's vertices; homology and verify run the
-    # theorem's verifier, which turns cap exits into inconclusive verdicts
-    if args.theorem.startswith("gl"):
-        M = parts["M"]
-        if parts.get("base"):
-            base = [_element(M, b) for b in parts["base"]]
-        sr = S.stable_rank(ring, 2).value
-        run = lambda: verify_gl_connectivity(M, sr=sr, base=base)
-        poset = lambda: gl_poset(M)
+    _name, entry = V.lookup(args.theorem)
+    if entry.rank == "sr":
+        X = module = parts["M"]
+        rank = S.stable_rank(parts["ring"], 2).value
     else:
-        Q = parts["Q"]
-        usr = S.unitary_stable_rank(ring, param, 2).value
-        if args.theorem.startswith("iu"):
-            if parts.get("base"):
-                base = [_element(Q.module, b) for b in parts["base"]]
-            run = lambda: verify_iu_connectivity(Q, usr=usr, base=base)
-            poset = lambda: iu_poset(Q)
-        elif args.theorem.startswith("hu"):
-            if parts.get("base"):
-                base = [(_element(Q.module, b[0]), _element(Q.module, b[1]))
-                        for b in parts["base"]]
-            run = lambda: verify_hu_connectivity(
-                Q, usr=usr, base=base, stable=args.theorem == "hu-stable")
-            poset = lambda: hu_poset(Q)
-        elif args.theorem.startswith("lambda-poset"):
-            from wittlab.verify import verify_lambda_poset
-
-            if parts.get("base"):
-                base = [_element(Q.module, b) for b in parts["base"]]
-            run = lambda: verify_lambda_poset(Q, usr=usr, base=base)
-            poset = lambda: iu_poset(Q)  # vertex count shown for build
-        elif args.theorem.startswith("mu-poset"):
-            from wittlab.posets import mu_poset
-            from wittlab.verify import verify_mu_poset
-
-            if parts.get("base"):
-                base = [_element(Q.module, b) for b in parts["base"]]
-            run = lambda: verify_mu_poset(Q, usr=usr, base=base)
-            poset = lambda: mu_poset(Q)
-        elif args.theorem == "perp-link":
-            from wittlab.posets import mu_poset
-            from wittlab.verify import verify_perp_link
-
-            base = [_element(Q.module, b) for b in parts.get("base") or []]
-            if not base:
-                print(json.dumps({"error": "perp-link needs a base"}))
-                return 1
-            run = lambda: verify_perp_link(Q, base, usr=usr)
-            poset = lambda: mu_poset(Q)
-        else:
-            print(json.dumps({"error": "unknown theorem %r" % args.theorem}))
-            return 1
+        X = parts["Q"]
+        module = X.module
+        rank = S.unitary_stable_rank(parts["ring"], parts["param"], 2).value
+    base = [tuple(_element(module, b) for b in blocks)
+            if entry.base == "pair" else _element(module, blocks)
+            for blocks in instance.get("base") or ()]
     if args.action == "build":
+        # the vertices of the poset verify checks, linked at the base
         out = {"theorem": args.theorem, "instance_digest": digest}
         try:
-            out["vertices"] = len(poset().vertex_ids)
+            _bound, poset = V.theorem_poset(args.theorem, X, rank, base)
+            out["vertices"] = len(poset.vertex_ids)
         except (CapExceeded, PosetCapExceeded) as exc:
             out["verdict"] = {"result": "inconclusive",
                               "detail": {"reason": str(exc)}}
         print(json.dumps(out, indent=2, sort_keys=True))
-        return 1 if "verdict" in out else 0
-    report = run()
-    out = report.to_dict()
+        return _exit_code(out["verdict"]) if "verdict" in out else 0
+    out = V.verify(args.theorem, X, rank, base=base).to_dict()
     out["instance_digest"] = digest
     if cache_path:
         _write_atomic(cache_path, out)
     print(json.dumps(out, indent=2, sort_keys=True))
-    if report.critical:
-        return 2
-    if report.verdict.result == "inconclusive":
-        return 1
-    return 0
+    return _exit_code(out["verdict"])
 
 
 def build_parser():
@@ -391,8 +340,9 @@ def build_parser():
 
     px = sub.add_parser("complex", help="build/verify sequence posets")
     px.add_argument("action", choices=["build", "homology", "verify"])
-    px.add_argument("--theorem", required=True,
-                    help="gl | gl-link | iu | iu-link | hu | hu-link | hu-stable")
+    px.add_argument("--theorem", required=True, choices=V.NAMES,
+                    help="a registry theorem; a -link name takes the "
+                         "instance's base")
     px.add_argument("--instance", required=True, help="JSON instance")
     px.add_argument("--no-cache", action="store_true")
     px.set_defaults(func=cmd_complex)

@@ -20,12 +20,7 @@ from wittlab.quadratic import (
     witt_index,
 )
 from wittlab.reports import SuiteReport
-from wittlab.verify import (
-    verify_gl_connectivity,
-    verify_hu_connectivity,
-    verify_iu_connectivity,
-    verify_link_isos,
-)
+from wittlab.verify import verify, verify_link_isos
 
 
 def _quad_axiom_sweep(Q, cap=2048):
@@ -365,20 +360,21 @@ def suite_cancellation(config=None, seed=0):
     return rep.finish()
 
 
+def _add_theorem(rep, case, report):
+    rep.add(case, report.verdict.result, {"bound": report.bound},
+            critical=report.critical,
+            inconclusive=report.verdict.result == "inconclusive")
+
+
 def suite_gl_connectivity(config=None, seed=0, n_max=4):
     rep = SuiteReport("gl-connectivity", seed=seed, config=config)
     GF2 = C.catalog_ring("gf2")
     sr = S.stable_rank(GF2, 2).value
     for n in range(2, n_max + 1):
         M = free_module(GF2, n)
-        r = verify_gl_connectivity(M, sr=sr)
-        rep.add("gf2^%d" % n, r.verdict.result,
-                {"bound": r.bound}, critical=r.critical,
-                inconclusive=r.verdict.result == "inconclusive")
-        rl = verify_gl_connectivity(M, sr=sr, base=[M.gen(0)])
-        rep.add("gf2^%d:link" % n, rl.verdict.result,
-                {"bound": rl.bound}, critical=rl.critical,
-                inconclusive=rl.verdict.result == "inconclusive")
+        _add_theorem(rep, "gf2^%d" % n, verify("gl", M, sr))
+        _add_theorem(rep, "gf2^%d:link" % n,
+                     verify("gl-link", M, sr, base=[M.gen(0)]))
     return rep.finish()
 
 
@@ -389,14 +385,9 @@ def suite_quad_connectivity(config=None, seed=0, g_max=4):
     rep.add("usr", "usr=%d" % usr, {})
     for g in range(1, g_max + 1):
         Q = hyperbolic(param, g)
-        ri = verify_iu_connectivity(Q, usr=usr)
-        rep.add("iu:H^%d" % g, ri.verdict.result, {"bound": ri.bound},
-                critical=ri.critical,
-                inconclusive=ri.verdict.result == "inconclusive")
-        rh = verify_hu_connectivity(Q, usr=usr)
-        rep.add("hu:H^%d" % g, rh.verdict.result, {"bound": rh.bound},
-                critical=rh.critical,
-                inconclusive=rh.verdict.result == "inconclusive")
+        for theorem in ("iu", "hu"):
+            _add_theorem(rep, "%s:H^%d" % (theorem, g),
+                         verify(theorem, Q, usr))
     return rep.finish()
 
 

@@ -1,11 +1,17 @@
-"""Connectivity verdicts and theorem-by-theorem verification harnesses.
+"""Connectivity verdicts, the theorem registry and the link isomorphisms.
 
 A verdict certifies the stated connectivity level: vacuous for d <= -2,
 nonemptiness for d = -1, and for d >= 0 path-connectedness plus vanishing
 reduced homology through degree d, with a best-effort fundamental-group
 simplification upgrading the certificate when it succeeds.  Refutations
 carry witnesses.
+
+THEOREMS is the one table of certified claims (the GL, IU/HU, lambda-,
+mu- and perp-link posets); verify(name, X, rank, base) runs any of them.
 """
+
+import collections
+import itertools
 
 import numpy as np
 
@@ -13,19 +19,28 @@ from wittlab.homology import build_chain_complex, homology
 from wittlab.modules import CapExceeded, rank as module_rank
 from wittlab.posets import (
     PosetCapExceeded,
+    decorate,
     gl_poset,
     hu_poset,
     iu_poset,
+    lambda_poset,
     link,
     mu_poset,
-    decorate,
     _PairTables,
 )
-from wittlab.quadratic import witt_index, stable_witt_index
+from wittlab.quadratic import (
+    direct_sum_quadratic,
+    hyperbolic,
+    orthogonal_complement,
+    stable_witt_index,
+    witt_index,
+)
 
 
-VERDICTS = ("vacuous", "nonempty-verified", "homology-verified",
-            "fully-verified", "refuted", "inconclusive")
+# the results that certify the target, each at its tier; the others are
+# "refuted" and "inconclusive"
+PROVED = ("vacuous", "nonempty-verified", "homology-verified",
+          "fully-verified")
 
 
 class ConnectivityVerdict:
@@ -35,8 +50,7 @@ class ConnectivityVerdict:
         self.detail = detail or {}
 
     def ok(self):
-        return self.result in ("vacuous", "nonempty-verified",
-                               "homology-verified", "fully-verified")
+        return self.result in PROVED
 
     def to_dict(self):
         return {"target": self.target, "result": self.result,
@@ -228,137 +242,168 @@ class TheoremReport:
             self.theorem, self.bound, self.verdict.result)
 
 
-def verify_gl_connectivity(M, sr, base=None, cap=5_000_000):
-    """O(M) cap U(M-infinity) is (rk - sr - 1)-connected; with a base
-    sequence the link variant at (rk - sr - k - 1)."""
-    k = len(base) if base else 0
-    hypothesis = {"sr": sr, "k": k} if base else {"sr": sr}
+# One certified claim: a poset built from X and the connectivity its bound
+# promises.  X is a module M when the rank is "sr" and a quadratic module Q
+# when it is "usr".  The invariant ("rank", "g" or "gbar") is the hypothesis
+# key the bound reads; bound(invariant, rank, k) is the connectivity of the
+# poset's link at a base of k entries (k = 0: the poset itself).  A base
+# entry is an element of X's module or, for base "pair", a hyperbolic pair.
+# build(X, base, cap, dec) returns the poset and the base as atoms of it;
+# dec is the Witt decomposition when the invariant is g.
+Theorem = collections.namedtuple(
+    "Theorem", "statement rank invariant bound build base needs_base",
+    defaults=("element", False))
 
-    def run():
-        rk = hypothesis["rank"] = module_rank(M)
-        return rk - sr - k - 1, gl_poset(M, cap=cap)
 
-    return _theorem_report("gl-link" if base else "gl", hypothesis, run, base)
+def _lambda_poset(Q, base, cap, dec):
+    """O(I(P + <e_1..e_g>, mu)) inside N = Q + H, with P the complement of
+    the Witt decomposition dec; a base entry of Q is lifted into N, one of
+    N is kept."""
+    N, lift, _ = direct_sum_quadratic(Q, hyperbolic(Q.param, 1),
+                                      name="%s + H" % Q.name)
+    e_only = [lift(x) for x, _y in dec.pairs]
+    P_elems = [lift(dec.complement_incl(p))
+               for p in dec.complement.module.elements()]
+    universe = []
+    seen = set()
+    for coeffs in itertools.product(range(Q.ring.size), repeat=len(e_only)):
+        h = N.module.zero()
+        for c, e in zip(coeffs, e_only):
+            h = h + e * c
+        for p in P_elems:
+            v = p + h
+            if v.vec not in seen and N.mu_zero(v):
+                seen.add(v.vec)
+                universe.append(v)
+    base = [lift(v) if v.module is Q.module else v for v in base]
+    return lambda_poset(N, universe, cap=cap), base
 
 
-def _theorem_report(name, hypothesis, run, base):
-    """Report on the poset run() builds, with its bound (on its link at
-    base, if given).  A cap exit in the Witt search, the module enumeration
-    or the pair tables ends as inconclusive with the reason, and with no
-    bound or poset name."""
+def _perp_poset(Q, base, cap, dec):
+    """U(Q, lambda, mu) on the universe <base>-perp."""
+    perp, incl = orthogonal_complement(Q, list(base))
+    universe = [incl(x) for x in perp.module.elements()]
+    return mu_poset(Q, universe=universe, cap=cap), base
+
+
+# Each builder names its poset function at call time, so a patched or
+# traced module attribute is the one that runs.
+THEOREMS = {
+    "gl": Theorem(
+        "O(M) cap U(M-inf) and its links: (rk - sr - k - 1)-connected",
+        "sr", "rank", lambda rk, sr, k: rk - sr - k - 1,
+        lambda M, base, cap, dec: (gl_poset(M, cap=cap), base)),
+    "iu": Theorem(
+        "IU(M)_x: floor((g - usr - |x| - 2)/2)-connected",
+        "usr", "g", lambda g, usr, k: (g - usr - k - 2) // 2,
+        lambda Q, base, cap, dec: (iu_poset(Q, cap=cap), base)),
+    "hu": Theorem(
+        "HU(M)_x: floor((g - usr - |x| - 3)/2)-connected",
+        "usr", "g", lambda g, usr, k: (g - usr - k - 3) // 2,
+        lambda Q, base, cap, dec: (hu_poset(Q, cap=cap), base),
+        base="pair"),
+    "hu-stable": Theorem(
+        "HU(M)_x: floor((gbar - usr - |x| - 3)/2)-connected",
+        "usr", "gbar", lambda gbar, usr, k: (gbar - usr - k - 3) // 2,
+        lambda Q, base, cap, dec: (hu_poset(Q, cap=cap), base),
+        base="pair"),
+    "lambda-poset": Theorem(
+        "O(I(P+E_g,mu)) cap U(N,lam) and its links: "
+        "(g - usr - k - 1)-connected",
+        "usr", "g", lambda g, usr, k: g - usr - k - 1, _lambda_poset),
+    "mu-poset": Theorem(
+        "O(M) cap U(N,lam,mu) and its links: (g - usr - k - 1)-connected",
+        "usr", "g", lambda g, usr, k: g - usr - k - 1,
+        lambda Q, base, cap, dec: (mu_poset(Q, cap=cap), base)),
+    "perp-link": Theorem(
+        "O(<v>-perp) cap U(M,lam,mu)_v: (g - usr - |v| - 1)-connected",
+        "usr", "g", lambda g, usr, k: g - usr - k - 1, _perp_poset,
+        needs_base=True),
+}
+
+# the names a theorem runs under: "<name>-link" is the entry at a base
+NAMES = [name + suffix for name, entry in THEOREMS.items()
+         for suffix in ("",) + (() if entry.needs_base else ("-link",))]
+
+
+def lookup(theorem):
+    """(registry name, entry) of a name of NAMES."""
+    name = theorem[:-len("-link")] if theorem.endswith("-link") else theorem
+    if theorem in THEOREMS:
+        return theorem, THEOREMS[theorem]
+    if name in THEOREMS and not THEOREMS[name].needs_base:
+        return name, THEOREMS[name]
+    raise KeyError("unknown theorem %r (have: %s)"
+                   % (theorem, ", ".join(NAMES)))
+
+
+def _invariant(key, X, rank, k_max):
+    """The invariant a bound reads, with the Witt decomposition when it
+    is g."""
+    if key == "rank":
+        return module_rank(X), None
+    if key == "gbar":
+        return stable_witt_index(X, k_max, usr=rank)["gbar"], None
+    dec = witt_index(X, usr=rank)
+    return dec.g, dec
+
+
+def theorem_poset(theorem, X, rank, base=None, cap=5_000_000, k_max=1,
+                  hypothesis=None):
+    """(bound, poset) of a registry theorem: the poset verify checks, linked
+    at base when one is given.  The invariant is recorded in hypothesis as
+    soon as it is known.  Cap exits in the Witt search, the module
+    enumeration or the pair tables raise."""
+    name, entry = lookup(theorem)
+    base = list(base or ())
+    if (name != theorem or entry.needs_base) and not base:
+        raise ValueError("%s needs a base" % theorem)
+    hypothesis = {} if hypothesis is None else hypothesis
+    value, dec = _invariant(entry.invariant, X, rank, k_max)
+    hypothesis[entry.invariant] = value
+    poset, atoms = entry.build(X, base, cap, dec)
+    if base:
+        poset = link(poset, atoms)
+    return entry.bound(value, rank, len(base)), poset
+
+
+def verify(theorem, X, rank, base=None, cap=5_000_000, k_max=1):
+    """Report on a registry theorem (a name of NAMES) for X at rank sr or
+    usr, on its link at base if given; k_max is the stabilization depth of
+    the gbar invariant.  A cap exit ends as inconclusive with the reason,
+    and with no bound or poset name."""
+    name, entry = lookup(theorem)
+    if base and not entry.needs_base:
+        name += "-link"
+    hypothesis = {entry.rank: rank}
+    if base:
+        hypothesis["k"] = len(base)
     try:
-        bound, poset = run()
+        bound, poset = theorem_poset(theorem, X, rank, base, cap, k_max,
+                                     hypothesis)
     except (CapExceeded, PosetCapExceeded) as exc:
         verdict = ConnectivityVerdict(None, "inconclusive",
                                       {"reason": str(exc)})
         return TheoremReport(name, None, verdict, hypothesis, None)
-    if base:
-        poset = link(poset, base)
     verdict = connectivity_verdict(poset, bound)
     return TheoremReport(name, bound, verdict, hypothesis, poset.name)
 
 
+def verify_gl_connectivity(M, sr, base=None, cap=5_000_000):
+    """The "gl" theorem, linked at base if given."""
+    return verify("gl", M, sr, base=base, cap=cap)
+
+
 def verify_iu_connectivity(Q, usr, base=None, cap=5_000_000):
-    """IU(M) is floor((g - usr - 2)/2)-connected; links lose |x|."""
-    k = len(base) if base else 0
-    hypothesis = {"usr": usr, "k": k} if base else {"usr": usr}
-
-    def run():
-        g = hypothesis["g"] = witt_index(Q, usr=usr).g
-        poset = iu_poset(Q, tables=_PairTables(Q), cap=cap)
-        return (g - usr - k - 2) // 2, poset
-
-    return _theorem_report("iu-link" if base else "iu", hypothesis, run, base)
+    """The "iu" theorem, linked at base if given."""
+    return verify("iu", Q, usr, base=base, cap=cap)
 
 
 def verify_hu_connectivity(Q, usr, base=None, cap=5_000_000, stable=False,
                            k_max=1):
-    """HU(M) is floor((g - usr - 3)/2)-connected (floor((gbar - usr - 3)/2)
-    in the stable variant); links lose |x|."""
-    k = len(base) if base else 0
-    hypothesis = {"usr": usr, "k": k} if base else {"usr": usr}
-
-    def run():
-        if stable:
-            g = hypothesis["gbar"] = stable_witt_index(Q, k_max,
-                                                       usr=usr)["gbar"]
-        else:
-            g = hypothesis["g"] = witt_index(Q, usr=usr).g
-        poset = hu_poset(Q, tables=_PairTables(Q), cap=cap)
-        return (g - usr - k - 3) // 2, poset
-
-    name = ("hu-stable" if stable else "hu") + ("-link" if base else "")
-    return _theorem_report(name, hypothesis, run, base)
-
-
-def verify_lambda_poset(Q, usr, base=None, cap=5_000_000):
-    """O(I(P + <e_1..e_g>, mu)) cap U(N, lambda) is (g - usr - 1)-connected,
-    verified inside N = M + H; links (at sequences in U(N, lambda)) lose k.
-
-    A base entry may be given as an element of Q (lifted into N) or as a
-    raw element of N.
-    """
-    import itertools as it
-
-    from wittlab.posets import lambda_poset
-    from wittlab.quadratic import direct_sum_quadratic, hyperbolic
-
-    N, lift, _ = direct_sum_quadratic(Q, hyperbolic(Q.param, 1),
-                                      name="%s + H" % Q.name)
-    if base:
-        base = [lift(v) if v.module is Q.module else v for v in base]
-    k = len(base) if base else 0
-    hypothesis = {"usr": usr, "k": k} if base else {"usr": usr}
-
-    def run():
-        dec = witt_index(Q, usr=usr)
-        g = hypothesis["g"] = dec.g
-        ring = Q.ring
-        e_only = [lift(x) for x, _y in dec.pairs]
-        P_elems = [lift(dec.complement_incl(p))
-                   for p in dec.complement.module.elements()]
-        universe = []
-        seen = set()
-        for coeffs in it.product(range(ring.size), repeat=len(e_only)):
-            h = N.module.zero()
-            for c, e in zip(coeffs, e_only):
-                h = h + e * c
-            for p in P_elems:
-                v = p + h
-                if v.vec not in seen and N.mu_zero(v):
-                    seen.add(v.vec)
-                    universe.append(v)
-        return g - usr - k - 1, lambda_poset(N, universe, cap=cap)
-
-    name = "lambda-poset-link" if base else "lambda-poset"
-    return _theorem_report(name, hypothesis, run, base)
-
-
-def verify_mu_poset(Q, usr, base=None, cap=5_000_000):
-    """O(M) cap U(N, lambda, mu) is (g(M) - usr - 1)-connected (N = M here);
-    links lose |v|."""
-    k = len(base) if base else 0
-    hypothesis = {"usr": usr, "k": k} if base else {"usr": usr}
-
-    def run():
-        g = hypothesis["g"] = witt_index(Q, usr=usr).g
-        return g - usr - k - 1, mu_poset(Q, cap=cap)
-
-    return _theorem_report("mu-poset-link" if base else "mu-poset",
-                           hypothesis, run, base)
-
-
-THEOREMS = {
-    "gl": "O(M) cap U(M-inf): (rk - sr - 1)-connected",
-    "gl-link": "links of the GL poset: (rk - sr - k - 1)-connected",
-    "iu": "IU(M): floor((g - usr - 2)/2)-connected",
-    "iu-link": "IU(M)_x: floor((g - usr - |x| - 2)/2)-connected",
-    "hu": "HU(M): floor((g - usr - 3)/2)-connected",
-    "hu-link": "HU(M)_x: floor((g - usr - |x| - 3)/2)-connected",
-    "hu-stable": "HU(M): floor((gbar - usr - 3)/2)-connected",
-    "lambda-poset": "O(I(P+E_g,mu)) cap U(N,lam): (g - usr - 1)-connected",
-    "mu-poset": "O(M) cap U(N,lam,mu): (g - usr - 1)-connected",
-}
+    """The "hu" theorem ("hu-stable" if stable), linked at base if given."""
+    return verify("hu-stable" if stable else "hu", Q, usr, base=base,
+                  cap=cap, k_max=k_max)
 
 
 # -- link isomorphisms (the Y := V-perp cap W-perp decompositions) -------------
@@ -370,8 +415,6 @@ def verify_link_isos(Q, x_pairs, usr, cap=100000):
     Y = V-perp cap W-perp; each checked as an explicit poset isomorphism.
     A cap exit in the Witt search or the pair tables returns
     {"result": "inconclusive", "reason": ...} instead."""
-    from wittlab.quadratic import orthogonal_complement
-
     ring = Q.ring
     k = len(x_pairs)
     vs = [p[0] for p in x_pairs]
@@ -400,9 +443,7 @@ def verify_link_isos(Q, x_pairs, usr, cap=100000):
     # span of the v's, as explicit decorations
     V_elems = []
     seen = set()
-    import itertools as it
-
-    for coeffs in it.product(range(ring.size), repeat=k):
+    for coeffs in itertools.product(range(ring.size), repeat=k):
         acc = Q.module.zero()
         for c, v in zip(coeffs, vs):
             acc = acc + v * c
@@ -489,32 +530,3 @@ def tuple_key(v):
     if isinstance(v, tuple):
         return tuple(tuple_key(x) for x in v)
     return v.vec
-
-
-def verify_perp_link(Q, base, usr, cap=5_000_000):
-    """O(<v>-perp) cap U(M, lambda, mu)_v is (g - usr - |v| - 1)-connected:
-    the orthogonal-complement link variant."""
-    from wittlab.quadratic import orthogonal_complement
-
-    k = len(base)
-    hypothesis = {"usr": usr, "k": k}
-
-    def run():
-        g = hypothesis["g"] = witt_index(Q, usr=usr).g
-        perp, incl = orthogonal_complement(Q, list(base))
-        universe = [incl(x) for x in perp.module.elements()]
-        restricted = SequencePosetRestriction(mu_poset(Q, cap=cap), universe)
-        return g - usr - k - 1, restricted
-
-    return _theorem_report("perp-link", hypothesis, run, base)
-
-
-def SequencePosetRestriction(F, universe):
-    """The subposet on a smaller universe with the same membership."""
-    from wittlab.posets import SequencePoset
-
-    def raw(seq):
-        return F.member_atoms(seq)
-
-    return SequencePoset("%s|restricted" % F.name, universe, raw,
-                         entry_cap=F.entry_cap)

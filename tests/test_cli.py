@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from wittlab.cli import main
 from wittlab.reports import SuiteReport, parse_report_json, render_csv
 
@@ -224,3 +226,81 @@ def test_complex_mu_poset_theorem(capsys):
     data = json.loads(out)
     assert data["bound"] == 0 and data["verdict"]["result"] in (
         "homology-verified", "fully-verified")
+
+
+H2 = {"ring": "gf2", "quadratic": "H^2"}
+E1 = [1, 0, 0, 0]
+F1 = [0, 1, 0, 0]
+# one small instance per registry name; -link names and perp-link at a base
+COMPLEX_CASES = {
+    "gl": {"ring": "gf2", "module": "free:3"},
+    "gl-link": {"ring": "gf2", "module": "free:3", "base": [[1, 0, 0]]},
+    "iu": H2,
+    "iu-link": dict(H2, base=[E1]),
+    "hu": H2,
+    "hu-link": dict(H2, base=[[E1, F1]]),
+    "hu-stable": H2,
+    "hu-stable-link": dict(H2, base=[[E1, F1]]),
+    "lambda-poset": H2,
+    "lambda-poset-link": dict(H2, base=[E1]),
+    "mu-poset": H2,
+    "mu-poset-link": dict(H2, base=[E1]),
+    "perp-link": {"ring": "gf2", "quadratic": "H^3",
+                  "base": [[1, 0, 0, 0, 0, 0]]},
+}
+
+
+def test_complex_build_counts_the_verified_poset(capsys, monkeypatch):
+    # build's vertex count is that of the poset verify runs its verdict on
+    from wittlab import verify
+
+    assert sorted(COMPLEX_CASES) == sorted(verify.NAMES)
+    checked = []
+    real = verify.connectivity_verdict
+
+    def spy(poset, d, **kw):
+        checked.append(len(poset.vertex_ids))
+        return real(poset, d, **kw)
+
+    monkeypatch.setattr(verify, "connectivity_verdict", spy)
+    built = {}
+    for theorem, instance in COMPLEX_CASES.items():
+        argv = ("--theorem", theorem, "--instance", json.dumps(instance))
+        code, out = run_cli(capsys, "complex", "build", *argv)
+        assert code == 0, (theorem, out)
+        built[theorem] = json.loads(out)["vertices"]
+        code, out = run_cli(capsys, "complex", "verify", "--no-cache", *argv)
+        assert code == 0, (theorem, out)
+        assert json.loads(out)["theorem"] == theorem
+        assert checked.pop() == built[theorem], theorem
+    # lambda-poset: the nonzero vectors of <e_1, e_2> inside H^2 + H, not
+    # IU(H^2)'s 9; perp-link: a e_1 + y with y in the H^2 on e_2, f_2, e_3,
+    # f_3 and mu(y) = 0 (10 of 16), but not 0 or e_1, not mu_poset's 35
+    assert built["lambda-poset"] == 3 and built["perp-link"] == 18
+
+
+def test_complex_stable_link_name(capsys):
+    code, out = run_cli(capsys, "complex", "verify", "--theorem",
+                        "hu-stable-link", "--instance",
+                        json.dumps(COMPLEX_CASES["hu-stable-link"]))
+    data = json.loads(out)
+    assert code == 0 and data["theorem"] == "hu-stable-link"
+    assert data["hypothesis"] == {"usr": 1, "k": 1, "gbar": 2}
+
+
+def test_complex_unknown_theorem_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["complex", "verify", "--theorem", "iu-bogus",
+              "--instance", json.dumps(H2)])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_complex_link_needs_a_base(capsys):
+    for theorem, instance in (("gl-link", {"ring": "gf2", "module": "free:3"}),
+                              ("iu-link", H2), ("perp-link", H2)):
+        for action in ("build", "verify"):
+            code, out = run_cli(capsys, "complex", action, "--theorem",
+                                theorem, "--instance", json.dumps(instance))
+            assert code == 2
+            assert json.loads(out) == {"error": "%s needs a base" % theorem}

@@ -1,4 +1,4 @@
-"""Kernel correctness against brute-force oracles, and pure/speed agreement."""
+"""Kernel correctness against brute-force oracles."""
 
 import itertools
 import random
@@ -26,12 +26,13 @@ def random_matrix(rng, r, n, m):
 
 
 CASES = [(2, 3, 4), (3, 3, 6), (3, 2, 8), (2, 4, 12), (4, 3, 2), (3, 4, 9), (2, 2, 5)]
+# the kernels under test, named by the implementation a run records
+KERNELS = pytest.mark.parametrize("impl", [kernels], ids=[kernels.IMPLEMENTATION])
 
 
-@pytest.mark.parametrize("impl_name", sorted(kernels.implementations()))
+@KERNELS
 @pytest.mark.parametrize("r,n,m", CASES)
-def test_howell_row_module_and_transform(impl_name, r, n, m):
-    impl = kernels.implementations()[impl_name]
+def test_howell_row_module_and_transform(impl, r, n, m):
     rng = random.Random(1000 * r + 10 * n + m)
     for _ in range(8):
         A = random_matrix(rng, r, n, m)
@@ -63,9 +64,8 @@ def test_howell_row_module_and_transform(impl_name, r, n, m):
         assert row_module(K, m, r) | {(0,) * r} == brute_kernel
 
 
-@pytest.mark.parametrize("impl_name", sorted(kernels.implementations()))
-def test_reduce_vec_membership_and_canonical(impl_name):
-    impl = kernels.implementations()[impl_name]
+@KERNELS
+def test_reduce_vec_membership_and_canonical(impl):
     rng = random.Random(7)
     for r, n, m in [(2, 3, 4), (3, 3, 6), (2, 2, 9)]:
         A = random_matrix(rng, r, n, m)
@@ -125,9 +125,8 @@ def _det(sub):
     return total
 
 
-@pytest.mark.parametrize("impl_name", sorted(kernels.implementations()))
-def test_snf_divisors_against_minor_gcds(impl_name):
-    impl = kernels.implementations()[impl_name]
+@KERNELS
+def test_snf_divisors_against_minor_gcds(impl):
     rng = random.Random(11)
     fixed = [
         [[2, 4, 4], [-6, 6, 12], [10, 4, 16]],
@@ -148,24 +147,3 @@ def test_snf_known_value():
     # divisors via minors: gcd 2, then 4, det 624 -> 2, 2, 156
     A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     assert sorted(kernels.snf_divisors(A)) == [2, 2, 156]
-
-
-def test_implementations_agree():
-    impls = kernels.implementations()
-    if len(impls) < 2:
-        pytest.skip("compiled kernels unavailable")
-    rng = random.Random(23)
-    for _ in range(25):
-        r, n, m = rng.choice(CASES)
-        A = random_matrix(rng, r, n, m)
-        outs = {}
-        for name, impl in impls.items():
-            H, pivots, T, K = impl.howell_aug(A, m)
-            outs[name] = (H, pivots)
-        vals = list(outs.values())
-        assert all(v == vals[0] for v in vals), outs
-        B = random_matrix(rng, 4, 4, 19)
-        B = [[v - 9 for v in row] for row in B]
-        snfs = {name: sorted(impl.snf_divisors(B)) for name, impl in impls.items()}
-        svals = list(snfs.values())
-        assert all(v == svals[0] for v in svals), snfs

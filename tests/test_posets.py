@@ -22,6 +22,7 @@ from wittlab.verify import (
     _pi1_trivial,
     _presentation_trivial,
     connectivity_verdict,
+    verify,
     verify_gl_connectivity,
     verify_hu_connectivity,
     verify_iu_connectivity,
@@ -378,26 +379,28 @@ def test_translated_quad_poset():
 
 
 def test_lambda_and_mu_poset_theorems():
-    from wittlab.verify import verify_lambda_poset, verify_mu_poset
-
     H2 = hyperbolic(P2, 2)
-    rep = verify_lambda_poset(H2, usr=1)
+    rep = verify("lambda-poset", H2, 1)
     assert rep.bound == 0 and rep.verdict.ok()
-    rep2 = verify_mu_poset(H2, usr=1)
+    rep2 = verify("mu-poset", H2, 1)
     assert rep2.bound == 0 and rep2.verdict.ok()
     e1 = H2.hyperbolic_pairs[0][0]
-    rep3 = verify_lambda_poset(H2, usr=1, base=[e1])
+    rep3 = verify("lambda-poset", H2, 1, base=[e1])
+    assert rep3.theorem == "lambda-poset-link"
     assert rep3.bound == -1 and rep3.verdict.ok()
 
 
 def test_perp_link_variant():
-    from wittlab.verify import verify_perp_link
-
     H3 = hyperbolic(P2, 3)
     e1 = H3.hyperbolic_pairs[0][0]
-    rep = verify_perp_link(H3, [e1], usr=1)
+    rep = verify("perp-link", H3, 1, base=[e1])
     assert rep.bound == 0
     assert rep.verdict.ok()
+    # the link of U(H^3, lam, mu) on <e1>-perp: the mu = 0 vectors a e1 + y,
+    # y in H^2 (10 of its 16), but not 0 or e1
+    assert rep.verdict.detail["vertices"] == 18
+    with pytest.raises(ValueError, match="needs a base"):
+        verify("perp-link", H3, 1)
 
 
 def test_reduced_vs_plain_on_real_posets():
