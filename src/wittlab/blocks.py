@@ -66,18 +66,11 @@ def ring_matrix_left_inverse(ring, B):
                     ring.mul[ring.mul[t, B[l][j]], ring.one]])
             rows.append(row)
     solver = LinearSolver(rows, m, width=d * k)
-    one = [int(v) for v in ring.to_base[ring.one]]
-    out = []
-    for i in range(k):
-        target = []
-        for j in range(k):
-            target.extend(one if i == j else [0] * d)
-        sol = solver.solve(target)
-        if sol is None:
-            return None
-        out.append([ring.index_of_coords(sol[l * d:(l + 1) * d])
-                    for l in range(n)])
-    return out
+    sols = solver.solve_delta(k, [int(v) for v in ring.to_base[ring.one]])
+    if sols is None:
+        return None
+    return [[ring.index_of_coords(sol[l * d:(l + 1) * d]) for l in range(n)]
+            for sol in sols]
 
 
 def ring_matrix_inverse(ring, C):
@@ -329,20 +322,12 @@ def is_unimodular_block(A):
             row.extend(A.funcs[j].coords_on(unit))
         rows.append(row)
     solver = LinearSolver(rows, m, width=d * A.k)
-    one = [int(v) for v in ring.to_base[ring.one]]
-    rprime = []
-    mprime = []
-    for i in range(A.k):
-        target = []
-        for j in range(A.k):
-            target.extend(one if i == j else [0] * d)
-        sol = solver.solve(target)
-        if sol is None:
-            return None
-        rprime.append([ring.index_of_coords(sol[l * d:(l + 1) * d])
-                       for l in range(A.n)])
-        mprime.append(M.from_vec(sol[A.n * d:]))
-    return rprime, mprime
+    sols = solver.solve_delta(A.k, [int(v) for v in ring.to_base[ring.one]])
+    if sols is None:
+        return None
+    rprime = [[ring.index_of_coords(sol[l * d:(l + 1) * d])
+               for l in range(A.n)] for sol in sols]
+    return rprime, [M.from_vec(sol[A.n * d:]) for sol in sols]
 
 
 def is_unimodular_block_bruteforce(A, cap=1 << 22):
@@ -749,15 +734,8 @@ def _dual_completion(H_std, zs, usr, cap, sweep=300, budget=1 << 22):
     # seeded sweep of alternate dual tuples: offsets from the witness kernel
     m = ring.base_mod
     module = H_std.module
-    rows = []
-    for s in range(module.nd):
-        unit = [0] * module.nd
-        unit[s] = 1
-        row = []
-        for v in zs:
-            row.extend(int(x) for x in ring.to_base[H_std.lam_vec(unit, v.vec)])
-        rows.append(row)
-    solver = LinearSolver(rows, m, width=len(rows[0]) if rows else 0)
+    solver = LinearSolver(H_std.lam_rows([z.vec for z in zs]), m,
+                          width=ring.base_dim * k)
     kernel = LinearSolver(solver.kernel_rows(), m, width=module.nd)
     krows = kernel.H
     rng = random.Random(hash(tuple(z.vec for z in zs)) & 0xFFFFFFFF)

@@ -7,10 +7,10 @@
     wittlab straighten --ring <ref> --qm H^g --seq JSON --k K [...]
     wittlab transitive-move --ring <ref> --qm H^g --v JSON [--r E]
     wittlab cancel --ring <ref> --qm <ref> --qn <ref>
-    wittlab complex {build,homology,verify} --theorem ID --instance JSON
+    wittlab complex {build,verify} --theorem ID --instance JSON
 
 Exit codes: 0 verified/ok, 1 inconclusive, 2 critical finding.
-Set WITTLAB_CACHE_DIR to cache complex homology runs by instance digest;
+Set WITTLAB_CACHE_DIR to cache complex verify runs by instance digest;
 the cache key also covers the package version and sources.
 """
 
@@ -238,7 +238,7 @@ def cmd_complex(args):
     digest = _instance_digest(args.theorem, instance)
     cache_dir = os.environ.get("WITTLAB_CACHE_DIR")
     cache_path = None
-    if cache_dir and args.action in ("homology", "verify"):
+    if cache_dir and args.action == "verify":
         os.makedirs(cache_dir, exist_ok=True)
         cache_path = os.path.join(cache_dir, _cache_key(digest) + ".json")
         if os.path.exists(cache_path) and not args.no_cache:
@@ -339,7 +339,7 @@ def build_parser():
     pc.set_defaults(func=cmd_cancel)
 
     px = sub.add_parser("complex", help="build/verify sequence posets")
-    px.add_argument("action", choices=["build", "homology", "verify"])
+    px.add_argument("action", choices=["build", "verify"])
     px.add_argument("--theorem", required=True, choices=V.NAMES,
                     help="a registry theorem; a -link name takes the "
                          "instance's base")

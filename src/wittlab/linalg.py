@@ -52,6 +52,22 @@ class LinearSolver:
                     x[i] = (x[i] + c * t) % m
         return x
 
+    def solve_delta(self, k, one, lead=0):
+        """The k solutions x_i of x*A == (0^lead, delta_i1*one, ...,
+        delta_ik*one), where one is the coordinate block of the unit and
+        each other block is zero; None if one of them has no solution."""
+        zero = [0] * len(one)
+        out = []
+        for i in range(k):
+            target = [0] * lead
+            for j in range(k):
+                target.extend(one if i == j else zero)
+            x = self.solve(target)
+            if x is None:
+                return None
+            out.append(x)
+        return out
+
     def kernel_rows(self):
         return self.K
 

@@ -275,18 +275,11 @@ def is_unimodular(M, seq):
     d, m = ring.base_dim, ring.base_mod
     rows, nrel_cols = _functional_constraint_rows(M, seq)
     solver = LinearSolver(rows, m, width=nrel_cols + d * len(seq))
-    k = len(seq)
     one = [int(v) for v in ring.to_base[ring.one]]
-    witnesses = []
-    for j in range(k):
-        target = [0] * nrel_cols
-        for i in range(k):
-            target.extend(one if i == j else [0] * d)
-        gamma = solver.solve(target)
-        if gamma is None:
-            return None
-        witnesses.append(functional_from_coords(M, gamma))
-    return witnesses
+    gammas = solver.solve_delta(len(seq), one, lead=nrel_cols)
+    if gammas is None:
+        return None
+    return [functional_from_coords(M, gamma) for gamma in gammas]
 
 
 def is_unimodular_bruteforce(M, seq, cap=ENUM_CAP):

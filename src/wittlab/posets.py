@@ -2,8 +2,8 @@
 
 A SequencePoset holds an explicit vertex universe and a lazily memoized
 membership predicate on sequences of distinct atoms; p-simplices are the
-members of length p+1 and faces delete one entry.  Links, truncations and
-decorations compose the predicates.
+members of length p+1 and faces delete one entry.  Links and decorations
+compose the predicates.
 
 Enumeration extends each member by the atoms one candidate set allows.  A
 kind may give an `extend(ids)` hook that returns that set exactly, as a mask:
@@ -138,12 +138,10 @@ class SequencePoset:
     # -- chain condition spot check ----------------------------------------
 
     def chain_condition_check(self, rng, samples=50, max_p=3):
-        """Every facet (and hence subsequence) of a member is a member."""
+        """Every facet (and hence subsequence) of a member is a member.
+        A level past the simplex cap raises PosetCapExceeded."""
         for p in range(1, max_p + 1):
-            try:
-                level = self.simplices(p)
-            except PosetCapExceeded:
-                return True
+            level = self.simplices(p)
             if not level:
                 break
             pool = level if len(level) <= samples else \
@@ -162,13 +160,18 @@ class SequencePoset:
 def link(F, base_atoms, name=None):
     """F_v: sequences w with (w, v) in F; the vertex universe drops v's atoms.
 
-    When F has an extend hook and v's atoms are among F's, the link's hook
-    is F's at the prefix followed by v, read on the kept atoms.  That puts v
-    after the extension where membership puts it last, so it is exact only
-    because a hook's kind is order independent."""
+    v must be a simplex of F: atoms of F forming a member.  The raw
+    predicate alone does not decide that, since a kind may keep part of its
+    condition in the atom list (mu = 0 for the mu-poset, the universe for
+    the lambda-poset).  When F has an extend hook, the link's hook is F's at
+    the prefix followed by v, read on the kept atoms.  That puts v after the
+    extension where membership puts it last, so it is exact only because a
+    hook's kind is order independent."""
     base_atoms = tuple(base_atoms)
-    if not F.member_atoms(base_atoms):
-        raise ValueError("base sequence is not a member of the poset")
+    index = {a: i for i, a in enumerate(F.atoms)}
+    if any(a not in index for a in base_atoms) \
+            or not F.member_atoms(base_atoms):
+        raise ValueError("base sequence is not a simplex of %s" % F.name)
     base_set = set(base_atoms)
     kept = [i for i, a in enumerate(F.atoms) if a not in base_set]
     atoms = [F.atoms[i] for i in kept]
@@ -179,12 +182,10 @@ def link(F, base_atoms, name=None):
             return F.pair_row(kept_ids[a], kept_ids[cols])
     extend = None
     if F.extend is not None:
-        index = {a: i for i, a in enumerate(F.atoms)}
-        base_ids = tuple(index.get(a) for a in base_atoms)
-        if None not in base_ids:
-            def extend(ids):
-                return F.extend(tuple(kept[i] for i in ids)
-                                + base_ids)[kept_ids]
+        base_ids = tuple(index[a] for a in base_atoms)
+
+        def extend(ids):
+            return F.extend(tuple(kept[i] for i in ids) + base_ids)[kept_ids]
 
     def raw(seq):
         return F.member_atoms(tuple(seq) + base_atoms)
@@ -193,15 +194,6 @@ def link(F, base_atoms, name=None):
                          entry_cap=F.entry_cap, pair_row=pair_row,
                          pairwise_complete=F.pairwise_complete,
                          extend=extend)
-
-
-def truncate(F, kmax, name=None):
-    def raw(seq):
-        return len(seq) <= kmax and F.member_atoms(seq)
-
-    return SequencePoset(name or "%s<=%d" % (F.name, kmax), F.atoms, raw,
-                         entry_cap=F.entry_cap, pair_row=F.pair_row,
-                         pairwise_complete=False)
 
 
 def decorate(F, decorations, name=None):
@@ -324,13 +316,10 @@ class _PairTables:
         ring = Q.ring
         m = ring.base_mod
         X = np.array([x.vec for x in self.elems], dtype=np.int64)
-        d = ring.base_dim
-        coords = []
-        for t in range(d):
-            T = np.array(Q._lam_pair[t], dtype=np.int64)
-            coords.append((X @ T @ X.T) % m)
-        powers = np.array([m ** k for k in range(d)], dtype=np.int64)
-        self.lam = sum(c * p for c, p in zip(coords, powers))
+        coords = (X @ Q.lam_coeffs @ X.T) % m  # [t, x, y]
+        powers = np.array([m ** k for k in range(ring.base_dim)],
+                          dtype=np.int64)
+        self.lam = np.tensordot(powers, coords, axes=1)
         self.lam_zero = self.lam == ring.zero
         self.mu0 = np.array([Q.mu_zero(x) for x in self.elems], dtype=bool)
 

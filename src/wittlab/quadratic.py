@@ -13,7 +13,15 @@ Lambda-coset representative mu_i per generator.  Internally both extend
 through the sesquilinear lift q (upper triangle = gram, diagonal = mu
 representatives): lambda = q + eps*conj(q^T) and mu(x) = q(x,x) mod Lambda.
 Validation rejects any gram/mu pair violating the axioms or the relations.
+
+On raw coordinate vectors both forms are Z/m-bilinear: lam_coeffs and
+q_coeffs are int64 arrays T of shape (d, nd, nd) with coords_t of
+lambda(x, y) (resp. q(x, y)) equal to x . T[t] . y mod m.  Every linear
+system in lambda (unimodularity witnesses, complements, radicals, partners)
+takes its rows from lam_rows, one numpy product over T.
 """
+
+import numpy as np
 
 from wittlab.linalg import LinearSolver
 from wittlab.modules import (
@@ -68,8 +76,12 @@ class QuadraticModule:
             for j in range(i + 1, n):
                 q[i][j] = gram[i][j]
         self.q = q
-        self._lam_pair = _pair_tables(self, gram)
-        self._q_pair = _pair_tables(self, q)
+        self.lam_coeffs = _coeff_array(self, gram)
+        self.q_coeffs = _coeff_array(self, q)
+        # list views for the scalar lam_vec / q_vec, whose pure-Python loop
+        # beats a numpy product per pair at these sizes
+        self._lam_list = self.lam_coeffs.tolist()
+        self._q_list = self.q_coeffs.tolist()
         # relations: lambda(g_i, rho) = 0 and mu(rho) in Lambda
         # (evaluated on the raw relator vector, not its canonical form)
         for rho in module.relators:
@@ -90,10 +102,24 @@ class QuadraticModule:
 
     def lam_vec(self, u, v):
         """lambda on raw coordinate vectors, as a ring index."""
-        return _eval_pair(self, self._lam_pair, u, v)
+        return _eval_pair(self, self._lam_list, u, v)
 
     def q_vec(self, u, v):
-        return _eval_pair(self, self._q_pair, u, v)
+        return _eval_pair(self, self._q_list, u, v)
+
+    def lam_rows(self, vecs, slot=0):
+        """The nd x (d*k) coordinate rows of lambda against the k raw
+        vectors vecs: row s holds coords of lambda(e_s, v_1), ...,
+        lambda(e_s, v_k) (slot 0: the unit vector e_s in the first slot),
+        or of lambda(v_j, e_s) (slot 1), d entries per v_j."""
+        T = self.lam_coeffs
+        d, nd = T.shape[0], T.shape[1]
+        V = np.array(vecs, dtype=np.int64).reshape(len(vecs), nd)
+        if slot == 0:
+            R = (T @ V.T).transpose(1, 2, 0)  # [s, j, t] = lambda(e_s, v_j)_t
+        else:
+            R = (V @ T).transpose(2, 1, 0)  # [s, j, t] = lambda(v_j, e_s)_t
+        return (R.reshape(nd, len(V) * d) % self.ring.base_mod).tolist()
 
     def lam(self, x, y):
         return self.lam_vec(x.vec, y.vec)
@@ -112,23 +138,20 @@ class QuadraticModule:
         return self.module.size
 
 
-def _pair_tables(Q, coeff):
-    """d matrices (nd x nd) with coords(form(x, y))_t = x^T T[t] y mod m."""
+def _coeff_array(Q, coeff):
+    """(d, nd, nd) int64 T with coords(form(x, y))_t = x . T[t] . y mod m,
+    for the form with generator values coeff (antilinear first slot):
+    T[t][i*d + s][j*d + u] = coords_t(conj(b_s) * coeff[i][j] * b_u)."""
     ring = Q.ring
-    module = Q.module
     d = ring.base_dim
-    nd = module.nd
-    tables = [[[0] * nd for _ in range(nd)] for _ in range(d)]
-    for i in range(module.ngens):
-        for j in range(module.ngens):
-            c = coeff[i][j]
-            for s, bs in enumerate(ring.basis):
-                for t, bt in enumerate(ring.basis):
-                    val = ring.mul[ring.mul[ring.conj[bs], c], bt]
-                    co = ring.to_base[val]
-                    for tt in range(d):
-                        tables[tt][i * d + s][j * d + t] = int(co[tt])
-    return tables
+    n = Q.module.ngens
+    basis = np.array(ring.basis, dtype=np.intp)
+    # W[s, c, u, t] = coords_t(conj(b_s) * c * b_u) for every ring element c
+    W = ring.to_base[ring.mul[ring.mul[ring.conj[basis]]][:, :, basis]]
+    C = np.array(coeff, dtype=np.intp).reshape(n, n)
+    # W[:, C] is indexed [s, i, j, u, t]; T is [t, (i, s), (j, u)]
+    T = W[:, C].transpose(4, 1, 0, 2, 3).reshape(d, n * d, n * d)
+    return np.ascontiguousarray(T, dtype=np.int64)
 
 
 def _eval_pair(Q, tables, u, v):
@@ -211,32 +234,14 @@ def is_lambda_unimodular(Q, seq):
     if not seq:
         raise ValueError("empty sequence")
     ring = Q.ring
-    m = ring.base_mod
-    d = ring.base_dim
-    module = Q.module
     k = len(seq)
     # lambda(w, v_j) is Z/m-linear in the coordinates of w
-    rows = []
-    for s in range(module.nd):
-        unit = [0] * module.nd
-        unit[s] = 1
-        row = []
-        for v in seq:
-            val = Q.lam_vec(unit, v.vec)
-            row.extend(int(x) for x in ring.to_base[val])
-        rows.append(row)
-    solver = LinearSolver(rows, m, width=d * k)
-    one = [int(x) for x in ring.to_base[ring.one]]
-    witnesses = []
-    for i in range(k):
-        target = []
-        for j in range(k):
-            target.extend(one if i == j else [0] * d)
-        w = solver.solve(target)
-        if w is None:
-            return None
-        witnesses.append(module.from_vec(w))
-    return witnesses
+    solver = LinearSolver(Q.lam_rows([v.vec for v in seq]), ring.base_mod,
+                          width=ring.base_dim * k)
+    sols = solver.solve_delta(k, [int(x) for x in ring.to_base[ring.one]])
+    if sols is None:
+        return None
+    return [Q.module.from_vec(w) for w in sols]
 
 
 def is_isotropic(Q, elements):
@@ -265,19 +270,8 @@ def lambda_radical_size(Q):
     """|{x in M : lambda(-, x) = 0}|."""
     module = Q.module
     m = Q.ring.base_mod
-    rows = []
-    units = []
-    for s in range(module.nd):
-        unit = [0] * module.nd
-        unit[s] = 1
-        units.append(unit)
-    for s in range(module.nd):
-        row = []
-        for u in units:
-            val = Q.lam_vec(u, units[s])
-            row.extend(int(x) for x in Q.ring.to_base[val])
-        rows.append(row)
-    solver = LinearSolver(rows, m)
+    units = np.eye(module.nd, dtype=np.int64)
+    solver = LinearSolver(Q.lam_rows(units, slot=1), m)
     proj = LinearSolver(solver.kernel_rows(), m, width=module.nd)
     return proj.module_size // module.rel.module_size
 
@@ -306,24 +300,13 @@ def nonsingular_promotion_check(Q, seq, witnesses=None):
         witnesses = is_unimodular(module, seq)
     if witnesses is None:
         raise RingError("sequence is not unimodular")
-    d = ring.base_dim
-    units = []
-    for s in range(module.nd):
-        unit = [0] * module.nd
-        unit[s] = 1
-        units.append(unit)
-    rows = []
-    for s in range(module.nd):  # unknown w' coordinates
-        row = []
-        for u in units:
-            val = Q.lam_vec(u, units[s])
-            row.extend(int(x) for x in ring.to_base[val])
-        rows.append(row)
-    solver = LinearSolver(rows, m)
+    units = np.eye(module.nd, dtype=np.int64)
+    # unknown w' coordinates: row s holds lambda(e_u, e_s) for every u
+    solver = LinearSolver(Q.lam_rows(units, slot=1), m)
     out = []
     for phi in witnesses:
         target = []
-        for u in units:
+        for u in units.tolist():
             target.extend(phi.coords_on(u))
         wp = solver.solve(target)
         if wp is None:
@@ -442,17 +425,7 @@ def orthogonal_complement(Q, elements):
     """(S^perp as a quadratic module, inclusion into Q's module)."""
     module = Q.module
     m = Q.ring.base_mod
-    d = Q.ring.base_dim
-    rows = []
-    for s in range(module.nd):
-        unit = [0] * module.nd
-        unit[s] = 1
-        row = []
-        for x in elements:
-            val = Q.lam_vec(x.vec, unit)
-            row.extend(int(v) for v in Q.ring.to_base[val])
-        rows.append(row)
-    solver = LinearSolver(rows, m)
+    solver = LinearSolver(Q.lam_rows([x.vec for x in elements], slot=1), m)
     ker = LinearSolver(solver.kernel_rows(), m, width=module.nd)
     gens = [module.from_vec(list(r)) for r in ker.H]
     return sub_quadratic(Q, gens)
@@ -486,12 +459,7 @@ def _partners(Q, x, cap):
     ring = Q.ring
     module = Q.module
     m = ring.base_mod
-    rows = []
-    for s in range(module.nd):
-        unit = [0] * module.nd
-        unit[s] = 1
-        rows.append([int(v) for v in ring.to_base[Q.lam_vec(x.vec, unit)]])
-    solver = LinearSolver(rows, m)
+    solver = LinearSolver(Q.lam_rows([x.vec], slot=1), m)
     base = solver.solve([int(v) for v in ring.to_base[ring.one]])
     if base is None:
         return

@@ -42,10 +42,7 @@ def _quad_axiom_sweep(Q, cap=2048):
         return "axiom1-fails"
     X = np.array([x.vec for x in tables.elems], dtype=np.int64)
     powers = np.array([m ** t for t in range(d)], dtype=np.int64)
-    qcoords = [np.einsum("ij,jk,ik->i", X,
-                         np.array(Q._q_pair[t], dtype=np.int64), X) % m
-               for t in range(d)]
-    qxx = sum(c * p for c, p in zip(qcoords, powers))
+    qxx = powers @ (np.einsum("ij,tjk,ik->ti", X, Q.q_coeffs, X) % m)
     rep = Q.param._rep
     # free module: canonical form is the raw sum and the enumeration order
     # is mixed-radix with the last coordinate fastest

@@ -413,21 +413,26 @@ def verify_link_isos(Q, x_pairs, usr, cap=100000):
     """Check the three link decompositions at x = ((v_1,w_1)..(v_k,w_k)):
     the IU link against IU(Y)<V>, and the HU link against HU(Y), with
     Y = V-perp cap W-perp; each checked as an explicit poset isomorphism.
-    A cap exit in the Witt search or the pair tables returns
-    {"result": "inconclusive", "reason": ...} instead."""
+    A cap exit in the Witt search, the pair tables or a compared simplex
+    level returns {"result": "inconclusive", "reason": ...} instead; a
+    simplex cap's reason names the poset and the level."""
+    try:
+        return _link_iso_results(Q, x_pairs, usr, cap)
+    except (CapExceeded, PosetCapExceeded) as exc:
+        return {"result": "inconclusive", "reason": str(exc)}
+
+
+def _link_iso_results(Q, x_pairs, usr, cap):
     ring = Q.ring
     k = len(x_pairs)
     vs = [p[0] for p in x_pairs]
     ws = [p[1] for p in x_pairs]
-    try:
-        g = witt_index(Q, usr=usr).g
-        if g < usr + k:
-            raise ValueError("link isomorphism check needs g >= usr + k")
-        Y, y_incl = orthogonal_complement(Q, vs + ws)
-        tables = _PairTables(Q)
-        tables_Y = _PairTables(Y)
-    except (CapExceeded, PosetCapExceeded) as exc:
-        return {"result": "inconclusive", "reason": str(exc)}
+    g = witt_index(Q, usr=usr).g
+    if g < usr + k:
+        raise ValueError("link isomorphism check needs g >= usr + k")
+    Y, y_incl = orthogonal_complement(Q, vs + ws)
+    tables = _PairTables(Q)
+    tables_Y = _PairTables(Y)
 
     def decompose(u):
         """u in V-perp as (y in Y, x in V)."""
@@ -490,7 +495,8 @@ def verify_link_isos(Q, x_pairs, usr, cap=100000):
 
 def _poset_iso_check(lhs, rhs, fwd, cap, max_p=3):
     """fwd: map on lhs vertices; checks bijectivity on vertices and
-    membership preservation in both directions through dimension max_p."""
+    membership preservation in both directions through dimension max_p.
+    A level past either poset's simplex cap raises PosetCapExceeded."""
     lhs_verts = [lhs.atoms[i] for i in lhs.vertex_ids]
     rhs_verts = {rhs.atoms[i] for i in rhs.vertex_ids}
     imgs = {}
@@ -505,18 +511,12 @@ def _poset_iso_check(lhs, rhs, fwd, cap, max_p=3):
         return False
     inv = {tuple_key(v): a for a, v in imgs.items()}
     for p in range(0, max_p + 1):
-        try:
-            lhs_level = lhs.simplices(p)
-        except PosetCapExceeded:
-            return True
+        lhs_level = lhs.simplices(p)
         for seq in lhs_level:
             image = tuple(imgs[lhs.atoms[i]] for i in seq)
             if not rhs.member_atoms(image):
                 return False
-        try:
-            rhs_level = rhs.simplices(p)
-        except PosetCapExceeded:
-            return True
+        rhs_level = rhs.simplices(p)
         if len(rhs_level) != len(lhs_level):
             return False
         for seq in rhs_level:

@@ -118,10 +118,10 @@ def test_complex_cap_exits_are_inconclusive(capsys):
     # only counts mu_poset's vertices, which no cap stops.
     h7 = {"ring": "gf2", "quadratic": "H^7"}
     cases = [(t, a, h7) for t in ("iu", "hu", "lambda-poset")
-             for a in ("verify", "homology", "build")]
-    cases += [("mu-poset", a, h7) for a in ("verify", "homology")]
+             for a in ("verify", "build")]
+    cases.append(("mu-poset", "verify", h7))
     cases += [("gl", a, {"ring": "gf2", "module": "free:13"})
-              for a in ("verify", "homology", "build")]
+              for a in ("verify", "build")]
     for theorem, action, instance in cases:
         code, out = run_cli(capsys, "complex", action, "--theorem",
                             theorem, "--instance", json.dumps(instance))
@@ -242,7 +242,8 @@ COMPLEX_CASES = {
     "hu-stable": H2,
     "hu-stable-link": dict(H2, base=[[E1, F1]]),
     "lambda-poset": H2,
-    "lambda-poset-link": dict(H2, base=[E1]),
+    # f_1 lies in the lambda-poset's universe, the span of f_1 and f_2
+    "lambda-poset-link": dict(H2, base=[F1]),
     "mu-poset": H2,
     "mu-poset-link": dict(H2, base=[E1]),
     "perp-link": {"ring": "gf2", "quadratic": "H^3",
@@ -273,10 +274,21 @@ def test_complex_build_counts_the_verified_poset(capsys, monkeypatch):
         assert code == 0, (theorem, out)
         assert json.loads(out)["theorem"] == theorem
         assert checked.pop() == built[theorem], theorem
-    # lambda-poset: the nonzero vectors of <e_1, e_2> inside H^2 + H, not
+    # lambda-poset: the nonzero vectors of <f_1, f_2> inside H^2 + H, not
     # IU(H^2)'s 9; perp-link: a e_1 + y with y in the H^2 on e_2, f_2, e_3,
     # f_3 and mu(y) = 0 (10 of 16), but not 0 or e_1, not mu_poset's 35
     assert built["lambda-poset"] == 3 and built["perp-link"] == 18
+
+
+def test_complex_link_base_must_be_a_simplex(capsys):
+    # base e1 + f1 has mu = 1, so it is no vertex of the mu-poset
+    instance = dict(H2, base=[[1, 1, 0, 0]])
+    for action in ("build", "verify"):
+        code, out = run_cli(capsys, "complex", action, "--no-cache",
+                            "--theorem", "mu-poset-link",
+                            "--instance", json.dumps(instance))
+        assert code == 2
+        assert "not a simplex" in json.loads(out)["error"]
 
 
 def test_complex_stable_link_name(capsys):
@@ -289,11 +301,13 @@ def test_complex_stable_link_name(capsys):
 
 
 def test_complex_unknown_theorem_is_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["complex", "verify", "--theorem", "iu-bogus",
-              "--instance", json.dumps(H2)])
-    assert exc.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    # so is the homology action, which ran the same code as verify
+    for action, theorem in (("verify", "iu-bogus"), ("homology", "iu")):
+        with pytest.raises(SystemExit) as exc:
+            main(["complex", action, "--theorem", theorem,
+                  "--instance", json.dumps(H2)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_complex_link_needs_a_base(capsys):

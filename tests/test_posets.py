@@ -7,6 +7,7 @@ import pytest
 from wittlab.homology import build_chain_complex, homology, homology_plain
 from wittlab.modules import free_module
 from wittlab.posets import (
+    PosetCapExceeded,
     SequencePoset,
     decorate,
     gl_poset,
@@ -14,7 +15,7 @@ from wittlab.posets import (
     iu_poset,
     link,
     mu_pairs_poset,
-    truncate,
+    mu_poset,
 )
 from wittlab.quadratic import hyperbolic
 from wittlab.rings import make_form_parameter, make_ring
@@ -162,12 +163,9 @@ def test_link_identity():
             {tuple(Fvw.atoms[i] for i in s) for s in Fvw.simplices(1)}
 
 
-def test_truncate_and_decorate():
+def test_decorate():
     M = free_module(GF2, 2)
     F = gl_poset(M)
-    F1 = truncate(F, 1)
-    assert len(F1.simplices(0)) == 3
-    assert F1.simplices(1) == []
     D = decorate(F, ["s"])
     assert len(D.simplices(0)) == len(F.simplices(0))
     assert len(D.simplices(1)) == len(F.simplices(1))
@@ -346,6 +344,31 @@ def test_link_isos_h3():
     assert res["Y_size"] == 16  # H^2 inside H^3
 
 
+def test_link_isos_cap_exit_is_inconclusive():
+    # a compared level past the simplex cap is not a pass: the report is
+    # inconclusive and its reason names the poset and the level
+    H3 = hyperbolic(P2, 3)
+    e1, f1 = H3.hyperbolic_pairs[0]
+    res = verify_link_isos(H3, [(e1, f1)], usr=1, cap=30)
+    assert res == {"result": "inconclusive",
+                   "reason": "IU(H^3 over GF(2))_link has > 10 1-simplices"}
+    with pytest.raises(PosetCapExceeded):
+        iu_poset(H3, cap=30).chain_condition_check(random.Random(0))
+
+
+def test_link_needs_a_simplex_base():
+    # e1 + f1 has mu = 1: lambda-unimodular, so the raw test accepts it, but
+    # it is no atom of U(H^2, lam, mu)
+    H2 = hyperbolic(P2, 2)
+    e1, f1 = H2.hyperbolic_pairs[0]
+    F = mu_poset(H2)
+    with pytest.raises(ValueError, match="not a simplex"):
+        link(F, [e1 + f1])
+    with pytest.raises(ValueError, match="not a simplex"):
+        link(F, [e1, e1])
+    assert len(link(F, [e1]).vertex_ids) > 0
+
+
 def test_translated_gl_poset():
     from wittlab.posets import gl_translated_poset
 
@@ -384,10 +407,14 @@ def test_lambda_and_mu_poset_theorems():
     assert rep.bound == 0 and rep.verdict.ok()
     rep2 = verify("mu-poset", H2, 1)
     assert rep2.bound == 0 and rep2.verdict.ok()
-    e1 = H2.hyperbolic_pairs[0][0]
-    rep3 = verify("lambda-poset", H2, 1, base=[e1])
+    # the universe is the span of the Witt decomposition's first entries,
+    # f_1 and f_2 here: f_1 is a vertex and e_1 is not
+    e1, f1 = H2.hyperbolic_pairs[0]
+    rep3 = verify("lambda-poset", H2, 1, base=[f1])
     assert rep3.theorem == "lambda-poset-link"
     assert rep3.bound == -1 and rep3.verdict.ok()
+    with pytest.raises(ValueError, match="not a simplex"):
+        verify("lambda-poset", H2, 1, base=[e1])
 
 
 def test_perp_link_variant():
