@@ -20,6 +20,7 @@ from wittlab.quadratic import (
     is_lambda_unimodular,
     orthogonal_complement,
     sub_quadratic,
+    tracked_decomposition,
     transvection,
     witt_index,
 )
@@ -590,11 +591,6 @@ class HyperbolicFrame:
         self.H_std = hyperbolic(Q.param, self.g) if self.g else None
         self._gen_split = None  # per generator of Q: (P-part in Q, H-part)
 
-    @classmethod
-    def from_witt(cls, Q, usr=None, cap=1 << 12):
-        dec = witt_index(Q, usr=usr, cap=cap)
-        return cls(Q, dec.pairs, dec.complement, dec.complement_incl)
-
     def hyperbolic_coords(self, v):
         """(A_1..A_g, B_1..B_g) with v = p + sum e_l A_l + f_l B_l."""
         ring = self.Q.ring
@@ -652,16 +648,10 @@ class HyperbolicFrame:
 
 
 def frame_for(Q, usr=None, cap=1 << 12):
-    """Prefer the tracked hyperbolic pairs (full standard H^g) when they
-    account for the whole module; otherwise decompose via the Witt search."""
-    if Q.hyperbolic_pairs and \
-            Q.ring.size ** (2 * len(Q.hyperbolic_pairs)) == Q.size:
-        from wittlab.quadratic import zero_quadratic
-
-        P = zero_quadratic(Q.param)
-        incl = ModuleMap(P.module, Q.module, [], check=False)
-        return HyperbolicFrame(Q, Q.hyperbolic_pairs, P, incl)
-    return HyperbolicFrame.from_witt(Q, usr=usr, cap=cap)
+    """The frame of Q's Witt decomposition.  Tracked hyperbolic pairs that
+    span Q need no search, so they give the frame past the search cap."""
+    dec = tracked_decomposition(Q) or witt_index(Q, usr=usr, cap=cap)
+    return HyperbolicFrame(Q, dec.pairs, dec.complement, dec.complement_incl)
 
 
 # -- hyperbolic straightening -------------------------------------------------

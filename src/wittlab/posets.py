@@ -226,35 +226,27 @@ def _field_like(ring):
     return False
 
 
-def gl_poset(M, universe=None, ambient=None, embed=None, name=None,
-             cap=SIMPLEX_ENTRY_CAP):
-    """O(X) cap U(ambient): sequences from X unimodular in the ambient module.
-
-    X defaults to all of M; ambient defaults to M itself (unimodularity in M
-    equals unimodularity in the stabilized module for sequences inside M).
-    """
-    amb = ambient if ambient is not None else M
-    if embed is None:
-        embed = lambda x: x
+def gl_poset(M, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
+    """O(X) cap U(M): sequences from X (all of M by default) unimodular in
+    M."""
     universe = list(M.elements()) if universe is None else list(universe)
     extend = None
 
-    if _field_like(M.ring) and amb is M:
+    if _field_like(M.ring):
         from wittlab.linalg import LinearSolver
 
         ring = M.ring
 
         def raw(seq):
             rows = []
-            for x in seq:
-                v = embed(x)
+            for v in seq:
                 rows.extend(list(M.act_vec(v.vec, t)) for t in ring.basis)
             sol = LinearSolver(rows, ring.base_mod, width=M.nd)
             return sol.module_size == ring.size ** len(seq)
 
         # Over a field a prefix is unimodular iff it is independent, and it
         # stays so after a exactly when a lies outside its span.
-        vecs = [embed(x).vec for x in universe]
+        vecs = [x.vec for x in universe]
         atom_rows = [[list(M.act_vec(v, t)) for t in ring.basis]
                      for v in vecs]
         coords = np.array(vecs, dtype=np.int64).reshape(len(vecs), M.nd)
@@ -270,7 +262,7 @@ def gl_poset(M, universe=None, ambient=None, embed=None, name=None,
             return rem.any(axis=1)
     else:
         def raw(seq):
-            return is_unimodular(amb, [embed(x) for x in seq]) is not None
+            return is_unimodular(M, seq) is not None
 
     return SequencePoset(name or "U(%s)" % M.name, universe, raw,
                          entry_cap=cap, extend=extend)
@@ -287,19 +279,13 @@ def lambda_poset(Q_ambient, universe, name=None, cap=SIMPLEX_ENTRY_CAP):
 
 
 def mu_poset(Q_ambient, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
-    """U(N, lambda, mu) = O(I(N, mu)) cap U(N, lambda), restricted to the
-    given universe (defaults to all mu-vanishing elements of N)."""
+    """U(N, lambda, mu) = O(I(N, mu)) cap U(N, lambda): the lambda-poset on
+    the mu-vanishing part of the universe (defaults to all of N)."""
     if universe is None:
-        universe = [x for x in Q_ambient.module.elements()
-                    if Q_ambient.mu_zero(x)]
-    else:
-        universe = [x for x in universe if Q_ambient.mu_zero(x)]
-
-    def raw(seq):
-        return is_lambda_unimodular(Q_ambient, list(seq)) is not None
-
-    return SequencePoset(name or "U(%s,lam,mu)" % Q_ambient.name, universe,
-                         raw, entry_cap=cap)
+        universe = Q_ambient.module.elements()
+    return lambda_poset(Q_ambient, [x for x in universe
+                                    if Q_ambient.mu_zero(x)],
+                        name=name or "U(%s,lam,mu)" % Q_ambient.name, cap=cap)
 
 
 class _PairTables:
@@ -409,120 +395,3 @@ def hu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
     return SequencePoset(name or "HU(%s)" % Q.name, atoms, raw,
                          entry_cap=cap, pair_row=pair_row,
                          pairwise_complete=True)
-
-
-def mu_pairs_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
-    """M U(M): pairs (x, y) with the x-part isotropic lambda-unimodular,
-    y zero or dual to its x, and the y-span isotropic."""
-    if tables is None:
-        tables = _PairTables(Q)
-    ring = Q.ring
-    zero, one = ring.zero, ring.one
-    zero_elem = Q.module.zero()
-    lam_uni_memo = {}
-
-    def x_part_iu(xs):
-        key = tuple(x.vec for x in xs)
-        if key not in lam_uni_memo:
-            lam_uni_memo[key] = is_lambda_unimodular(Q, list(xs)) is not None
-        return lam_uni_memo[key]
-
-    atoms = []
-    n = len(tables.elems)
-    for i in range(n):
-        if not tables.mu0[i]:
-            continue
-        x = tables.elems[i]
-        if is_lambda_unimodular(Q, [x]) is None:
-            continue
-        atoms.append((x, zero_elem))
-        for j in range(n):
-            if tables.mu0[j] and tables.lam_idx(i, j) == one \
-                    and not tables.elems[j].is_zero():
-                atoms.append((x, tables.elems[j]))
-
-    def raw(seq):
-        xs = [x for x, _y in seq]
-        ys = [y for _x, y in seq]
-        xi = [tables.index[x.vec] for x in xs]
-        k = len(seq)
-        if len(set(xi)) != k:  # the x-part lives in O(M): entries distinct
-            return False
-        for a in range(k):
-            if not tables.mu0[xi[a]]:
-                return False
-            for b in range(k):
-                if a != b and tables.lam_idx(xi[a], xi[b]) != zero:
-                    return False
-        nz = [(a, tables.index[ys[a].vec]) for a in range(k)
-              if not ys[a].is_zero()]
-        for a, yi in nz:
-            if not tables.mu0[yi]:
-                return False
-            for b in range(k):
-                want = one if b == a else zero
-                if tables.lam_idx(xi[b], yi) != want:
-                    return False
-        for a, yi in nz:
-            for b, yj in nz:
-                if a != b and tables.lam_idx(yi, yj) != zero:
-                    return False
-        return x_part_iu(xs)
-
-    return SequencePoset(name or "MU(%s)" % Q.name, atoms, raw,
-                         entry_cap=cap)
-
-
-def gl_translated_poset(M, depth=1, name=None, cap=SIMPLEX_ENTRY_CAP):
-    """O(M u (M + e)) cap U(M + R): the translated-universe variant used by
-    the interior induction on the GL side; exposed for verification."""
-    from wittlab.modules import direct_sum_modules, free_module
-
-    ring = M.ring
-    S, inj, inj_new = direct_sum_modules(M, free_module(ring, depth))
-    e_new = inj_new(free_module(ring, depth).gen(0))
-    universe = []
-    seen = set()
-    for x in M.elements():
-        for v in (inj(x), inj(x) + e_new):
-            if v.vec not in seen:
-                seen.add(v.vec)
-                universe.append(v)
-
-    def raw(seq):
-        return is_unimodular(S, list(seq)) is not None
-
-    return SequencePoset(name or "U(%s u %s+e)" % (M.name, M.name),
-                         universe, raw, entry_cap=cap)
-
-
-def quad_translated_poset(Q, frame, name=None, cap=SIMPLEX_ENTRY_CAP):
-    """O(I(P + (E_g u E_g + e_{g+1}), mu)) cap U(N, lambda) with N = M + H:
-    the quadratic-side translated universe; exposed for verification."""
-    import itertools as it
-
-    from wittlab.quadratic import direct_sum_quadratic, hyperbolic
-
-    ring = Q.ring
-    N, lift_m, lift_h = direct_sum_quadratic(Q, hyperbolic(Q.param, 1))
-    e_new = N.hyperbolic_pairs[-1][0]
-    P_elems = [frame.P_incl(p) for p in frame.P.module.elements()]
-    e_only = [pair[0] for pair in frame.pairs]
-    universe = []
-    seen = set()
-    for coeffs in it.product(range(ring.size), repeat=len(e_only)):
-        h = Q.module.zero()
-        for c, e in zip(coeffs, e_only):
-            h = h + e * c
-        for p in P_elems:
-            base = lift_m(p + h)
-            for v in (base, base + e_new):
-                if v.vec not in seen and N.mu_zero(v):
-                    seen.add(v.vec)
-                    universe.append(v)
-
-    def raw(seq):
-        return is_lambda_unimodular(N, list(seq)) is not None
-
-    return SequencePoset(name or "I(P+(E u E+e)) cap U(N,lam)", universe,
-                         raw, entry_cap=cap)

@@ -446,12 +446,19 @@ class WittDecomposition:
 
 
 def _hyperbolic_pair_candidates(Q, cap):
-    module = Q.module
-    if module.size > cap:
-        raise CapExceeded("module too large for Witt search")
-    iso = [x for x in module.elements(cap=cap)
-           if not x.is_zero() and Q.mu_zero(x)]
-    return iso
+    return [x for x in Q.module.elements(cap=cap)
+            if not x.is_zero() and Q.mu_zero(x)]
+
+
+def tracked_decomposition(Q):
+    """Q = H^g on its tracked hyperbolic pairs, with zero complement, when
+    those pairs span Q; None otherwise.  No search, so no cap."""
+    pairs = Q.hyperbolic_pairs
+    if not pairs or Q.ring.size ** (2 * len(pairs)) != Q.size:
+        return None
+    P = zero_quadratic(Q.param)
+    return WittDecomposition(Q, list(pairs), P,
+                             ModuleMap(P.module, Q.module, [], check=False))
 
 
 def _partners(Q, x, cap):
@@ -490,8 +497,15 @@ def witt_index(Q, usr=None, cap=GROUP_CAP):
     Greedy descent is exact when it meets the cardinality bound; otherwise
     the exact value is certified bottom-up: the greedy tail is settled by
     full backtracking on the (small) deep complements, and each level above
-    follows by cancellation once the complement's value reaches usr.
+    follows by cancellation once the complement's value reaches usr.  When
+    Q's tracked hyperbolic pairs span it they are returned as they are, so
+    the decomposition of H^g never depends on the search order.
     """
+    if Q.module.size > cap:
+        raise CapExceeded("module too large for Witt search")
+    tracked = tracked_decomposition(Q)
+    if tracked is not None:
+        return tracked
     ub = _cardinality_bound(Q)
 
     pairs = []
@@ -548,13 +562,6 @@ def witt_index(Q, usr=None, cap=GROUP_CAP):
     else:
         comp_incl = ModuleMap(Q.module, Q.module, Q.module.gens(), check=False)
     return WittDecomposition(Q, out_pairs, leaf, comp_incl)
-
-
-def _no_pair(Qc, cap):
-    for x in _hyperbolic_pair_candidates(Qc, cap):
-        for _y in _partners(Qc, x, cap):
-            return False
-    return True
 
 
 def _witt_backtrack(Q, ub, cap, memo):

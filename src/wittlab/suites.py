@@ -372,6 +372,9 @@ def suite_gl_connectivity(config=None, seed=0, n_max=4):
         _add_theorem(rep, "gf2^%d" % n, verify("gl", M, sr))
         _add_theorem(rep, "gf2^%d:link" % n,
                      verify("gl-link", M, sr, base=[M.gen(0)]))
+        if n <= 3:  # at n = 4, d = 3 needs ~10M 4-simplices: past the cap
+            _add_theorem(rep, "gf2^%d:translated" % n,
+                         verify("gl-translated", M, sr))
     return rep.finish()
 
 
@@ -385,6 +388,9 @@ def suite_quad_connectivity(config=None, seed=0, g_max=4):
         for theorem in ("iu", "hu"):
             _add_theorem(rep, "%s:H^%d" % (theorem, g),
                          verify(theorem, Q, usr))
+        if g <= 3:  # as for GF(2)^4: past the simplex cap
+            _add_theorem(rep, "lambda-translated:H^%d" % g,
+                         verify("lambda-translated", Q, usr))
     return rep.finish()
 
 

@@ -7,16 +7,21 @@ simplification upgrading the certificate when it succeeds.  Refutations
 carry witnesses.
 
 THEOREMS is the one table of certified claims (the GL, IU/HU, lambda-,
-mu- and perp-link posets); verify(name, X, rank, base) runs any of them.
+mu- and perp-link posets, and the translated GL and lambda-posets of the
+interior induction); verify(name, X, rank, base) runs any of them.
 """
 
 import collections
-import itertools
 
 import numpy as np
 
 from wittlab.homology import build_chain_complex, homology
-from wittlab.modules import CapExceeded, rank as module_rank
+from wittlab.modules import (
+    CapExceeded,
+    direct_sum_modules,
+    free_module,
+    rank as module_rank,
+)
 from wittlab.posets import (
     PosetCapExceeded,
     decorate,
@@ -255,28 +260,58 @@ Theorem = collections.namedtuple(
     defaults=("element", False))
 
 
-def _lambda_poset(Q, base, cap, dec):
-    """O(I(P + <e_1..e_g>, mu)) inside N = Q + H, with P the complement of
-    the Witt decomposition dec; a base entry of Q is lifted into N, one of
-    N is kept."""
+def _plus(universe, shifts):
+    """The distinct u + s, for s in shifts and u in universe."""
+    out, seen = [], set()
+    for s in shifts:
+        for u in universe:
+            v = u + s
+            if v.vec not in seen:
+                seen.add(v.vec)
+                out.append(v)
+    return out
+
+
+def _gl_translated(M, base, cap, dec):
+    """O(M u (M + e)) inside S = M + R, e the new basis vector; a base entry
+    of M is lifted into S, one of S is kept."""
+    R = free_module(M.ring, 1)
+    S, inj, inj_new = direct_sum_modules(M, R)
+    universe = _plus([inj(x) for x in M.elements()],
+                     (S.zero(), inj_new(R.gen(0))))
+    return (gl_poset(S, universe, name="U(%s u %s+e)" % (M.name, M.name),
+                     cap=cap),
+            [inj(v) if v.module is M else v for v in base])
+
+
+def _lambda_universe(Q, base, dec):
+    """N = Q + H, the mu = 0 part of P + <e_1..e_g> inside N with P the
+    complement of the Witt decomposition dec, and the base in N: an entry
+    of Q is lifted, one of N is kept."""
     N, lift, _ = direct_sum_quadratic(Q, hyperbolic(Q.param, 1),
                                       name="%s + H" % Q.name)
-    e_only = [lift(x) for x, _y in dec.pairs]
-    P_elems = [lift(dec.complement_incl(p))
-               for p in dec.complement.module.elements()]
-    universe = []
-    seen = set()
-    for coeffs in itertools.product(range(Q.ring.size), repeat=len(e_only)):
-        h = N.module.zero()
-        for c, e in zip(coeffs, e_only):
-            h = h + e * c
-        for p in P_elems:
-            v = p + h
-            if v.vec not in seen and N.mu_zero(v):
-                seen.add(v.vec)
-                universe.append(v)
-    base = [lift(v) if v.module is Q.module else v for v in base]
+    universe = [lift(dec.complement_incl(p))
+                for p in dec.complement.module.elements()]
+    for e, _f in dec.pairs:
+        universe = _plus(universe, [lift(e) * c for c in range(Q.ring.size)])
+    return (N, [v for v in universe if N.mu_zero(v)],
+            [lift(v) if v.module is Q.module else v for v in base])
+
+
+def _lambda_poset(Q, base, cap, dec):
+    """O(I(P + <e_1..e_g>, mu)) cap U(N, lambda), N = Q + H."""
+    N, universe, base = _lambda_universe(Q, base, dec)
     return lambda_poset(N, universe, cap=cap), base
+
+
+def _lambda_translated(Q, base, cap, dec):
+    """The lambda-poset's universe U with its translate U + e, e the new
+    hyperbolic basis vector of N = Q + H: orthogonal to U and isotropic, so
+    U + e has mu = 0 too."""
+    N, universe, base = _lambda_universe(Q, base, dec)
+    universe = _plus(universe, (N.module.zero(), N.hyperbolic_pairs[-1][0]))
+    return (lambda_poset(N, universe, name="I(P+(E u E+e)) cap U(%s,lam)"
+                         % N.name, cap=cap), base)
 
 
 def _perp_poset(Q, base, cap, dec):
@@ -293,6 +328,9 @@ THEOREMS = {
         "O(M) cap U(M-inf) and its links: (rk - sr - k - 1)-connected",
         "sr", "rank", lambda rk, sr, k: rk - sr - k - 1,
         lambda M, base, cap, dec: (gl_poset(M, cap=cap), base)),
+    "gl-translated": Theorem(
+        "O(M u (M+e)) cap U(M+R) and its links: (rk - sr - k)-connected",
+        "sr", "rank", lambda rk, sr, k: rk - sr - k, _gl_translated),
     "iu": Theorem(
         "IU(M)_x: floor((g - usr - |x| - 2)/2)-connected",
         "usr", "g", lambda g, usr, k: (g - usr - k - 2) // 2,
@@ -311,6 +349,10 @@ THEOREMS = {
         "O(I(P+E_g,mu)) cap U(N,lam) and its links: "
         "(g - usr - k - 1)-connected",
         "usr", "g", lambda g, usr, k: g - usr - k - 1, _lambda_poset),
+    "lambda-translated": Theorem(
+        "O(I(P+(E_g u E_g+e),mu)) cap U(N,lam) and its links: "
+        "(g - usr - k)-connected",
+        "usr", "g", lambda g, usr, k: g - usr - k, _lambda_translated),
     "mu-poset": Theorem(
         "O(M) cap U(N,lam,mu) and its links: (g - usr - k - 1)-connected",
         "usr", "g", lambda g, usr, k: g - usr - k - 1,
@@ -446,15 +488,9 @@ def _link_iso_results(Q, x_pairs, usr, cap):
         return y, x
 
     # span of the v's, as explicit decorations
-    V_elems = []
-    seen = set()
-    for coeffs in itertools.product(range(ring.size), repeat=k):
-        acc = Q.module.zero()
-        for c, v in zip(coeffs, vs):
-            acc = acc + v * c
-        if acc.vec not in seen:
-            seen.add(acc.vec)
-            V_elems.append(acc)
+    V_elems = [Q.module.zero()]
+    for v in vs:
+        V_elems = _plus(V_elems, [v * c for c in range(ring.size)])
 
     results = {}
 
@@ -467,7 +503,7 @@ def _link_iso_results(Q, x_pairs, usr, cap):
         a = lhs.atoms[i]
         y, x = decompose(a)
         fwd[a] = (y, next(e for e in V_elems if e == x))
-    results["iu"] = _poset_iso_check(lhs, rhs, fwd, cap)
+    results["iu"] = _poset_iso_check(lhs, rhs, fwd)
 
     # (3) HU(M)_x = HU(Y)
     bigH = hu_poset(Q, tables=tables, cap=cap)
@@ -483,7 +519,7 @@ def _link_iso_results(Q, x_pairs, usr, cap):
             ok = False
             break
         fwdH[lhsH.atoms[i]] = (yx, yy)
-    results["hu"] = ok and _poset_iso_check(lhsH, rhsH, fwdH, cap)
+    results["hu"] = ok and _poset_iso_check(lhsH, rhsH, fwdH)
 
     # vertex-count sanity on the decoration
     iu_y = iu_poset(Y, tables=tables_Y, cap=cap)
@@ -493,7 +529,7 @@ def _link_iso_results(Q, x_pairs, usr, cap):
     return results
 
 
-def _poset_iso_check(lhs, rhs, fwd, cap, max_p=3):
+def _poset_iso_check(lhs, rhs, fwd, max_p=3):
     """fwd: map on lhs vertices; checks bijectivity on vertices and
     membership preservation in both directions through dimension max_p.
     A level past either poset's simplex cap raises PosetCapExceeded."""

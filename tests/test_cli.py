@@ -117,11 +117,12 @@ def test_complex_cap_exits_are_inconclusive(capsys):
     # GF(2)^13 has 8192: past the module-enumeration cap.  mu-poset's build
     # only counts mu_poset's vertices, which no cap stops.
     h7 = {"ring": "gf2", "quadratic": "H^7"}
-    cases = [(t, a, h7) for t in ("iu", "hu", "lambda-poset")
+    cases = [(t, a, h7)
+             for t in ("iu", "hu", "lambda-poset", "lambda-translated")
              for a in ("verify", "build")]
     cases.append(("mu-poset", "verify", h7))
-    cases += [("gl", a, {"ring": "gf2", "module": "free:13"})
-              for a in ("verify", "build")]
+    cases += [(t, a, {"ring": "gf2", "module": "free:13"})
+              for t in ("gl", "gl-translated") for a in ("verify", "build")]
     for theorem, action, instance in cases:
         code, out = run_cli(capsys, "complex", action, "--theorem",
                             theorem, "--instance", json.dumps(instance))
@@ -235,6 +236,9 @@ F1 = [0, 1, 0, 0]
 COMPLEX_CASES = {
     "gl": {"ring": "gf2", "module": "free:3"},
     "gl-link": {"ring": "gf2", "module": "free:3", "base": [[1, 0, 0]]},
+    "gl-translated": {"ring": "gf2", "module": "free:2"},
+    "gl-translated-link": {"ring": "gf2", "module": "free:2",
+                           "base": [[1, 0]]},
     "iu": H2,
     "iu-link": dict(H2, base=[E1]),
     "hu": H2,
@@ -242,8 +246,10 @@ COMPLEX_CASES = {
     "hu-stable": H2,
     "hu-stable-link": dict(H2, base=[[E1, F1]]),
     "lambda-poset": H2,
-    # f_1 lies in the lambda-poset's universe, the span of f_1 and f_2
-    "lambda-poset-link": dict(H2, base=[F1]),
+    # e_1 lies in the lambda-poset's universe, the span of e_1 and e_2
+    "lambda-poset-link": dict(H2, base=[E1]),
+    "lambda-translated": H2,
+    "lambda-translated-link": dict(H2, base=[E1]),
     "mu-poset": H2,
     "mu-poset-link": dict(H2, base=[E1]),
     "perp-link": {"ring": "gf2", "quadratic": "H^3",
@@ -274,10 +280,27 @@ def test_complex_build_counts_the_verified_poset(capsys, monkeypatch):
         assert code == 0, (theorem, out)
         assert json.loads(out)["theorem"] == theorem
         assert checked.pop() == built[theorem], theorem
-    # lambda-poset: the nonzero vectors of <f_1, f_2> inside H^2 + H, not
+    # lambda-poset: the nonzero vectors of <e_1, e_2> inside H^2 + H, not
     # IU(H^2)'s 9; perp-link: a e_1 + y with y in the H^2 on e_2, f_2, e_3,
     # f_3 and mu(y) = 0 (10 of 16), but not 0 or e_1, not mu_poset's 35
     assert built["lambda-poset"] == 3 and built["perp-link"] == 18
+
+
+def test_readme_lists_every_theorem_name():
+    # the names after "names:" in the README's complex usage, up to the
+    # first one not followed by a comma, are verify.NAMES in order
+    from wittlab import verify
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    usage = text.split("wittlab complex {build,verify}", 1)[1]
+    listed = []
+    for word in usage.split("names:", 1)[1].split():
+        listed.append(word.rstrip(","))
+        if not word.endswith(","):
+            break
+    assert listed == verify.NAMES
 
 
 def test_complex_link_base_must_be_a_simplex(capsys):

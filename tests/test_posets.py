@@ -14,7 +14,6 @@ from wittlab.posets import (
     hu_poset,
     iu_poset,
     link,
-    mu_pairs_poset,
     mu_poset,
 )
 from wittlab.quadratic import hyperbolic
@@ -23,6 +22,7 @@ from wittlab.verify import (
     _pi1_trivial,
     _presentation_trivial,
     connectivity_verdict,
+    theorem_poset,
     verify,
     verify_gl_connectivity,
     verify_hu_connectivity,
@@ -139,7 +139,6 @@ def test_chain_condition_sampled():
     H2 = hyperbolic(P2, 2)
     assert hu_poset(H2).chain_condition_check(rng)
     assert iu_poset(H2).chain_condition_check(rng)
-    assert mu_pairs_poset(H2).chain_condition_check(rng)
 
 
 def test_link_identity():
@@ -199,18 +198,6 @@ def test_every_lambda_unimodular_sequence_is_unimodular():
         for seq in FI.simplices(p):
             elems = [FI.atoms[i] for i in seq]
             assert is_unimodular(H2.module, elems) is not None
-
-
-def test_mu_identification():
-    # IU(M) = MU(M) cap O(M x {0})
-    H2 = hyperbolic(P2, 2)
-    FI = iu_poset(H2)
-    FM = mu_pairs_poset(H2)
-    zero = H2.module.zero()
-    iu_verts = {FI.atoms[i] for i in FI.vertex_ids}
-    mu_zero_verts = {FM.atoms[i][0] for i in FM.vertex_ids
-                     if FM.atoms[i][1] == zero}
-    assert iu_verts == mu_zero_verts
 
 
 def test_verdict_tiers():
@@ -369,36 +356,45 @@ def test_link_needs_a_simplex_base():
     assert len(link(F, [e1]).vertex_ids) > 0
 
 
-def test_translated_gl_poset():
-    from wittlab.posets import gl_translated_poset
+TRANSLATED_CASES = [
+    # theorem, ring, rank n or g, cells through the bound + 1, and the cells
+    # (vertices at d = 0) of the link at e_1
+    ("gl-translated", {"kind": "gf", "q": 2}, 2, {0: 7, 1: 42, 2: 168}, 6),
+    ("gl-translated", {"kind": "gf", "q": 2}, 3,
+     {0: 15, 1: 210, 2: 2520, 3: 20160}, {0: 14, 1: 168, 2: 1344}),
+    ("gl-translated", {"kind": "gf", "q": 3}, 2, {0: 17, 1: 264, 2: 3024},
+     15),
+    ("gl-translated", {"kind": "zmod", "n": 4}, 2,
+     {0: 28, 1: 672, 2: 10752}, 24),
+    ("lambda-translated", {"kind": "gf", "q": 2}, 2,
+     {0: 7, 1: 42, 2: 168}, 6),
+    ("lambda-translated", {"kind": "gf", "q": 2}, 3,
+     {0: 15, 1: 210, 2: 2520, 3: 20160}, {0: 14, 1: 168, 2: 1344}),
+]
 
-    M = free_module(GF2, 2)
-    F = gl_translated_poset(M)
-    # universe M u (M + e): 8 candidate atoms; e itself is unimodular
-    assert len(F.atoms) == 8
-    assert len(F.vertex_ids) > len(gl_poset(M).vertex_ids)
-    rng = random.Random(1)
-    assert F.chain_condition_check(rng)
-    # bound from the interior induction: (rk - sr)-connected
-    from wittlab.verify import connectivity_verdict
 
-    assert connectivity_verdict(F, 0).ok()
-
-
-def test_translated_quad_poset():
-    from wittlab.blocks import frame_for
-    from wittlab.posets import quad_translated_poset
-
-    H2 = hyperbolic(P2, 2)
-    frame = frame_for(H2, usr=1)
-    F = quad_translated_poset(H2, frame)
-    assert not F.is_empty()
-    rng = random.Random(2)
-    assert F.chain_condition_check(rng)
-    from wittlab.verify import connectivity_verdict
-
-    # interior bound g - usr = 1; certify the reachable d = 0 tier here
-    assert connectivity_verdict(F, 0).ok()
+@pytest.mark.parametrize("theorem,ring,n,cells,link_cells", TRANSLATED_CASES,
+                         ids=["gf2^2", "gf2^3", "gf3^2", "z4^2", "H^2", "H^3"])
+def test_translated_theorems(theorem, ring, n, cells, link_cells):
+    # the interior induction's translated posets, O(M u (M+e)) cap U(M + R)
+    # and O(I(P + (E_g u E_g+e), mu)) cap U(N, lambda), at their bounds
+    # rk - sr - k and g - usr - k.  Over GF(2) a space and its translate
+    # fill the next rank, so on GF(2)^n and GF(2) H^n both are the GL poset
+    # of GF(2)^(n+1)
+    if theorem == "gl-translated":
+        X = free_module(make_ring(ring), n)
+        e1 = X.gen(0)
+    else:
+        X = hyperbolic(P2, n)
+        e1 = X.hyperbolic_pairs[0][0]
+    _bound, F = theorem_poset(theorem, X, 1)
+    assert F.chain_condition_check(random.Random(n), max_p=2)
+    for base, want in (([], cells), ([e1], link_cells)):
+        rep = verify(theorem, X, 1, base=base)
+        assert rep.bound == n - 1 - len(base)
+        assert rep.verdict.result in ("homology-verified", "fully-verified")
+        detail = rep.verdict.detail
+        assert detail.get("cells", detail.get("vertices")) == want
 
 
 def test_lambda_and_mu_poset_theorems():
@@ -408,13 +404,13 @@ def test_lambda_and_mu_poset_theorems():
     rep2 = verify("mu-poset", H2, 1)
     assert rep2.bound == 0 and rep2.verdict.ok()
     # the universe is the span of the Witt decomposition's first entries,
-    # f_1 and f_2 here: f_1 is a vertex and e_1 is not
+    # the tracked e_1 and e_2 of H^2: e_1 is a vertex and f_1 is not
     e1, f1 = H2.hyperbolic_pairs[0]
-    rep3 = verify("lambda-poset", H2, 1, base=[f1])
+    rep3 = verify("lambda-poset", H2, 1, base=[e1])
     assert rep3.theorem == "lambda-poset-link"
     assert rep3.bound == -1 and rep3.verdict.ok()
     with pytest.raises(ValueError, match="not a simplex"):
-        verify("lambda-poset", H2, 1, base=[e1])
+        verify("lambda-poset", H2, 1, base=[f1])
 
 
 def test_perp_link_variant():
@@ -449,25 +445,28 @@ def test_reduced_vs_plain_on_real_posets():
         assert fast["torsion"] == slow["torsion"]
 
 
-HOOK_CASES = [(q, n, k) for q, ns in ((2, (2, 3, 4)), (3, (2, 3)), (4, (2,)))
-              for n in ns for k in (0, 1, 2)]
+HOOK_CASES = [
+    pytest.param(theorem, q, n, k, id=prefix + "%d-%d-%d" % (q, n, k))
+    for theorem, prefix, sizes in (
+        ("gl", "", ((2, (2, 3, 4)), (3, (2, 3)), (4, (2,)))),
+        ("gl-translated", "translated-", ((2, (2, 3)), (3, (2,)))))
+    for q, ns in sizes for n in ns for k in (0, 1, 2)]
 
 
-@pytest.mark.parametrize("q,n,k", HOOK_CASES)
-def test_gl_extend_hook_matches_raw(q, n, k):
-    # GF(q)^n, or its link at (e_1..e_k), against a copy with no hook: the
-    # same levels and homology, neighbors against the pairwise raw test, and
-    # the extend mask against the raw test on every member prefix through
-    # p = 2.  The copy memoizes the raw test of every extension it tried,
-    # which covers the prefixes through p = d; past d a seeded sample of at
-    # most 500 prefixes per level is tested.
+@pytest.mark.parametrize("theorem,q,n,k", HOOK_CASES)
+def test_gl_extend_hook_matches_raw(theorem, q, n, k):
+    # The poset of theorem on GF(q)^n, or its link at (e_1..e_k), against a
+    # copy with no hook: the same levels and homology through the bound d,
+    # neighbors against the pairwise raw test, and the extend mask against
+    # the raw test on every member prefix through p = 2.  The copy memoizes
+    # the raw test of every extension it tried, which covers the prefixes
+    # through p = d; past d a seeded sample of at most 500 prefixes per
+    # level is tested.
     M = free_module(make_ring({"kind": "gf", "q": q}), n)
-    F = gl_poset(M)
-    if k:
-        F = link(F, M.gens()[:k])
+    bound, F = theorem_poset(theorem, M, 1, base=M.gens()[:k])
     assert F.extend is not None
     plain = SequencePoset(F.name, F.atoms, F.member_atoms)
-    d = max(n - k - 2, 0)
+    d = max(bound, 0)
     for p in range(d + 2):
         assert F.simplices(p) == plain.simplices(p)
     a = homology(build_chain_complex(F, d), d)
