@@ -10,13 +10,16 @@ certificates record the moves and replay exactly.
 
 import itertools
 
+import numpy as np
+
 from wittlab.linalg import LinearSolver
-from wittlab.modules import Module, ModuleMap
+from wittlab.modules import Module, ModuleMap, act_columns
 from wittlab.quadratic import (
     UnitaryMap,
     direct_sum_quadratic,
     hyperbolic,
     identity_unitary,
+    is_isometry,
     is_lambda_unimodular,
     orthogonal_complement,
     sub_quadratic,
@@ -574,7 +577,13 @@ def reduce_keep_tail(A, n_top, l, sr, budget=SEARCH_BUDGET):
 
 class HyperbolicFrame:
     """A decomposition Q = P + H^g: g hyperbolic pairs plus the orthogonal
-    complement P, with coordinate maps in both directions."""
+    complement P, with coordinate maps in both directions.
+
+    Both directions are matrices over Z/m: E (Q.nd x 2gd) embeds the
+    abstract H^g along the pairs (its columns are e_l b_t and f_l b_t), and
+    Z (2gd x Q.nd) sends v to the coordinates of (A_1, B_1, ..., A_g, B_g),
+    where B_l = lambda(e_l, v) and A_l = eps^-1 lambda(f_l, v).
+    """
 
     def __init__(self, Q, pairs, P, P_incl):
         self.Q = Q
@@ -589,23 +598,36 @@ class HyperbolicFrame:
         self.eps_inv = int(ring.inv[self.eps])
         # abstract copy of the hyperbolic part
         self.H_std = hyperbolic(Q.param, self.g) if self.g else None
-        self._gen_split = None  # per generator of Q: (P-part in Q, H-part)
+        d, nd = ring.base_dim, Q.module.nd
+        V = np.array([x.vec for pair in self.pairs for x in pair],
+                     dtype=np.int64).reshape(2 * self.g, nd)
+        self._E = Q.module.canon_columns(act_columns(ring, V))
+        # L[l, 0] = lambda(e_l, -), L[l, 1] = lambda(f_l, -), as d x nd
+        L = (V @ Q.lam_coeffs).transpose(1, 0, 2).reshape(self.g, 2, d, nd)
+        Z = np.stack([ring.Lmat[self.eps_inv] @ L[:, 1], L[:, 0]], axis=1)
+        self._Z = Z.reshape(2 * self.g * d, nd) % ring.base_mod
+        # rows of Q's generators: P-parts (in Q) and H-coordinates, cached
+        # by extend_h_unitary
+        self._gen_rows = None
+
+    def _std_coords(self, v):
+        """Coordinates of (A_1, B_1, ..., A_g, B_g) for v, as an array."""
+        vec = np.array(v.vec, dtype=np.int64)
+        return (self._Z @ vec) % self.Q.ring.base_mod
 
     def hyperbolic_coords(self, v):
         """(A_1..A_g, B_1..B_g) with v = p + sum e_l A_l + f_l B_l."""
         ring = self.Q.ring
-        As, Bs = [], []
-        for e, f in self.pairs:
-            Bs.append(self.Q.lam(e, v))
-            As.append(int(ring.mul[self.eps_inv, self.Q.lam(f, v)]))
-        return As, Bs
+        AB = ring.indices(self._std_coords(v).reshape(self.g, 2,
+                                                      ring.base_dim))
+        return AB[:, 0].tolist(), AB[:, 1].tolist()
+
+    def _embed_coords(self, coords):
+        m = self.Q.ring.base_mod
+        return self.Q.module.from_vec(((self._E @ coords) % m).tolist())
 
     def h_component(self, v):
-        As, Bs = self.hyperbolic_coords(v)
-        acc = self.Q.module.zero()
-        for (e, f), a, b in zip(self.pairs, As, Bs):
-            acc = acc + e * a + f * b
-        return acc
+        return self._embed_coords(self._std_coords(v))
 
     def p_component(self, v):
         """The P-part, as an element of P's module."""
@@ -615,33 +637,27 @@ class HyperbolicFrame:
             raise BlockError("element does not split along the frame")
         return p
 
-    def std_from_coords(self, As, Bs):
-        H = self.H_std
-        blocks = []
-        for a, b in zip(As, Bs):
-            blocks.extend([a, b])
-        return H.module.element(blocks)
-
     def embed_std(self, z):
         """Element of the abstract H^g into Q along the frame pairs."""
-        blocks = z.ring_blocks()
-        acc = self.Q.module.zero()
-        for l, (e, f) in enumerate(self.pairs):
-            acc = acc + e * blocks[2 * l] + f * blocks[2 * l + 1]
-        return acc
+        return self._embed_coords(np.array(z.vec, dtype=np.int64))
 
     def project_std(self, v):
-        As, Bs = self.hyperbolic_coords(v)
-        return self.std_from_coords(As, Bs)
+        return self.H_std.module.from_vec(self._std_coords(v).tolist())
 
     def extend_h_unitary(self, psi_std):
-        """1_P + psi: extend a unitary of the abstract H^g to Q."""
+        """1_P + psi: extend a unitary of the abstract H^g to Q.  On the
+        generator rows (P-parts P, H-coordinates Z_g) the images are
+        P + (E Psi Z_g)^T mod m."""
         Q = self.Q
-        if self._gen_split is None:
-            self._gen_split = [
-                (self.P_incl(self.p_component(gme)), self.project_std(gme))
-                for gme in Q.module.gens()]
-        imgs = [p + self.embed_std(psi_std(z)) for p, z in self._gen_split]
+        m = Q.ring.base_mod
+        if self._gen_rows is None:
+            gens = Q.module.gens()
+            P = np.array([self.P_incl(self.p_component(x)).vec for x in gens],
+                         dtype=np.int64).reshape(len(gens), Q.module.nd)
+            self._gen_rows = (P, (self._Z @ Q.module.gen_columns) % m)
+        P, Zg = self._gen_rows
+        X = (P + ((self._E @ psi_std.f.B) % m @ Zg).T) % m
+        imgs = [Q.module.from_vec(row) for row in X.tolist()]
         f = ModuleMap(Q.module, Q.module, imgs, check=False)
         return UnitaryMap(Q, f, check=True,
                           tag=("map", tuple(x.vec for x in imgs)))
@@ -918,22 +934,6 @@ def _eu_reach_first_pair(H_std, z, budget):
 
 
 # -- cancellation --------------------------------------------------------------
-
-
-def is_isometry(Q1, Q2, f):
-    """Does the module map f: Q1 -> Q2 preserve lambda and mu (bijectively)?"""
-    if f.domain is not Q1.module or f.codomain is not Q2.module:
-        return False
-    if not f.well_defined():
-        return False
-    imgs = [f(g) for g in Q1.module.gens()]
-    for i in range(Q1.module.ngens):
-        if Q2.mu_rep(imgs[i]) != Q1.mu[i]:
-            return False
-        for j in range(Q1.module.ngens):
-            if Q2.lam(imgs[i], imgs[j]) != Q1.gram[i][j]:
-                return False
-    return f.is_bijective()
 
 
 def cancel_H(Qm, Qn, iso, sums=None, usr=1, sr=None, cap=1 << 12,

@@ -103,22 +103,3 @@ class LinearSolver:
         for v in itertools.product(*ranges):
             yield v
 
-
-def transpose(rows):
-    return [list(col) for col in zip(*rows)] if rows else []
-
-
-def matvec(M_rows, v, m):
-    return [sum(a * x for a, x in zip(row, v)) % m for row in M_rows]
-
-
-def vecmat(v, M_rows, m):
-    if not M_rows:
-        return []
-    n = len(M_rows[0])
-    out = [0] * n
-    for c, row in zip(v, M_rows):
-        if c:
-            for k in range(n):
-                out[k] = (out[k] + c * row[k]) % m
-    return out

@@ -3,12 +3,15 @@
 A module is R^n modulo the R-span of relator columns.  Elements are stored
 as canonical base-coordinate vectors (length n*d over Z/m), canonicalized by
 Howell reduction against the expanded relation module, so equality and
-hashing are exact.
+hashing are exact.  A module map is one int64 matrix on those coordinates,
+so applying and composing maps are numpy products.
 """
 
 import itertools
 
-from wittlab.linalg import LinearSolver, transpose, matvec
+import numpy as np
+
+from wittlab.linalg import LinearSolver
 from wittlab.rings import RingError
 
 ENUM_CAP = 4096
@@ -39,12 +42,31 @@ class Module:
         self.size = m ** self.nd // self.rel.module_size
         self.name = name or "M(%s;%d gens,%d rels)" % (
             ring.name, self.ngens, len(self.relators))
+        self._gen_columns = None
 
     # -- element plumbing -------------------------------------------------
 
     def canon(self, vec):
         rep, _ = self.rel.reduce(vec)
         return tuple(rep)
+
+    def canon_columns(self, A):
+        """A (nd x k int64) mod m, each column replaced by its canonical
+        form when there are relators to reduce by."""
+        A = A % self.ring.base_mod
+        if self.relators and A.shape[1]:
+            A = np.array([self.canon(col) for col in A.T.tolist()],
+                         dtype=np.int64).T
+        return A
+
+    @property
+    def gen_columns(self):
+        """The (nd x ngens) array of the generators' coordinates."""
+        if self._gen_columns is None:
+            self._gen_columns = np.array(
+                [g.vec for g in self.gens()], dtype=np.int64).reshape(
+                    self.ngens, self.nd).T
+        return self._gen_columns
 
     def element(self, blocks):
         """Element from a tuple of ring indices, one per generator."""
@@ -76,6 +98,12 @@ class Module:
             if vec not in seen:
                 seen.add(vec)
                 yield ModuleElement(self, vec)
+
+    def element_rows(self, cap=ENUM_CAP):
+        """The elements, and their coordinates as one (size, nd) array."""
+        elems = list(self.elements(cap=cap))
+        V = np.array([x.vec for x in elems], dtype=np.int64)
+        return elems, V.reshape(len(elems), self.nd)
 
     def add_vec(self, u, v):
         m = self.ring.base_mod
@@ -348,40 +376,76 @@ def rank(M, cap=ENUM_CAP):
 # -- maps ------------------------------------------------------------------
 
 
+def act_columns(ring, X):
+    """Columns (i, t) = x_i * b_t (raw, mod m) for the rows x_i of the
+    (k, nd) coordinate array X: the (nd, k*d) matrix whose product with
+    the raw coordinates of sum_i g_i * a_i is sum_i x_i * a_i."""
+    d = ring.base_dim
+    X = np.asarray(X, dtype=np.int64)
+    k, nd = X.shape
+    # act_vec per block: coords_s(y * b_t) = sum_u Rmat[b_t][s, u] * y_u
+    B = np.einsum("tsu,iju->jsit", ring.Rmat[ring.basis],
+                  X.reshape(k, nd // d, d))
+    return B.reshape(nd, k * d) % ring.base_mod
+
+
 class ModuleMap:
+    """An R-linear map as one int64 matrix B (codomain.nd x domain.nd):
+    column (i, t) holds the canonical coordinates of image_i * b_t, so the
+    map is x -> B @ x mod m on raw coordinates."""
+
     def __init__(self, domain, codomain, images, check=True):
+        images = tuple(images)
+        X = np.array([x.vec for x in images], dtype=np.int64).reshape(
+            len(images), codomain.nd)
+        self._setup(domain, codomain, act_columns(domain.ring, X), images,
+                    check)
+
+    @classmethod
+    def from_matrix(cls, domain, codomain, B, check=True):
+        """The map x -> B @ x mod m; its generator images are read off B."""
+        f = cls.__new__(cls)
+        f._setup(domain, codomain, np.asarray(B, dtype=np.int64), None, check)
+        return f
+
+    def _setup(self, domain, codomain, B, images, check):
         self.domain = domain
         self.codomain = codomain
-        self.images = tuple(images)
-        ring = domain.ring
-        d = ring.base_dim
-        cols = []
-        for x in self.images:
-            for t in ring.basis:
-                cols.append(codomain.act_vec(x.vec, t))
-        self.B = transpose(cols) if cols else [[] for _ in range(codomain.nd)]
+        self.B = codomain.canon_columns(B.reshape(codomain.nd, domain.nd))
+        self._images = images
+        self._pre = None
         if check and not self.well_defined():
             raise RingError("map does not respect the relations")
-        self._pre = None
+
+    def generator_images(self):
+        """Rows: the canonical coordinates of f(g) per domain generator g."""
+        return self.codomain.canon_columns(
+            self.B @ self.domain.gen_columns).T
+
+    @property
+    def images(self):
+        if self._images is None:
+            self._images = tuple(ModuleElement(self.codomain, tuple(row))
+                                 for row in self.generator_images().tolist())
+        return self._images
 
     def well_defined(self):
-        m = self.domain.ring.base_mod
-        for hr in self.domain.rel.H:
-            img = matvec(self.B, hr, m)
-            if any(self.codomain.canon(img)):
-                return False
-        return True
+        rel = self.domain.rel.H
+        if not rel:
+            return True
+        imgs = self.B @ np.array(rel, dtype=np.int64).T
+        return not self.codomain.canon_columns(imgs).any()
 
     def __call__(self, x):
         m = self.domain.ring.base_mod
-        return self.codomain.from_vec(matvec(self.B, x.vec, m))
+        vec = np.array(x.vec, dtype=np.int64)
+        return self.codomain.from_vec(((self.B @ vec) % m).tolist())
 
     def _preimage_solver(self):
         """Solver over (x | c) for B@x + c-combination-of-relations = target."""
         if self._pre is None:
             m = self.domain.ring.base_mod
-            rows = transpose(self.B)
-            rows = [list(r) for r in rows] + [list(r) for r in self.codomain.rel.H]
+            rows = self.B.T.tolist() + [list(r) for r in self.codomain.rel.H]
             self._pre = LinearSolver(rows, m, width=self.codomain.nd)
         return self._pre
 
@@ -419,9 +483,8 @@ class ModuleMap:
 
     def compose(self, other):
         """self after other."""
-        return ModuleMap(other.domain, self.codomain,
-                         [self(other(g)) for g in other.domain.gens()],
-                         check=False)
+        return ModuleMap.from_matrix(other.domain, self.codomain,
+                                     self.B @ other.B, check=False)
 
     def key(self):
         return tuple(x.vec for x in self.images)
@@ -435,7 +498,8 @@ class ModuleMap:
 
 
 def identity_map(M):
-    return ModuleMap(M, M, M.gens(), check=False)
+    return ModuleMap.from_matrix(M, M, np.eye(M.nd, dtype=np.int64),
+                                 check=False)
 
 
 def submodule(M, gens):
@@ -444,19 +508,24 @@ def submodule(M, gens):
     Generators lying in the span of the others are dropped first.
     """
     ring = M.ring
-    m = ring.base_mod
+    d, m = ring.base_dim, ring.base_mod
     gens = [g for g in gens if not g.is_zero()]
+    # spans[i]: the d rows g_i * b_t, canonical
+    V = np.array([g.vec for g in gens], dtype=np.int64).reshape(
+        len(gens), M.nd)
+    spans = M.canon_columns(act_columns(ring, V)).T.reshape(
+        len(gens), d, M.nd).tolist()
     # greedy minimization
     changed = True
     while changed:
         changed = False
         for idx in range(len(gens)):
-            others = gens[:idx] + gens[idx + 1:]
             rows = [list(r) for r in M.rel.H]
-            for g in others:
-                rows.extend(list(M.act_vec(g.vec, t)) for t in ring.basis)
+            rows += [row for j, span in enumerate(spans) if j != idx
+                     for row in span]
             if LinearSolver(rows, m, width=M.nd).contains(gens[idx].vec):
                 gens.pop(idx)
+                spans.pop(idx)
                 changed = True
                 break
     s = len(gens)
@@ -464,11 +533,7 @@ def submodule(M, gens):
         K = Module(ring, 0, (), name="0")
         return K, ModuleMap(K, M, [], check=False)
     # relation module of the presentation R^s ->> span
-    d = ring.base_dim
-    rows = []
-    for g in gens:
-        for t in ring.basis:
-            rows.append(list(M.act_vec(g.vec, t)))
+    rows = [row for span in spans for row in span]
     rows += [list(r) for r in M.rel.H]
     pre = LinearSolver(rows, m, width=M.nd)
     ker = [row[:s * d] for row in pre.kernel_rows()]

@@ -18,7 +18,9 @@ On raw coordinate vectors both forms are Z/m-bilinear: lam_coeffs and
 q_coeffs are int64 arrays T of shape (d, nd, nd) with coords_t of
 lambda(x, y) (resp. q(x, y)) equal to x . T[t] . y mod m.  Every linear
 system in lambda (unimodularity witnesses, complements, radicals, partners)
-takes its rows from lam_rows, one numpy product over T.
+takes its rows from lam_rows, one numpy product over T; lambda and mu of
+many vectors at once (isometry tests, sub-structures, signature pools, mu
+classes) come from lam_table and mu_reps, one product each.
 """
 
 import numpy as np
@@ -29,8 +31,10 @@ from wittlab.modules import (
     Module,
     ModuleMap,
     _partial_consistent,
+    act_columns,
     direct_sum_modules,
     functional_space,
+    identity_map,
     is_unimodular,
     submodule,
 )
@@ -121,6 +125,23 @@ class QuadraticModule:
             R = (V @ T).transpose(2, 1, 0)  # [s, j, t] = lambda(v_j, e_s)_t
         return (R.reshape(nd, len(V) * d) % self.ring.base_mod).tolist()
 
+    def lam_table(self, X, Y):
+        """Ring indices of lambda(x_i, y_j) for the rows of the raw
+        coordinate arrays X and Y: one product per base coordinate, summed
+        in place so a large table is held about twice, not four times."""
+        m = self.ring.base_mod
+        out = np.zeros((len(X), len(Y)), dtype=np.int64)
+        for t, T in enumerate(self.lam_coeffs):
+            P = X @ T @ Y.T
+            P %= m
+            P *= m ** t
+            out += P
+        return out
+
+    def mu_reps(self, X):
+        """Lambda-coset representatives of mu(x_i) for the rows of X."""
+        return self.param.coset_reps(_diagonal(self, self.q_coeffs, X))
+
     def lam(self, x, y):
         return self.lam_vec(x.vec, y.vec)
 
@@ -170,6 +191,12 @@ def _eval_pair(Q, tables, u, v):
                 acc += us * sum(row[t] * v[t] for t in range(nd) if v[t])
         coords.append(acc % m)
     return ring.index_of_coords(coords)
+
+
+def _diagonal(Q, coeffs, X):
+    """Ring indices of form(x_i, x_i) for the rows of X, the form given by
+    its coefficient array (lam_coeffs or q_coeffs)."""
+    return Q.ring.indices(np.einsum("tiu,iu->it", X @ coeffs, X))
 
 
 def make_quadratic(module, gram, mu, parameter, name=None):
@@ -348,6 +375,12 @@ class UnitaryMap:
     def key(self):
         return self.f.key()
 
+    @property
+    def orthogonal(self):
+        """For a transvection tau(e, u, x): is e lambda-unimodular?"""
+        e = self.Q.module.from_vec(self.tag[1])
+        return is_lambda_unimodular(self.Q, [e]) is not None
+
     def __eq__(self, other):
         return isinstance(other, UnitaryMap) and self.f == other.f
 
@@ -355,35 +388,42 @@ class UnitaryMap:
         return hash(self.f)
 
 
-def is_unitary(Q, f):
-    """Gram and mu preserved on generators (sufficient by sesquilinearity
-    and axiom (3)), plus invertibility."""
-    module = Q.module
-    if f.domain is not module or f.codomain is not module:
+def is_isometry(Q1, Q2, f):
+    """Does the module map f: Q1 -> Q2 preserve lambda and mu on the
+    generators (sufficient by sesquilinearity and axiom (3)), and is it
+    bijective?  lambda and mu of all generator images come from one product
+    each."""
+    if f.domain is not Q1.module or f.codomain is not Q2.module:
         return False
     if not f.well_defined():
         return False
-    imgs = [f(g) for g in module.gens()]
-    for i in range(module.ngens):
-        if Q.mu_rep(imgs[i]) != Q.mu[i]:
-            return False
-        for j in range(module.ngens):
-            if Q.lam(imgs[i], imgs[j]) != Q.gram[i][j]:
-                return False
+    n = Q1.module.ngens
+    X = f.generator_images()
+    if not np.array_equal(Q2.mu_reps(X), Q1.mu):
+        return False
+    gram = np.array(Q1.gram, dtype=np.int64).reshape(n, n)
+    if not np.array_equal(Q2.lam_table(X, X), gram):
+        return False
     return f.is_bijective()
 
 
+def is_unitary(Q, f):
+    return is_isometry(Q, Q, f)
+
+
 def identity_unitary(Q):
-    return UnitaryMap(Q, ModuleMap(Q.module, Q.module, Q.module.gens(),
-                                   check=False), check=False, tag="id")
+    return UnitaryMap(Q, identity_map(Q.module), check=False, tag="id")
 
 
 def transvection(Q, e, u, x):
     """tau(e, u, x): v -> v + u l(e,v) - e eps_bar l(u,v) - e eps_bar x l(e,v).
 
     Requires mu(e) = 0, lambda(e, u) = 0, x a representative of mu(u); the
-    result is verified unitary and invertible.  The orthogonal-transvection
-    designation additionally asks e to be lambda-unimodular (tracked).
+    result is verified unitary and invertible.  As a matrix it is
+    I + M_u L_e - M_e Lmat[eps_bar] L_u - M_e Lmat[eps_bar x] L_e, with L_y
+    the d x nd coordinate matrix of lambda(y, -) and M_y the nd x d matrix
+    of r -> y r.  The orthogonal-transvection designation additionally
+    asks e to be lambda-unimodular (the `orthogonal` property).
     """
     ring = Q.ring
     param = Q.param
@@ -395,17 +435,15 @@ def transvection(Q, e, u, x):
         raise RingError("x must represent mu(u)")
     eb = param.eps_bar
     module = Q.module
-    imgs = []
-    for g in module.gens():
-        lev = Q.lam(e, g)
-        luv = Q.lam(u, g)
-        img = g + u * lev - e * int(ring.mul[eb, luv]) \
-            - e * int(ring.mul[ring.mul[eb, int(x)], lev])
-        imgs.append(img)
-    f = ModuleMap(module, module, imgs, check=False)
-    t = UnitaryMap(Q, f, check=True, tag=("tau", e.vec, u.vec, int(x)))
-    t.orthogonal = is_lambda_unimodular(Q, [e]) is not None
-    return t
+    E = np.array([e.vec, u.vec], dtype=np.int64).reshape(2, module.nd)
+    L_e, L_u = (E @ Q.lam_coeffs).transpose(1, 0, 2)
+    M = act_columns(ring, E)
+    M_e, M_u = M[:, :ring.base_dim], M[:, ring.base_dim:]
+    Lmat = ring.Lmat
+    B = np.eye(module.nd, dtype=np.int64) + M_u @ L_e \
+        - M_e @ Lmat[eb] @ L_u - M_e @ Lmat[ring.mul[eb, int(x)]] @ L_e
+    f = ModuleMap.from_matrix(module, module, B, check=False)
+    return UnitaryMap(Q, f, check=True, tag=("tau", e.vec, u.vec, int(x)))
 
 
 # -- sub-quadratic-structures ------------------------------------------------
@@ -414,10 +452,9 @@ def transvection(Q, e, u, x):
 def sub_quadratic(Q, gens, name=None):
     """Quadratic structure on the R-span of `gens`; returns (K, incl)."""
     K, incl = submodule(Q.module, list(gens))
-    kept = [incl(g) for g in K.gens()]
-    gram = [[Q.lam(x, y) for y in kept] for x in kept]
-    mu = [Q.mu_rep(x) for x in kept]
-    QK = QuadraticModule(K, gram, mu, Q.param, name=name)
+    X = incl.generator_images()
+    QK = QuadraticModule(K, Q.lam_table(X, X).tolist(), Q.mu_reps(X).tolist(),
+                         Q.param, name=name)
     return QK, incl
 
 
@@ -446,8 +483,11 @@ class WittDecomposition:
 
 
 def _hyperbolic_pair_candidates(Q, cap):
-    return [x for x in Q.module.elements(cap=cap)
-            if not x.is_zero() and Q.mu_zero(x)]
+    """The nonzero x with mu(x) = 0, in enumeration order."""
+    elems, V = Q.module.element_rows(cap=cap)
+    zero = Q.param.coset_rep(Q.ring.zero)
+    keep = V.any(axis=1) & (Q.mu_reps(V) == zero)
+    return [elems[i] for i in np.flatnonzero(keep).tolist()]
 
 
 def tracked_decomposition(Q):
@@ -560,7 +600,7 @@ def witt_index(Q, usr=None, cap=GROUP_CAP):
         for incl in chain[1:]:
             comp_incl = comp_incl.compose(incl)
     else:
-        comp_incl = ModuleMap(Q.module, Q.module, Q.module.gens(), check=False)
+        comp_incl = identity_map(Q.module)
     return WittDecomposition(Q, out_pairs, leaf, comp_incl)
 
 
@@ -622,50 +662,58 @@ def stable_witt_index(Q, k_max, usr=None, cap=GROUP_CAP):
 
 
 def _signature_pools(Q, target, cap):
-    """Candidate images per generator of `target`, bucketed by (mu, lambda-diag)."""
-    module = Q.module
+    """Candidate images per generator of `target`, bucketed by (mu,
+    lambda-diag): Q's elements, their coordinate rows, and per signature
+    the positions of its pool among them."""
+    elems, V = Q.module.element_rows(cap=cap)
+    mus = Q.mu_reps(V)
+    lams = _diagonal(Q, Q.lam_coeffs, V)
     pools = {}
-    elems = list(module.elements(cap=cap))
     for i in range(target.module.ngens):
         sig = (target.mu[i], target.gram[i][i])
         if sig not in pools:
-            pools[sig] = [x for x in elems
-                          if Q.mu_rep(x) == sig[0] and Q.lam(x, x) == sig[1]]
-    return pools
+            pools[sig] = np.flatnonzero((mus == sig[0]) & (lams == sig[1]))
+    return elems, V, pools
+
+
+def _images_dfs(Q1, module2, cands, lam, pools, assigned=()):
+    """Tuples of generator images of Q1 (positions in cands) that keep the
+    gram and mu and can satisfy the relations, in DFS order.  A node
+    filters its pool against every assigned image in one array test on
+    the table lam[a, b] = lambda(cands[a], cands[b])."""
+    i = len(assigned)
+    if i == Q1.module.ngens:
+        yield assigned
+        return
+    gram = Q1.gram
+    pool = pools[(Q1.mu[i], gram[i][i])]
+    ok = np.ones(len(pool), dtype=bool)
+    for j, a in enumerate(assigned):
+        ok &= (lam[a, pool] == gram[j][i]) & (lam[pool, a] == gram[i][j])
+    for h in pool[ok].tolist():
+        imgs = [cands[a] for a in assigned + (h,)]
+        if _partial_consistent(Q1.module, module2, imgs,
+                               list(Q1.module.relators)):
+            yield from _images_dfs(Q1, module2, cands, lam, pools,
+                                   assigned + (h,))
 
 
 def _quad_dfs(Q1, Q2, collect_all, cap):
-    """DFS over generator images of Q1 into Q2 preserving gram and mu."""
-    module1, module2 = Q1.module, Q2.module
-    pools = _signature_pools(Q2, Q1, cap)
-    rel_cols = list(module1.relators)
+    """DFS over generator images of Q1 into Q2 preserving gram and mu;
+    lambda between pool elements is tabulated once."""
+    elems, V, pools = _signature_pools(Q2, Q1, cap)
+    used = np.unique(np.concatenate(list(pools.values())))
+    cands = [elems[i] for i in used.tolist()]
+    lam = Q2.lam_table(V[used], V[used])
+    pools = {sig: np.searchsorted(used, p) for sig, p in pools.items()}
     out = []
-
-    def dfs(assigned):
-        i = len(assigned)
-        if i == module1.ngens:
-            f = ModuleMap(module1, module2, list(assigned), check=True)
-            if f.is_bijective():
-                out.append(f)
-                return not collect_all
-            return False
-        sig = (Q1.mu[i], Q1.gram[i][i])
-        for h in pools[sig]:
-            ok = True
-            for j in range(i):
-                if Q2.lam(assigned[j], h) != Q1.gram[j][i] or \
-                        Q2.lam(h, assigned[j]) != Q1.gram[i][j]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if not _partial_consistent(module1, module2, assigned + [h], rel_cols):
-                continue
-            if dfs(assigned + [h]):
-                return True
-        return False
-
-    dfs([])
+    for assigned in _images_dfs(Q1, Q2.module, cands, lam, pools):
+        f = ModuleMap(Q1.module, Q2.module, [cands[a] for a in assigned],
+                      check=True)
+        if f.is_bijective():
+            out.append(f)
+            if not collect_all:
+                break
     return out
 
 

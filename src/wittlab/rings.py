@@ -119,6 +119,11 @@ class Ring:
     def index_of_coords(self, coords):
         return _mixed_radix_index([c % self.base_mod for c in coords], self.base_mod)
 
+    def indices(self, coords):
+        """Ring indices of an int array's coordinate blocks (last axis)."""
+        m = self.base_mod
+        return (coords % m) @ (m ** np.arange(self.base_dim, dtype=np.int64))
+
     def elements(self):
         return range(self.size)
 
@@ -478,6 +483,10 @@ class FormParameter:
 
     def coset_rep(self, r):
         return int(self._rep[r])
+
+    def coset_reps(self, idx):
+        """coset_rep of every ring index in an int array."""
+        return self._rep[idx]
 
     def coset(self, r):
         return LambdaCoset(self, self.coset_rep(r))

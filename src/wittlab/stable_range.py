@@ -188,21 +188,29 @@ def elementary_unitary_generators(ring, param, n, u_mode="all", H=None):
 
 
 def _mu_class_partition(H, budget):
+    """The unimodular vectors of H by mu-class, in enumeration order.  mu of
+    every element comes from one product over q_coeffs; left-unimodularity
+    depends only on the set of entries, so it is solved once per set."""
     ring = H.ring
     module = H.module
     if module.size > budget:
         raise BudgetExceeded("H^n too large to enumerate")
+    elems, V = module.element_rows(cap=module.size)
+    mu = H.mu_reps(V).tolist()
+    entries = np.sort(ring.indices(V.reshape(len(elems), module.ngens,
+                                             ring.base_dim)), axis=1)
+    rows, inverse = np.unique(entries, axis=0, return_inverse=True)
+    unimodular = {}  # per entry set
+    row_ok = []
+    for row in rows.tolist():
+        key = frozenset(row)
+        if key not in unimodular:
+            unimodular[key] = row_unimodular(ring, key)
+        row_ok.append(unimodular[key])
+    ok = np.array(row_ok, dtype=bool)[inverse.reshape(-1)] & V.any(axis=1)
     classes = {}
-    unimodular = {}  # left-unimodularity depends only on the set of entries
-    for x in module.elements(cap=module.size):
-        if x.is_zero():
-            continue
-        entries = frozenset(x.ring_blocks())
-        if entries not in unimodular:
-            unimodular[entries] = row_unimodular(ring, entries)
-        if not unimodular[entries]:
-            continue
-        classes.setdefault(H.mu_rep(x), []).append(x)
+    for i in np.flatnonzero(ok).tolist():
+        classes.setdefault(mu[i], []).append(elems[i])
     return classes
 
 
@@ -225,7 +233,7 @@ def element_codes(H, rows):
 def _gen_permutations(H, gens):
     """The generators' actions on coordinate rows, as one nd x (G * nd)
     matrix: row block x @ M holds the images of x under each generator."""
-    return np.hstack([np.array(t.f.B, dtype=np.int64).T for t in gens])
+    return np.hstack([t.f.B.T for t in gens])
 
 
 def _bfs(mats, m, start, target, budget, spent):

@@ -12,7 +12,6 @@ import pytest
 from wittlab import catalog as C
 from wittlab import stable_range as S
 from wittlab.blocks import BlockError, _eu_reach_first_pair, transitive_move
-from wittlab.linalg import matvec
 from wittlab.modules import cyclic_module
 from wittlab.quadratic import (
     direct_sum_quadratic,
@@ -36,14 +35,15 @@ def reference_orbit(H, gens, seed):
     """Element-by-element BFS on coordinate tuples, each generator applied
     as its matrix in plain Python."""
     m = H.ring.base_mod
-    mats = [t.f.B for t in gens]
+    mats = [t.f.B.tolist() for t in gens]
     seen = {seed.vec}
     frontier = [seed.vec]
     while frontier:
         nxt = []
         for vec in frontier:
             for B in mats:
-                img = tuple(matvec(B, vec, m))
+                img = tuple(sum(a * x for a, x in zip(row, vec)) % m
+                            for row in B)
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
