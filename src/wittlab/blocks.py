@@ -12,11 +12,10 @@ import itertools
 
 import numpy as np
 
-from wittlab.linalg import LinearSolver
+from wittlab.linalg import LinearSolver, ring_left_inverse, ring_matmul
 from wittlab.modules import Module, ModuleMap, act_columns
 from wittlab.quadratic import (
     UnitaryMap,
-    direct_sum_quadratic,
     hyperbolic,
     identity_unitary,
     is_isometry,
@@ -38,19 +37,6 @@ class BlockError(ValueError):
 # -- ring matrix helpers -----------------------------------------------------
 
 
-def rmat_mul(ring, A, B):
-    n, k = len(A), len(B[0])
-    t = len(B)
-    out = [[ring.zero] * k for _ in range(n)]
-    for i in range(n):
-        for j in range(k):
-            acc = ring.zero
-            for l in range(t):
-                acc = int(ring.add[acc, ring.mul[A[i][l], B[l][j]]])
-            out[i][j] = acc
-    return out
-
-
 def rmat_identity(ring, n):
     return [[ring.one if i == j else ring.zero for j in range(n)]
             for i in range(n)]
@@ -58,23 +44,8 @@ def rmat_identity(ring, n):
 
 def ring_matrix_left_inverse(ring, B):
     """A k x n left inverse of an n x k matrix over R, or None."""
-    n = len(B)
-    k = len(B[0]) if n else 0
-    d, m = ring.base_dim, ring.base_mod
-    rows = []
-    for l in range(n):  # unknown r'_l
-        for t in ring.basis:
-            row = []
-            for j in range(k):
-                row.extend(int(v) for v in ring.to_base[
-                    ring.mul[ring.mul[t, B[l][j]], ring.one]])
-            rows.append(row)
-    solver = LinearSolver(rows, m, width=d * k)
-    sols = solver.solve_delta(k, [int(v) for v in ring.to_base[ring.one]])
-    if sols is None:
-        return None
-    return [[ring.index_of_coords(sol[l * d:(l + 1) * d]) for l in range(n)]
-            for sol in sols]
+    inv = ring_left_inverse(ring, B)
+    return None if inv is None else inv[0]
 
 
 def ring_matrix_inverse(ring, C):
@@ -83,23 +54,15 @@ def ring_matrix_inverse(ring, C):
     if inv is None:
         raise BlockError("matrix not invertible")
     # left inverse of a square matrix over a finite ring is the inverse
-    if rmat_mul(ring, C, inv) != rmat_identity(ring, n):
+    if ring_matmul(ring, C, inv) != rmat_identity(ring, n):
         raise BlockError("one-sided inverse is not two-sided")
     return inv
 
 
 def row_left_coefficients(ring, row):
     """c with sum c_i row_i = 1, or None."""
-    d, m = ring.base_dim, ring.base_mod
-    rows = []
-    for r in row:
-        for t in ring.basis:
-            rows.append([int(v) for v in ring.to_base[ring.mul[t, r]]])
-    solver = LinearSolver(rows, m, width=d)
-    sol = solver.solve([int(v) for v in ring.to_base[ring.one]])
-    if sol is None:
-        return None
-    return [ring.index_of_coords(sol[i * d:(i + 1) * d]) for i in range(len(row))]
+    inv = ring_matrix_left_inverse(ring, [[r] for r in row])
+    return None if inv is None else inv[0]
 
 
 def shorten_row(ring, row, budget=SEARCH_BUDGET):
@@ -199,39 +162,14 @@ class AntiFunctional:
             acc = int(ring.add[acc, ring.mul[ring.conj[a], t]])
         return acc
 
-    def coords_on(self, vec):
-        """Base coordinates of the value on a raw coordinate vector."""
+    @property
+    def matrix(self):
+        """The d x nd int64 matrix F with coords(f(x)) = F x mod m on raw
+        coordinates: block i is Rmat[t_i] @ Cmat (x_i -> conj(x_i) t_i)."""
         ring = self.module.ring
-        d, m = ring.base_dim, ring.base_mod
-        out = [0] * d
-        for i, t in enumerate(self.values):
-            block = vec[i * d:(i + 1) * d]
-            for s in range(d):
-                if block[s]:
-                    val = ring.mul[ring.conj[ring.basis[s]], t]
-                    co = ring.to_base[val]
-                    for u in range(d):
-                        out[u] = (out[u] + block[s] * int(co[u])) % m
-        return out
-
-    def scale_left(self, s):
-        """s . f : x -> s * f(x), which equals x -> f(x * conj(s))."""
-        ring = self.module.ring
-        return AntiFunctional(
-            self.module, [int(ring.mul[s, t]) for t in self.values], check=False)
-
-    def scale_right(self, r):
-        """f . r : x -> f(x) * r."""
-        ring = self.module.ring
-        return AntiFunctional(
-            self.module, [int(ring.mul[t, r]) for t in self.values], check=False)
-
-    def add(self, other):
-        ring = self.module.ring
-        return AntiFunctional(
-            self.module,
-            [int(ring.add[a, b]) for a, b in zip(self.values, other.values)],
-            check=False)
+        T = ring.Rmat[np.array(self.values, dtype=np.int64)] @ ring.Cmat
+        return T.transpose(1, 0, 2).reshape(
+            ring.base_dim, self.module.nd) % ring.base_mod
 
     def key(self):
         return self.values
@@ -253,10 +191,6 @@ class Block:
         for f in self.funcs:
             if f.module is not module:
                 raise BlockError("functional on the wrong module")
-
-    def copy(self):
-        return Block(self.module, [row[:] for row in self.matrix],
-                     list(self.funcs))
 
     def key(self):
         return (tuple(map(tuple, self.matrix)),
@@ -288,50 +222,31 @@ def block_act(A, move):
         if len(C) != A.n:
             raise BlockError("GL_n block has wrong size")
         ring_matrix_inverse(ring, C)  # raises if singular
-        return Block(A.module, rmat_mul(ring, C, A.matrix), A.funcs)
+        return Block(A.module, ring_matmul(ring, C, A.matrix), A.funcs)
     if kind == "right":
         D = move[1]
         if len(D) != A.k:
             raise BlockError("GL_k block has wrong size")
         ring_matrix_inverse(ring, D)
-        matrix = rmat_mul(ring, A.matrix, D)
-        funcs = []
-        for j in range(A.k):
-            f = A.funcs[0].scale_right(D[0][j])
-            for l in range(1, A.k):
-                f = f.add(A.funcs[l].scale_right(D[l][j]))
-            funcs.append(f)
-        return Block(A.module, matrix, funcs)
+        # the functional row moves like a matrix row: its generator values,
+        # one column per functional, times D
+        values = ring_matmul(ring, [[f.values[g] for f in A.funcs]
+                                    for g in range(A.module.ngens)], D)
+        funcs = [AntiFunctional(A.module, [row[j] for row in values],
+                                check=False) for j in range(A.k)]
+        return Block(A.module, ring_matmul(ring, A.matrix, D), funcs)
     raise BlockError("unknown move %r" % (kind,))
 
 
 def is_unimodular_block(A):
     """A left inverse (r' k x n over R, m' in M^k) with A_L * A = 1, or None."""
-    ring = A.ring
-    M = A.module
-    d, m = ring.base_dim, ring.base_mod
-    rows = []
-    for l in range(A.n):  # ring unknowns r'_l
-        for t in ring.basis:
-            row = []
-            for j in range(A.k):
-                row.extend(int(v) for v in ring.to_base[
-                    ring.mul[t, A.matrix[l][j]]])
-            rows.append(row)
-    for s in range(M.nd):  # module unknown coordinates
-        unit = [0] * M.nd
-        unit[s] = 1
-        row = []
-        for j in range(A.k):
-            row.extend(A.funcs[j].coords_on(unit))
-        rows.append(row)
-    solver = LinearSolver(rows, m, width=d * A.k)
-    sols = solver.solve_delta(A.k, [int(v) for v in ring.to_base[ring.one]])
-    if sols is None:
+    # module unknowns after the ring ones: row s holds f_j(e_s) for every j
+    F = np.hstack([f.matrix.T for f in A.funcs])
+    inv = ring_left_inverse(A.ring, A.matrix, F.tolist())
+    if inv is None:
         return None
-    rprime = [[ring.index_of_coords(sol[l * d:(l + 1) * d])
-               for l in range(A.n)] for sol in sols]
-    return rprime, [M.from_vec(sol[A.n * d:]) for sol in sols]
+    rprime, tails = inv
+    return rprime, [A.module.from_vec(tail) for tail in tails]
 
 
 def is_unimodular_block_bruteforce(A, cap=1 << 22):
@@ -374,12 +289,11 @@ def is_unimodular_block_bruteforce(A, cap=1 << 22):
 class ReductionCertificate:
     """Moves plus outputs; replay() re-applies the moves and compares."""
 
-    def __init__(self, block, moves, m_column, top_matrix, q_matrix=None):
+    def __init__(self, block, moves, m_column, top_matrix):
         self.block = block
         self.moves = list(moves)
         self.m_column = list(m_column)
         self.top_matrix = [row[:] for row in top_matrix]
-        self.q_matrix = None if q_matrix is None else [r[:] for r in q_matrix]
 
     def replay(self):
         cur = self.block
@@ -511,7 +425,7 @@ def reduce_keep_tail(A, n_top, l, sr, budget=SEARCH_BUDGET):
         S_step = rmat_identity(ring, n + l)
         for i in range(rows - 1):
             S_step[i][rows - 1] = r[i]
-        S = rmat_mul(ring, S_step, S)
+        S = ring_matmul(ring, S_step, S)
         c = _conj_twist(ring, S_step, c)
         B_cur = [[int(ring.add[B_cur[i][j], ring.mul[r[i], B_cur[rows - 1][j]]])
                   if i < rows - 1 else B_cur[i][j] for j in range(k)]
@@ -523,7 +437,7 @@ def reduce_keep_tail(A, n_top, l, sr, budget=SEARCH_BUDGET):
     for a in range(l):
         for b in range(l):
             S_fix[n + a][n + b] = Uinv[a][b]
-    S = rmat_mul(ring, S_fix, S)
+    S = ring_matmul(ring, S_fix, S)
     c = _conj_twist(ring, S_fix, c)
     # clear the middle module entries (row ops sourced at the corner row)
     c = [c[i] if i < n else M.zero() for i in range(n + l)]
@@ -565,7 +479,7 @@ def reduce_keep_tail(A, n_top, l, sr, budget=SEARCH_BUDGET):
     if replayed.matrix[:n] != top or replayed.matrix[n:] != A.matrix[n:]:
         raise BlockError("certificate replay mismatch")
     cert = ReductionCertificate(A, [("left_gl", S), ("left_unipotent", padded)],
-                                padded, replayed.matrix, q_matrix=Q)
+                                padded, replayed.matrix)
     cert.plain_matrix = whole.matrix
     cert.top_mixed = top
     cert.tail_rows = [row[:] for row in A.matrix[n:]]
@@ -797,8 +711,7 @@ def frame_g(H_std):
     return len(H_std.hyperbolic_pairs)
 
 
-def hyperbolic_straighten(Q, seq, k=None, frame=None, usr=1, sr=None,
-                          cap=1 << 12):
+def hyperbolic_straighten(Q, seq, k=None, frame=None, usr=1, cap=1 << 12):
     """phi in U(P + H^g) with phi(seq) inside P + H^k and lambda-unimodular
     projection to H^k.  Needs g >= usr + k and a lambda-unimodular sequence.
 
@@ -817,8 +730,6 @@ def hyperbolic_straighten(Q, seq, k=None, frame=None, usr=1, sr=None,
     g = frame.g
     if g < usr + k:
         raise BlockError("needs g >= usr + k")
-    if sr is None:
-        sr = usr  # usr >= sr always; a valid (weaker) bound
     if is_lambda_unimodular(Q, seq) is None:
         raise BlockError("sequence is not lambda-unimodular")
     ring = Q.ring
@@ -831,7 +742,7 @@ def hyperbolic_straighten(Q, seq, k=None, frame=None, usr=1, sr=None,
         p_tilde = [frame.P.module.zero()] * g
         phi1 = identity_unitary(Q)
     else:
-        cert = reduce_keep_tail(A_seq, g, g, sr)
+        cert = reduce_keep_tail(A_seq, g, g, usr)  # usr >= sr: a valid bound
         p_tilde = cert.m_column[:g]
         # transvection composition tau(e_g, -eps_bar p_g, ...) ... tau(e_1, ...)
         phi1 = identity_unitary(Q)
@@ -870,8 +781,7 @@ def hyperbolic_straighten(Q, seq, k=None, frame=None, usr=1, sr=None,
     return phi
 
 
-def transitive_move(Q, v, r, frame=None, usr=1, sr=None, cap=1 << 12,
-                    budget=1 << 22):
+def transitive_move(Q, v, r, frame=None, usr=1, cap=1 << 12, budget=1 << 22):
     """phi in U(M) with phi(v) = e_1 + f_1 r, for lambda-unimodular v with
     mu(v) = r + Lambda; needs witt index >= usr + 1."""
     ring = Q.ring
@@ -882,8 +792,7 @@ def transitive_move(Q, v, r, frame=None, usr=1, sr=None, cap=1 << 12,
         raise BlockError("needs witt index >= usr + 1")
     if param.coset_rep(int(r)) != Q.mu_rep(v):
         raise BlockError("r does not represent mu(v)")
-    phi1 = hyperbolic_straighten(Q, [v], 1, frame=frame, usr=usr, sr=sr,
-                                 cap=cap)
+    phi1 = hyperbolic_straighten(Q, [v], 1, frame=frame, usr=usr, cap=cap)
     w1 = phi1(v)
     z = frame.project_std(w1)
     # EU-orbit step on the hyperbolic part: move z to e_1 + f_1 * b
@@ -936,20 +845,15 @@ def _eu_reach_first_pair(H_std, z, budget):
 # -- cancellation --------------------------------------------------------------
 
 
-def cancel_H(Qm, Qn, iso, sums=None, usr=1, sr=None, cap=1 << 12,
-             budget=1 << 22):
-    """From an isometry M + H = N + H with g(M) >= usr, produce an explicit
-    isometry M = N: move the image of the appended hyperbolic pair onto the
-    standard one by a transitive move plus two transvections, then restrict.
+def cancel_H(Qm, Qn, iso, sums, usr=1, cap=1 << 12, budget=1 << 22):
+    """From an isometry M + H = N + H (the sums, with H appended last) with
+    g(M) >= usr, produce an explicit isometry M = N: move the image of the
+    appended hyperbolic pair onto the standard one by a transitive move plus
+    two transvections, then restrict.
     """
     param = Qm.param
     ring = Qm.ring
-    if sums is None:
-        H1 = hyperbolic(param, 1)
-        MH, _, _ = direct_sum_quadratic(Qm, H1)
-        NH, _, _ = direct_sum_quadratic(Qn, H1)
-    else:
-        MH, NH = sums
+    MH, NH = sums
     d2 = 2 * ring.base_dim
     if MH.module.nd != Qm.module.nd + d2 or NH.module.nd != Qn.module.nd + d2:
         raise BlockError("sums must be M + H and N + H with H appended last")
@@ -977,7 +881,7 @@ def cancel_H(Qm, Qn, iso, sums=None, usr=1, sr=None, cap=1 << 12,
                        check=False)
     frame = HyperbolicFrame(NH, pairs, P, P_incl)
     phi_a, target = transitive_move(NH, x, ring.zero, frame=frame, usr=usr,
-                                    sr=sr, cap=cap, budget=budget)
+                                    cap=cap, budget=budget)
     assert target == e_n
     y1 = phi_a(y)
     if NH.lam(e_n, y1) != ring.one:

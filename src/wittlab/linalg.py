@@ -3,11 +3,13 @@
 Everything downstream (unimodularity, splittings, unitary groups, posets)
 reduces to row-oriented problems  x * A = b  over Z/m; this module wraps the
 kernel calls with solving, kernels, membership, element enumeration and
-size bookkeeping.  It keeps no cache: callers that repeat a system keep
-their LinearSolver.
+size bookkeeping, and turns ring matrices into such systems.  It keeps no
+cache: callers that repeat a system keep their LinearSolver.
 """
 
 import itertools
+
+import numpy as np
 
 from wittlab import kernels
 
@@ -78,21 +80,18 @@ class LinearSolver:
             size *= self.m // self.H[i][j]
         return size
 
-    def enumerate_module(self):
-        """All elements of the row module (use only when small)."""
-        m = self.m
+    def module_rows(self):
+        """All elements of the row module as the rows of one int64 array,
+        coefficient tuples in lexicographic order (use only when small)."""
         if not self.H:
-            yield (0,) * self.width
-            return
-        n = len(self.H[0])
-        ranges = [range(m // self.H[i][j]) for i, j in enumerate(self.pivots)]
-        for coeffs in itertools.product(*ranges):
-            v = [0] * n
-            for c, row in zip(coeffs, self.H):
-                if c:
-                    for k in range(n):
-                        v[k] = (v[k] + c * row[k]) % m
-            yield tuple(v)
+            return np.zeros((1, self.width), dtype=np.int64)
+        ranges = [self.m // self.H[i][j] for i, j in enumerate(self.pivots)]
+        coeffs = np.indices(ranges).reshape(len(ranges), -1).T
+        return coeffs @ np.array(self.H, dtype=np.int64) % self.m
+
+    def enumerate_module(self):
+        """All elements of the row module, as tuples (use only when small)."""
+        return map(tuple, self.module_rows().tolist())
 
     def enumerate_canonical_reps(self):
         """All canonical representatives modulo the row module."""
@@ -103,3 +102,42 @@ class LinearSolver:
         for v in itertools.product(*ranges):
             yield v
 
+
+# -- ring matrices ---------------------------------------------------------
+# A ring matrix is a list of rows of ring indices; over the base Z/m of the
+# ring each entry is a d x d block (Rmat for x -> x*c, Lmat for x -> c*x).
+
+
+def ring_left_rows(ring, C):
+    """The (n*d x k*d) int64 rows of x -> x C for an n x k ring matrix C:
+    row (l, t) holds the coordinates of b_t * C[l][j], d per column j."""
+    C = np.asarray(C, dtype=np.int64)
+    n, k = C.shape
+    d = ring.base_dim
+    return ring.Rmat[C].transpose(0, 3, 1, 2).reshape(n * d, k * d)
+
+
+def ring_left_inverse(ring, C, extra_rows=None):
+    """The k solutions x_i of x (C; E) = (delta_ij)_j over R, where E are
+    extra Z/m rows of width k*d stacked under the n x k ring matrix C:
+    (L, tails) with L the k x n ring matrix of the x_i's ring parts and
+    tails their extra coordinates; None if some x_i does not exist."""
+    n, d = len(C), ring.base_dim
+    k = len(C[0])
+    rows = ring_left_rows(ring, C).tolist() + list(extra_rows or [])
+    sols = LinearSolver(rows, ring.base_mod, width=k * d).solve_delta(
+        k, ring.to_base[ring.one].tolist())
+    if sols is None:
+        return None
+    X = np.array([sol[:n * d] for sol in sols], dtype=np.int64)
+    return (ring.indices(X.reshape(k, n, d)).tolist(),
+            [sol[n * d:] for sol in sols])
+
+
+def ring_matmul(ring, A, B):
+    """The product of ring matrices A (n x l) and B (l x k)."""
+    B = np.asarray(B, dtype=np.int64)
+    A = np.asarray(A, dtype=np.int64).reshape(-1, len(B))
+    # coords(a * b) = Lmat[a] @ coords(b)
+    coords = np.einsum("ilst,ljt->ijs", ring.Lmat[A], ring.to_base[B])
+    return ring.indices(coords).tolist()

@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from wittlab.linalg import LinearSolver
+from wittlab.linalg import LinearSolver, ring_left_rows
 from wittlab.rings import RingError
 
 ENUM_CAP = 4096
@@ -32,12 +32,10 @@ class Module:
         d, m = ring.base_dim, ring.base_mod
         self.nd = self.ngens * d
         rows = []
-        for col in self.relators:
-            for t in ring.basis:
-                row = []
-                for c in col:
-                    row.extend(int(x) for x in ring.to_base[ring.mul[c, t]])
-                rows.append(row)
+        if self.relators:  # rows (rho, t): the raw coordinates of rho * b_t
+            X = ring.to_base[np.array(self.relators, dtype=np.int64)]
+            rows = act_columns(ring, X.reshape(len(self.relators),
+                                               self.nd)).T.tolist()
         self.rel = LinearSolver(rows, m, width=self.nd)
         self.size = m ** self.nd // self.rel.module_size
         self.name = name or "M(%s;%d gens,%d rels)" % (
@@ -223,17 +221,13 @@ class Functional:
             acc = int(ring.add[acc, ring.mul[c, a]])
         return acc
 
-    def coords_on(self, vec):
-        """Base coordinates of the value on a raw vector."""
+    @property
+    def matrix(self):
+        """The d x nd int64 matrix F with coords(phi(x)) = F x mod m on raw
+        coordinates: block i is Lmat[c_i]."""
         ring = self.module.ring
-        d, m = ring.base_dim, ring.base_mod
-        out = [0] * d
-        for i, c in enumerate(self.values):
-            block = vec[i * d:(i + 1) * d]
-            L = ring.Lmat[c]
-            for s in range(d):
-                out[s] = (out[s] + sum(int(L[s, t]) * block[t] for t in range(d))) % m
-        return out
+        L = ring.Lmat[np.array(self.values, dtype=np.int64)]
+        return L.transpose(1, 0, 2).reshape(ring.base_dim, self.module.nd)
 
     def __eq__(self, other):
         return (isinstance(other, Functional) and self.module is other.module
@@ -246,29 +240,23 @@ class Functional:
         return "phi%s" % (self.values,)
 
 
-def _functional_constraint_rows(M, elems):
-    """Rows (one per functional unknown (i,t)) of the evaluation matrix.
-
-    Columns: d entries per relator (the value on the relator, which must
-    vanish) followed by d entries per element of `elems` (the value there).
-    """
+def _evaluation_matrix(M, elems=()):
+    """The ngens x (relators + elems) ring matrix of generator entries: a
+    functional's generator values c satisfy phi(x) = sum c_i x_i, so its
+    ring_left_rows are the values on the relators (which must vanish) and
+    then on the elements."""
     ring = M.ring
-    d = ring.base_dim
-    cols = list(M.relators) + [x.ring_blocks() for x in elems]
-    rows = []
-    for i in range(M.ngens):
-        for t in ring.basis:
-            row = []
-            for col in cols:
-                row.extend(int(v) for v in ring.to_base[ring.mul[t, col[i]]])
-            rows.append(row)
-    return rows, d * len(M.relators)
+    V = np.array([x.vec for x in elems], dtype=np.int64).reshape(
+        len(elems), M.ngens, ring.base_dim)
+    cols = np.array(M.relators, dtype=np.int64).reshape(len(M.relators),
+                                                        M.ngens)
+    return np.vstack([cols, ring.indices(V)]).T
 
 
 def functional_space(M):
     """LinearSolver whose row module is the set of all functionals M -> R
     (as base-coordinate vectors of their generator values)."""
-    rows, _ = _functional_constraint_rows(M, [])
+    rows = ring_left_rows(M.ring, _evaluation_matrix(M)).tolist()
     if not rows:
         return LinearSolver([], M.ring.base_mod, width=0)
     solver = LinearSolver(rows, M.ring.base_mod)
@@ -301,10 +289,11 @@ def is_unimodular(M, seq):
         raise ValueError("empty sequence")
     ring = M.ring
     d, m = ring.base_dim, ring.base_mod
-    rows, nrel_cols = _functional_constraint_rows(M, seq)
+    nrel_cols = d * len(M.relators)
+    rows = ring_left_rows(ring, _evaluation_matrix(M, seq)).tolist()
     solver = LinearSolver(rows, m, width=nrel_cols + d * len(seq))
-    one = [int(v) for v in ring.to_base[ring.one]]
-    gammas = solver.solve_delta(len(seq), one, lead=nrel_cols)
+    gammas = solver.solve_delta(len(seq), ring.to_base[ring.one].tolist(),
+                                lead=nrel_cols)
     if gammas is None:
         return None
     return [functional_from_coords(M, gamma) for gamma in gammas]
@@ -363,8 +352,8 @@ def rank(M, cap=ENUM_CAP):
             if v.is_zero() or span.contains(v.vec):
                 continue
             if is_unimodular(M, seq + [v]) is not None:
-                rows = span_rows + [list(M.act_vec(v.vec, t)) for t in M.ring.basis]
-                dfs(seq + [v], rows)
+                rows = M.canon_columns(act_columns(M.ring, [v.vec])).T
+                dfs(seq + [v], span_rows + rows.tolist())
                 if best[0] >= bound:
                     return
 
@@ -558,18 +547,10 @@ def split_summand(M, seq, witnesses=None):
     if witnesses is None:
         raise RingError("sequence is not unimodular")
     ring = M.ring
-    d, m = ring.base_dim, ring.base_mod
+    m = ring.base_mod
     # kernel of x -> (phi_j(x))_j
-    rows = []
-    for i in range(M.ngens):
-        for t_i in range(d):
-            unit = [0] * M.nd
-            unit[i * d + t_i] = 1
-            row = []
-            for phi in witnesses:
-                row.extend(phi.coords_on(unit))
-            rows.append(row)
-    solver = LinearSolver(rows, m)
+    rows = np.hstack([phi.matrix.T for phi in witnesses])
+    solver = LinearSolver(rows.tolist(), m)
     ker_rows = solver.kernel_rows()
     gens = [M.from_vec(list(r)) for r in
             LinearSolver(ker_rows, m, width=M.nd).H]
@@ -640,7 +621,7 @@ def _partial_consistent(M, N, assigned, rel_cols):
     if not rel_cols:
         return True
     ring = M.ring
-    d, m = ring.base_dim, ring.base_mod
+    m = ring.base_mod
     j = len(assigned)
     rest = M.ngens - j
     width = N.nd * len(rel_cols)
@@ -654,15 +635,13 @@ def _partial_consistent(M, N, assigned, rel_cols):
     if rest == 0:
         return not any(N.canon(target[k * N.nd:(k + 1) * N.nd]) != (0,) * N.nd
                        for k in range(len(rel_cols)))
+    # rows (i, s): the canonical e_s * col[j + i] per relator; x -> x * c
+    # is kron(1, Rmat[c]) on raw coordinates
+    eye = np.eye(N.ngens, dtype=np.int64)
     rows = []
     for i in range(rest):
-        for s in range(N.nd):
-            unit = [0] * N.nd
-            unit[s] = 1
-            row = []
-            for col in rel_cols:
-                row.extend(N.act_vec(unit, col[j + i]))
-            rows.append(row)
+        acts = [np.kron(eye, ring.Rmat[col[j + i]]) for col in rel_cols]
+        rows += np.hstack([N.canon_columns(B).T for B in acts]).tolist()
     # allow adjusting by the relation module of N in every relator slot
     for k in range(len(rel_cols)):
         for hr in N.rel.H:

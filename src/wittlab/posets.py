@@ -23,7 +23,7 @@ eps * conj(lambda(y, x)) with eps a unit.
 
 import numpy as np
 
-from wittlab.modules import is_unimodular
+from wittlab.modules import act_columns, is_unimodular
 from wittlab.quadratic import is_lambda_unimodular
 
 SIMPLEX_ENTRY_CAP = 5_000_000
@@ -237,18 +237,21 @@ def gl_poset(M, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
 
         ring = M.ring
 
+        def span_rows(vecs):
+            """Rows (i, t): the canonical v_i * b_t, as one int64 array."""
+            V = np.array(vecs, dtype=np.int64).reshape(len(vecs), M.nd)
+            return M.canon_columns(act_columns(ring, V)).T
+
         def raw(seq):
-            rows = []
-            for v in seq:
-                rows.extend(list(M.act_vec(v.vec, t)) for t in ring.basis)
+            rows = span_rows([v.vec for v in seq]).tolist()
             sol = LinearSolver(rows, ring.base_mod, width=M.nd)
             return sol.module_size == ring.size ** len(seq)
 
         # Over a field a prefix is unimodular iff it is independent, and it
         # stays so after a exactly when a lies outside its span.
         vecs = [x.vec for x in universe]
-        atom_rows = [[list(M.act_vec(v, t)) for t in ring.basis]
-                     for v in vecs]
+        atom_rows = span_rows(vecs).reshape(len(vecs), ring.base_dim,
+                                            M.nd).tolist()
         coords = np.array(vecs, dtype=np.int64).reshape(len(vecs), M.nd)
         m = ring.base_mod
 

@@ -29,6 +29,7 @@ from wittlab.linalg import LinearSolver
 from wittlab.modules import (
     CapExceeded,
     Module,
+    ModuleElement,
     ModuleMap,
     _partial_consistent,
     act_columns,
@@ -332,10 +333,7 @@ def nonsingular_promotion_check(Q, seq, witnesses=None):
     solver = LinearSolver(Q.lam_rows(units, slot=1), m)
     out = []
     for phi in witnesses:
-        target = []
-        for u in units.tolist():
-            target.extend(phi.coords_on(u))
-        wp = solver.solve(target)
+        wp = solver.solve(phi.matrix.T.reshape(-1).tolist())  # phi(e_u) per u
         if wp is None:
             raise RingError("nonsingular pairing yielded no witness (internal)")
         w = module.from_vec(wp) * Q.param.epsilon
@@ -511,14 +509,13 @@ def _partners(Q, x, cap):
     if base is None:
         return
     kernel = LinearSolver(solver.kernel_rows(), m, width=module.nd)
-    seen = set()
-    for kv in kernel.enumerate_module():
-        y = module.from_vec([(a + b) % m for a, b in zip(base, kv)])
-        if y.vec in seen:
-            continue
-        seen.add(y.vec)
-        if Q.mu_zero(y):
-            yield y
+    Y = module.canon_columns((kernel.module_rows() + base).T).T
+    if module.relators:
+        # two coset vectors may canonicalize to one element: keep the first
+        _, first = np.unique(Y, axis=0, return_index=True)
+        Y = Y[np.sort(first)]
+    for y in Y[Q.mu_reps(Y) == Q.param.coset_rep(ring.zero)].tolist():
+        yield ModuleElement(module, tuple(y))
 
 
 def _cardinality_bound(Q):

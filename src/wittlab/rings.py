@@ -130,16 +130,6 @@ class Ring:
     def sub(self, a, b):
         return int(self.add[a, self.neg[b]])
 
-    def dot(self, coeffs, elems):
-        """sum coeffs[i] * elems[i] (left coefficients)."""
-        acc = self.zero
-        for c, e in zip(coeffs, elems):
-            acc = int(self.add[acc, self.mul[c, e]])
-        return acc
-
-    def is_central_unit(self, a):
-        return a in self.units and a in self.central
-
     def label(self, a):
         """Human-readable element label."""
         if self.base_dim == 1:
@@ -490,9 +480,6 @@ class FormParameter:
 
     def coset(self, r):
         return LambdaCoset(self, self.coset_rep(r))
-
-    def same_coset(self, a, b):
-        return self._rep[a] == self._rep[b]
 
     def __repr__(self):
         return "FormParameter(%s)" % self.name

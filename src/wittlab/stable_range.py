@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from wittlab.linalg import LinearSolver
+from wittlab.linalg import ring_left_inverse
 from wittlab.quadratic import hyperbolic, transvection, unitary_group
 
 DEFAULT_BUDGET = 1 << 22
@@ -55,13 +55,7 @@ class RangeReport:
 
 def row_unimodular(ring, row):
     """Is a row of R^k left-unimodular (some c with sum c_i r_i = 1)?"""
-    d, m = ring.base_dim, ring.base_mod
-    rows = []
-    for r in row:
-        for t in ring.basis:
-            rows.append([int(v) for v in ring.to_base[ring.mul[t, r]]])
-    solver = LinearSolver(rows, m, width=d)
-    return solver.solve([int(v) for v in ring.to_base[ring.one]]) is not None
+    return ring_left_inverse(ring, [[r] for r in row]) is not None
 
 
 def check_Sn(ring, n, budget=DEFAULT_BUDGET):
@@ -285,7 +279,8 @@ def _bfs(mats, m, start, target, budget, spent):
         frontier = imgs[first[order]]
         pos = pos[first[order]]
         levels.append((pos // ngens, pos % ngens))
-        seen = np.union1d(seen, codes)
+        # codes are unique and none is in seen, so this is their union
+        seen = np.sort(np.concatenate([seen, codes]))
         if target is not None:
             hits = np.flatnonzero(
                 target(frontier.reshape(-1, nd)).reshape(-1, k).all(1))

@@ -6,8 +6,14 @@ element-by-element BFS reaches, give the (T_n) verdicts the full-U route
 gives, and emit words that replay externally.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import wittlab
 
 from wittlab import catalog as C
 from wittlab import stable_range as S
@@ -177,3 +183,22 @@ def test_generators_are_cached_on_h(monkeypatch):
     # a different H builds its own family
     S.elementary_unitary_generators(GF2, P2, 2, u_mode="basis")
     assert calls[0] == 2 * built
+
+
+def test_orbit_bfs_does_not_import_numpy_ma():
+    # np.union1d's unique imports numpy.ma (10-15 ms); the BFS merges its
+    # sorted, disjoint levels without it
+    code = ("import sys\n"
+            "from wittlab import stable_range as S\n"
+            "from wittlab.rings import make_form_parameter, make_ring\n"
+            "R = make_ring({'kind': 'gf', 'q': 2})\n"
+            "P = make_form_parameter(R, 1, ())\n"
+            "assert S.check_Tn(R, P, 2).verdict == 'holds'\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(wittlab.__file__))
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -13,10 +13,11 @@ from wittlab.blocks import (
     is_unimodular_block_bruteforce,
     ring_matrix_left_inverse,
     rmat_identity,
-    rmat_mul,
 )
+from wittlab.linalg import LinearSolver
 from wittlab.modules import Module, is_unimodular, is_unimodular_bruteforce
 from wittlab.quadratic import (
+    _partners,
     direct_sum_quadratic,
     hyperbolic,
     is_lambda_unimodular,
@@ -138,7 +139,53 @@ def test_unimodular_matches_oracle_on_a_group_ring():
             is_unimodular_bruteforce(M, seq), seq
 
 
+def scalar_partners(Q, x):
+    """The y with lambda(x, y) = 1 and mu(y) = 0, one coset element at a
+    time through from_vec and the scalar mu_zero."""
+    ring, module, m = Q.ring, Q.module, Q.ring.base_mod
+    solver = LinearSolver(Q.lam_rows([x.vec], slot=1), m)
+    base = solver.solve(ring.to_base[ring.one].tolist())
+    if base is None:
+        return []
+    kernel = LinearSolver(solver.kernel_rows(), m, width=module.nd)
+    ranges = [range(m // kernel.H[i][j]) for i, j in enumerate(kernel.pivots)]
+    seen, out = set(), []
+    for coeffs in itertools.product(*ranges):
+        v = list(base)
+        for c, row in zip(coeffs, kernel.H):
+            v = [(a + c * b) % m for a, b in zip(v, row)]
+        y = module.from_vec(v)
+        if y.vec not in seen:
+            seen.add(y.vec)
+            if Q.mu_zero(y):
+                out.append(y.vec)
+    return out
+
+
+def test_partners_match_scalar_route():
+    rng = random.Random(17)
+    found = 0
+    for Q in row_instances():
+        m = Q.ring.base_mod
+        xs = [Q.module.gen(0)] + [
+            Q.module.from_vec([rng.randrange(m) for _ in range(Q.module.nd)])
+            for _ in range(3)]
+        for x in xs:
+            got = [y.vec for y in _partners(Q, x, cap=None)]
+            assert got == scalar_partners(Q, x), (Q.name, x)
+            found += len(got)
+    assert found
+
+
 def test_left_inverse_matches_search():
+    def rmat_mul(ring, A, B):  # plain-Python product through the tables
+        out = [[ring.zero] * len(B[0]) for _ in A]
+        for i, row in enumerate(A):
+            for j in range(len(B[0])):
+                for a, brow in zip(row, B):
+                    out[i][j] = int(ring.add[out[i][j], ring.mul[a, brow[j]]])
+        return out
+
     for ring, n, k in ((Z4, 2, 1), (Z4, 1, 1),
                        (make_ring({"kind": "gf", "q": 2}), 2, 2)):
         cands = [[list(c[i * n:(i + 1) * n]) for i in range(k)]
