@@ -2,23 +2,21 @@
 
 A SequencePoset holds an explicit vertex universe and a lazily memoized
 membership predicate on sequences of distinct atoms; p-simplices are the
-members of length p+1 and faces delete one entry.  Links and decorations
-compose the predicates.
+members of length p+1 and faces delete one entry.
 
-Enumeration extends each member by the atoms one candidate set allows.  A
-kind may give an `extend(ids)` hook that returns that set exactly, as a mask:
-given a member prefix `ids`, the atoms a for which ids + (a,) is a member.
-The hook is valid only for kinds whose membership does not depend on the
-order of the entries (unimodularity is one), because links compose it by
-putting the base sequence after the prefix.  Without the hook, the pair rows
-and the vertex set prefilter the candidates and the raw predicate decides.
-
-A pair row, `pair_row(a, cols)`, is atom a's pair condition against the atom
-ids `cols`: a necessary condition on every two entries of a member, read off
-the element-level table `lam == 0` of `_PairTables` on demand.  No atom x
-atom matrix is ever built.  Rows are symmetric (row a at c equals row c at
-a): lambda(x, y) = 0 iff lambda(y, x) = 0, by axiom (1), lambda(x, y) =
-eps * conj(lambda(y, x)) with eps a unit.
+A kind finds the extensions of a member through one hook, `extend(prefix,
+cols)`: given a member prefix (a tuple of atom ids) and an int array of atom
+ids, it returns the bool mask over cols that holds every a with prefix + (a,)
+a member, and never a prefix id.  With `exact` the mask holds exactly those
+a and no raw test runs; otherwise the raw predicate decides among the atoms
+it allows.  The vertices are the extensions of the empty prefix, and
+neighbors read (v, w) and (w, v) off the one mask at (v,), so a hook is
+given only for kinds whose membership does not depend on the order of the
+entries (unimodularity and pairwise lambda conditions are).  Links and
+decorations compose the parent's hook and test membership through the
+parent's memo.  The IU and HU hooks AND the rows of the element-level
+table `lam == 0` of `_PairTables` over the prefix; no atom x atom matrix
+is ever built.
 """
 
 import numpy as np
@@ -34,35 +32,32 @@ class PosetCapExceeded(RuntimeError):
 
 
 class SequencePoset:
-    """pair_row (optional) maps an atom id and an int array of atom ids to
-    the numpy bool array of the pair condition, symmetric in its two atoms;
-    pairwise_complete marks kinds whose membership is exactly the
-    conjunction of vertex and pair conditions, skipping the raw test.
-
-    extend (optional) maps a member prefix (a tuple of ids) to the numpy
-    bool mask of the atoms a with prefix + (a,) a member.  The mask is
-    exact, so no raw test runs on the candidates it allows.  Give it only
-    for kinds whose membership does not depend on order: neighbors reads
-    (v, w) and (w, v) off one mask, and link puts the base after the
-    prefix."""
+    """extend (optional) maps a member prefix (a tuple of ids) and an int
+    array of ids cols to the numpy bool mask over cols that holds every a
+    with prefix + (a,) a member and no prefix id; exact (only with extend)
+    marks a mask that holds nothing else.  Give the hook only for kinds
+    whose membership does not depend on order: neighbors reads (v, w) and
+    (w, v) off one mask, and link puts the base after the prefix."""
 
     def __init__(self, name, atoms, raw_member, entry_cap=SIMPLEX_ENTRY_CAP,
-                 pair_row=None, pairwise_complete=False, extend=None):
+                 extend=None, exact=False):
         self.name = name
         self.atoms = list(atoms)
         self._raw = raw_member
         self._memo = {}
         self._levels = {}
         self.entry_cap = entry_cap
-        self.pair_row = pair_row
         # no dense atom x atom matrix exists; perfbench/tracing.py still
         # reads the size of this attribute when it is not None
         self.pair_ok = None
-        self.pairwise_complete = pairwise_complete
         self.extend = extend
-        self.vertex_ids = [i for i in range(len(self.atoms))
-                           if self.member_ids((i,))]
-        self._varr = np.array(self.vertex_ids, dtype=np.intp)
+        self.exact = exact
+        cand = self._candidates((), np.arange(len(self.atoms), dtype=np.intp))
+        if not self.exact:
+            cand = cand[np.array([self.member_ids((i,))
+                                  for i in cand.tolist()], dtype=bool)]
+        self._varr = cand
+        self.vertex_ids = cand.tolist()
 
     # -- membership -------------------------------------------------------
 
@@ -81,29 +76,20 @@ class SequencePoset:
 
     def _candidates(self, seq, among=None):
         """Atom ids that may extend the member seq, as an ascending int
-        array drawn from among (ascending vertex ids; all vertices if None),
-        and whether they are exact (every seq + (a,) they give is a member).
-        The extend hook is exact; the pair rows are exact when the kind is
-        pairwise complete; the vertex set alone is a prefilter."""
+        array drawn from among (ascending ids; all vertices if None): the
+        hook's mask, which is every extension when self.exact."""
         ids = self._varr if among is None else among
-        if self.extend is not None:
-            return ids[self.extend(seq)[ids]], True
-        for u in seq:
-            keep = ids != u
-            if self.pair_row is not None:
-                keep &= self.pair_row(u, ids)
-            ids = ids[keep]
-        return ids, self.pair_row is not None and self.pairwise_complete
+        return ids if self.extend is None else ids[self.extend(seq, ids)]
 
     def neighbors(self, vid, among=None):
         """Ids of the vertices adjacent to vid in the 1-skeleton (either
         orientation), as an ascending int array, restricted to the
-        ascending vertex ids among when given.  Pair rows are symmetric,
-        and an extend mask holds (w, vid) too by order independence, so one
-        candidate set serves both orientations; only inexact candidates get
-        the raw test."""
-        cand, exact = self._candidates((vid,), among)
-        if exact:
+        ascending vertex ids among when given.  A hook's mask at (vid,)
+        holds (w, vid) too by order independence, so one candidate set
+        serves both orientations; only inexact candidates get the raw
+        test."""
+        cand = self._candidates((vid,), among)
+        if self.exact:
             return cand
         return cand[np.array([self.member_ids((vid, w))
                               or self.member_ids((w, vid))
@@ -123,9 +109,9 @@ class SequencePoset:
             level = []
             budget = self.entry_cap // (p + 2)
             for seq in lower:
-                cand, exact = self._candidates(seq)
-                cands = (seq + (v,) for v in cand.tolist())
-                level.extend(cands if exact else filter(self.member_ids, cands))
+                cands = (seq + (v,) for v in self._candidates(seq).tolist())
+                level.extend(cands if self.exact
+                             else filter(self.member_ids, cands))
                 if len(level) > budget:
                     raise PosetCapExceeded(
                         "%s has > %d %d-simplices" % (self.name, budget, p))
@@ -157,61 +143,66 @@ class SequencePoset:
 # -- derived posets -----------------------------------------------------------
 
 
+def _parent_member(F, index, base_ids=()):
+    """Membership in F of a sequence of F's atoms followed by base_ids,
+    through F's memo; index maps F's atoms to their ids, and an atom
+    outside F is in no member."""
+
+    def member(atoms):
+        ids = tuple(index.get(a) for a in atoms)
+        return None not in ids and F.member_ids(ids + base_ids)
+
+    return member
+
+
 def link(F, base_atoms, name=None):
     """F_v: sequences w with (w, v) in F; the vertex universe drops v's atoms.
 
     v must be a simplex of F: atoms of F forming a member.  The raw
     predicate alone does not decide that, since a kind may keep part of its
     condition in the atom list (mu = 0 for the mu-poset, the universe for
-    the lambda-poset).  When F has an extend hook, the link's hook is F's at
-    the prefix followed by v, read on the kept atoms.  That puts v after the
-    extension where membership puts it last, so it is exact only because a
+    the lambda-poset).  The link's hook is F's at the prefix followed by v,
+    read on the kept atoms, and is as exact as F's.  That puts v after the
+    extension where membership puts it last, which is sound only because a
     hook's kind is order independent."""
     base_atoms = tuple(base_atoms)
     index = {a: i for i, a in enumerate(F.atoms)}
     if any(a not in index for a in base_atoms) \
             or not F.member_atoms(base_atoms):
         raise ValueError("base sequence is not a simplex of %s" % F.name)
-    base_set = set(base_atoms)
-    kept = [i for i, a in enumerate(F.atoms) if a not in base_set]
-    atoms = [F.atoms[i] for i in kept]
+    base_ids = tuple(index[a] for a in base_atoms)
+    kept = [i for i in range(len(F.atoms)) if i not in base_ids]
     kept_ids = np.array(kept, dtype=np.intp)
-    pair_row = None
-    if F.pair_row is not None:
-        def pair_row(a, cols):
-            return F.pair_row(kept_ids[a], kept_ids[cols])
     extend = None
     if F.extend is not None:
-        base_ids = tuple(index[a] for a in base_atoms)
+        def extend(ids, cols):
+            return F.extend(tuple(kept[i] for i in ids) + base_ids,
+                            kept_ids[cols])
 
-        def extend(ids):
-            return F.extend(tuple(kept[i] for i in ids) + base_ids)[kept_ids]
-
-    def raw(seq):
-        return F.member_atoms(tuple(seq) + base_atoms)
-
-    return SequencePoset(name or "%s_link" % F.name, atoms, raw,
-                         entry_cap=F.entry_cap, pair_row=pair_row,
-                         pairwise_complete=F.pairwise_complete,
-                         extend=extend)
+    return SequencePoset(name or "%s_link" % F.name,
+                         [F.atoms[i] for i in kept],
+                         _parent_member(F, index, base_ids),
+                         entry_cap=F.entry_cap, extend=extend, exact=F.exact)
 
 
 def decorate(F, decorations, name=None):
-    """F<S>: atoms (v, s), membership tested on the v-part."""
+    """F<S>: atoms (v, s), membership tested on the v-part; the hook is F's
+    on the v-parts, which excludes every atom whose v-part is in the
+    prefix."""
     atoms = [(a, s) for a in F.atoms for s in decorations]
     base = np.repeat(np.arange(len(F.atoms)), len(decorations))
-    pair_row = None
-    if F.pair_row is not None:
-        def pair_row(i, cols):
-            b = base[cols]
-            return F.pair_row(base[i], b) & (b != base[i])
+    extend = None
+    if F.extend is not None:
+        def extend(ids, cols):
+            return F.extend(tuple(int(base[i]) for i in ids), base[cols])
+
+    member = _parent_member(F, {a: i for i, a in enumerate(F.atoms)})
 
     def raw(seq):
-        return F.member_atoms(tuple(v for v, _s in seq))
+        return member(tuple(v for v, _s in seq))
 
     return SequencePoset(name or "%s<S>" % F.name, atoms, raw,
-                         entry_cap=F.entry_cap, pair_row=pair_row,
-                         pairwise_complete=F.pairwise_complete)
+                         entry_cap=F.entry_cap, extend=extend, exact=F.exact)
 
 
 # -- concrete kinds ------------------------------------------------------------
@@ -255,10 +246,10 @@ def gl_poset(M, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
         coords = np.array(vecs, dtype=np.int64).reshape(len(vecs), M.nd)
         m = ring.base_mod
 
-        def extend(ids):
+        def extend(ids, cols):
             sol = LinearSolver([r for i in ids for r in atom_rows[i]], m,
                                width=M.nd)
-            rem = coords.copy()
+            rem = coords[cols]
             for row, j in zip(sol.H, sol.pivots):  # reduce_vec, all at once
                 rem -= np.outer(rem[:, j] // row[j], row)
                 rem %= m
@@ -268,7 +259,8 @@ def gl_poset(M, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
             return is_unimodular(M, seq) is not None
 
     return SequencePoset(name or "U(%s)" % M.name, universe, raw,
-                         entry_cap=cap, extend=extend)
+                         entry_cap=cap, extend=extend,
+                         exact=extend is not None)
 
 
 def lambda_poset(Q_ambient, universe, name=None, cap=SIMPLEX_ENTRY_CAP):
@@ -293,7 +285,8 @@ def mu_poset(Q_ambient, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
 
 class _PairTables:
     """Precomputed lambda values and mu flags over an enumerated module;
-    lam_zero is the |M| x |M| table lam == 0 that pair rows read."""
+    lam_zero is the |M| x |M| table lam == 0 that the IU and HU hooks
+    read."""
 
     def __init__(self, Q, cap=4096):
         module = Q.module
@@ -320,22 +313,19 @@ def iu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
     """Isotropic lambda-unimodular sequences I U(M)."""
     if tables is None:
         tables = _PairTables(Q)
-    ring = Q.ring
-    zero = ring.zero
-    lam_solver_memo = {}
-
+    zero = Q.ring.zero
     keep = np.flatnonzero(tables.mu0)
     universe = [tables.elems[i] for i in keep]
     Z = tables.lam_zero
 
-    def pair_row(a, cols):
-        return Z[keep[a], keep[cols]]
-
-    def lam_uni(seq):
-        key = tuple(x.vec for x in seq)
-        if key not in lam_solver_memo:
-            lam_solver_memo[key] = is_lambda_unimodular(Q, list(seq)) is not None
-        return lam_solver_memo[key]
+    def extend(prefix, cols):
+        # lambda(u, a) = 0 for every u in the prefix; lambda-unimodularity
+        # is left to the raw test
+        rows = keep[cols]
+        mask = np.ones(len(cols), dtype=bool)
+        for u in prefix:
+            mask &= Z[keep[u], rows] & (cols != u)
+        return mask
 
     def raw(seq):
         idx = [tables.index[x.vec] for x in seq]
@@ -345,17 +335,17 @@ def iu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
             for b in range(len(idx)):
                 if a != b and tables.lam_idx(idx[a], idx[b]) != zero:
                     return False
-        return lam_uni(seq)
+        return is_lambda_unimodular(Q, list(seq)) is not None
 
     return SequencePoset(name or "IU(%s)" % Q.name, universe, raw,
-                         entry_cap=cap, pair_row=pair_row)
+                         entry_cap=cap, extend=extend)
 
 
 def hu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
     """Hyperbolic lambda-unimodular sequences H U(M): atoms are pairs (x, y)
-    with mu(x) = mu(y) = 0 and lambda(x, y) = 1; sequence membership reduces
-    to pairwise lambda conditions (the witnesses are built into the pairs),
-    so the poset is pairwise-complete and fully vectorized."""
+    with mu(x) = mu(y) = 0 and lambda(x, y) = 1, all of them vertices;
+    sequence membership reduces to pairwise lambda conditions (the
+    witnesses are built into the pairs), so the hook is exact."""
     if tables is None:
         tables = _PairTables(Q)
     ring = Q.ring
@@ -368,11 +358,15 @@ def hu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
     atoms = [(tables.elems[i], tables.elems[j]) for i, j in zip(X, Y)]
     Z = tables.lam_zero
 
-    def pair_row(a, cols):
-        # both entries of each atom c lambda-orthogonal to both of atom a's:
-        # Z[x, X[c]] & Z[y, Y[c]] & Z[x, Y[c]] & Z[y, X[c]]
-        z = Z[X[a]] & Z[Y[a]]
-        return z[X[cols]] & z[Y[cols]]
+    def extend(prefix, cols):
+        # both entries of each atom c lambda-orthogonal to both entries of
+        # every prefix atom u (u itself fails: lambda(x, y) = 1)
+        x, y = X[cols], Y[cols]
+        mask = np.ones(len(cols), dtype=bool)
+        for u in prefix:
+            z = Z[X[u]] & Z[Y[u]]
+            mask &= z[x] & z[y]
+        return mask
 
     def raw(seq):
         idx = [(tables.index[x.vec], tables.index[y.vec]) for x, y in seq]
@@ -396,5 +390,4 @@ def hu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
         return True
 
     return SequencePoset(name or "HU(%s)" % Q.name, atoms, raw,
-                         entry_cap=cap, pair_row=pair_row,
-                         pairwise_complete=True)
+                         entry_cap=cap, extend=extend, exact=True)

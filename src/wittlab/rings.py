@@ -42,7 +42,7 @@ class Ring:
     the index, so `from_base` is just re-indexing.
     """
 
-    def __init__(self, name, kind, base_mod, base_dim, mul, conj, meta=None):
+    def __init__(self, name, kind, base_mod, base_dim, mul, conj):
         size = base_mod ** base_dim
         if size > SIZE_CAP:
             raise RingError(
@@ -54,7 +54,6 @@ class Ring:
         self.size = size
         self.base_mod = int(base_mod)
         self.base_dim = int(base_dim)
-        self.meta = meta or {}
         m, d = self.base_mod, self.base_dim
 
         self.to_base = np.array(
@@ -402,8 +401,7 @@ def make_ring(spec):
         gname = group if isinstance(group, str) else "G%d" % ng
         suffix = "" if all(v == 1 for v in w1) else ",w1"
         name = spec.get("name", "(Z/%d)[%s%s]" % (m, gname, suffix))
-        return Ring(name, kind, m, ng, mul, conj,
-                    meta={"group": table, "w1": list(w1), "ginv": ginv})
+        return Ring(name, kind, m, ng, mul, conj)
     raise RingError("unknown ring kind %r" % kind)
 
 

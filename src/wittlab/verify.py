@@ -497,7 +497,8 @@ def _link_iso_results(Q, x_pairs, usr, cap):
     # (1) IU(M)_(v_1..v_k)  =  IU(Y)<V>
     big = iu_poset(Q, tables=tables, cap=cap)
     lhs = link(big, vs)
-    rhs = decorate(iu_poset(Y, tables=tables_Y, cap=cap), V_elems)
+    iu_y = iu_poset(Y, tables=tables_Y, cap=cap)
+    rhs = decorate(iu_y, V_elems)
     fwd = {}
     for i in lhs.vertex_ids:
         a = lhs.atoms[i]
@@ -522,7 +523,6 @@ def _link_iso_results(Q, x_pairs, usr, cap):
     results["hu"] = ok and _poset_iso_check(lhsH, rhsH, fwdH)
 
     # vertex-count sanity on the decoration
-    iu_y = iu_poset(Y, tables=tables_Y, cap=cap)
     results["decoration_count"] = (
         len(rhs.vertex_ids) == len(iu_y.vertex_ids) * len(V_elems))
     results["Y_size"] = Y.size

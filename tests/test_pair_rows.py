@@ -1,8 +1,10 @@
-"""Pair rows on demand against the dense pair matrices they replace.
+"""The IU and HU hooks' one-atom masks against the dense pair matrices.
 
 The oracle is the dense atom x atom pair matrix, built here from
-`_PairTables.lam` by the formulas the posets used before rows were derived
-on demand, one block at a time so that the large cases stay small.
+`_PairTables.lam` by the formulas the posets used before masks were derived
+on demand, one block at a time so that the large cases stay small.  A
+link's oracle is the parent's row of the atom AND the parent's rows of the
+base entries, so it does not lean on the link's own hook.
 """
 
 import os
@@ -27,8 +29,8 @@ from wittlab.verify import _component_count
 
 ROW_SAMPLE = 150       # rows checked when a poset has more atoms than this
 ADJ_SAMPLE = 300       # vertices neighbors are read among, past this many
-COPY_ATOMS = 25_000    # largest atom count given a rowless copy
-COPY_COST = 200_000    # raw tests the rowless copy may spend on one level
+COPY_ATOMS = 25_000    # largest atom count given a hookless copy
+COPY_COST = 200_000    # raw tests the hookless copy may spend on one level
 BFS_VERTICES = 1_000   # largest vertex count given the plain-Python BFS
 
 
@@ -50,16 +52,17 @@ def _hu_block(T):
     return block
 
 
-def _link_block(F, block, base_atoms):
-    kept = np.array([i for i, a in enumerate(F.atoms)
-                     if a not in set(base_atoms)], dtype=np.intp)
-    return lambda R, Cs: block(kept[R], kept[Cs])
-
-
 def _decorate_block(F, block, ns):
     base = np.repeat(np.arange(len(F.atoms)), ns)
     return lambda R, Cs: (block(base[R], base[Cs])
                           & (base[R][:, None] != base[Cs][None, :]))
+
+
+def _row(block, r, cols):
+    """The dense pair row of atom r over cols, checked symmetric."""
+    row = block([r], cols)[0]
+    assert np.array_equal(row, block(cols, [r])[:, 0])
+    return row
 
 
 def _cases():
@@ -75,8 +78,9 @@ def _cases():
 
 
 def _build(ring, g, kind, at_pair):
-    """The poset and its dense oracle, as a block function of row and
-    column ids."""
+    """The poset and the dense oracle of its one-atom hook mask, as a
+    function of the atom id a: the pair row of a (never a itself), AND the
+    pair rows of the base entries for a link."""
     Q = hyperbolic(C.catalog_parameters(ring)[0][1], g)
     e1, f1 = Q.hyperbolic_pairs[0]
     if kind == "iu<V>":
@@ -85,16 +89,25 @@ def _build(ring, g, kind, at_pair):
         Y, _incl = orthogonal_complement(Q, [e1, f1])
         T = _PairTables(Y)
         V = list({(e1 * c).vec: e1 * c for c in range(Q.ring.size)}.values())
-        return (decorate(iu_poset(Y, tables=T), V),
-                _decorate_block(iu_poset(Y, tables=T), _iu_block(T), len(V)))
+        F = iu_poset(Y, tables=T)
+        F, block = decorate(F, V), _decorate_block(F, _iu_block(T), len(V))
+        return F, lambda a: _row(block, a, np.arange(len(F.atoms)))
     T = _PairTables(Q)
     if kind == "iu":
         F, block, base = iu_poset(Q, tables=T), _iu_block(T), (e1,)
     else:
         F, block, base = hu_poset(Q, tables=T), _hu_block(T), ((e1, f1),)
-    if at_pair:
-        return link(F, base), _link_block(F, block, base)
-    return F, block
+    base_ids = [F.atoms.index(x) for x in base] if at_pair else []
+    kept = np.array([i for i in range(len(F.atoms)) if i not in base_ids],
+                    dtype=np.intp)
+
+    def oracle(a):
+        row = _row(block, kept[a], kept) & (np.arange(len(kept)) != a)
+        for b in base_ids:
+            row &= _row(block, b, kept)
+        return row
+
+    return (link(F, base) if at_pair else F), oracle
 
 
 def _adjacent(F, v, w):
@@ -118,15 +131,13 @@ def _plain_components(F):
 
 @pytest.mark.parametrize("ring,g,kind,at_pair", _cases())
 def test_pair_rows_match_dense_oracle(ring, g, kind, at_pair):
-    F, block = _build(ring, g, kind, at_pair)
+    F, oracle = _build(ring, g, kind, at_pair)
     n = len(F.atoms)
     rng = random.Random("%s%d%s%d" % (ring, g, kind, at_pair))
     everything = np.arange(n)
     rows = range(n) if n <= ROW_SAMPLE else rng.sample(range(n), ROW_SAMPLE)
     for a in rows:
-        row = F.pair_row(a, everything)
-        assert np.array_equal(row, block([a], everything)[0])
-        assert np.array_equal(row, block(everything, [a])[:, 0])
+        assert np.array_equal(F.extend((a,), everything), oracle(a))
 
     verts = F.vertex_ids
     among = None

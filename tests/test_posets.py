@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from wittlab.homology import build_chain_complex, homology, homology_plain
@@ -453,18 +454,36 @@ HOOK_CASES = [
     for q, ns in sizes for n in ns for k in (0, 1, 2)]
 
 
+def _assert_hook_matches_raw(F, plain, d, rng, sample):
+    """On every member prefix through p = 2, F's hook mask over all atoms
+    holds every extension the raw test accepts, and equals that set when F
+    is exact.  The plain copy memoizes the raw test of every extension it
+    tried; past level d a seeded sample of at most `sample` prefixes per
+    level is tested."""
+    ids = np.arange(len(F.atoms))
+    for p in range(-1, 3):
+        level = [()] if p < 0 else F.simplices(p)
+        if p > d and len(level) > sample:
+            level = rng.sample(level, sample)
+        for seq in level:
+            want = np.array([plain.member_ids(seq + (w,))
+                             for w in ids.tolist()], dtype=bool)
+            got = F.extend(seq, ids)
+            assert not (want & ~got).any(), seq
+            if F.exact:
+                assert np.array_equal(got, want), seq
+
+
 @pytest.mark.parametrize("theorem,q,n,k", HOOK_CASES)
 def test_gl_extend_hook_matches_raw(theorem, q, n, k):
     # The poset of theorem on GF(q)^n, or its link at (e_1..e_k), against a
     # copy with no hook: the same levels and homology through the bound d,
-    # neighbors against the pairwise raw test, and the extend mask against
-    # the raw test on every member prefix through p = 2.  The copy memoizes
-    # the raw test of every extension it tried, which covers the prefixes
-    # through p = d; past d a seeded sample of at most 500 prefixes per
-    # level is tested.
+    # neighbors against the pairwise raw test, and the exact extend mask
+    # against the raw test on member prefixes (at most 500 per level past
+    # d).
     M = free_module(make_ring({"kind": "gf", "q": q}), n)
     bound, F = theorem_poset(theorem, M, 1, base=M.gens()[:k])
-    assert F.extend is not None
+    assert F.extend is not None and F.exact
     plain = SequencePoset(F.name, F.atoms, F.member_atoms)
     d = max(bound, 0)
     for p in range(d + 2):
@@ -478,11 +497,61 @@ def test_gl_extend_hook_matches_raw(theorem, q, n, k):
         assert F.neighbors(v).tolist() == [
             w for w in ids
             if plain.member_ids((v, w)) or plain.member_ids((w, v))]
-    rng = random.Random(100 * q + 10 * n + k)
-    for p in range(-1, 3):
-        level = [()] if p < 0 else F.simplices(p)
-        if p > d and len(level) > 500:
-            level = rng.sample(level, 500)
-        for seq in level:
-            want = [plain.member_ids(seq + (w,)) for w in ids]
-            assert F.extend(seq).tolist() == want, seq
+    _assert_hook_matches_raw(F, plain, d, random.Random(100 * q + 10 * n + k),
+                             500)
+
+
+QUAD_HOOK_CASES = [
+    pytest.param(ring, g, kind, k, id="%s-H%d-%s-%d" % (ring, g, kind, k))
+    for ring, gs in (("gf2", (2, 3)), ("gf3", (2,)), ("z4", (2,)))
+    for g in gs
+    for kind, ks in (("iu", (0, 1)), ("hu", (0, 1)), ("iu<V>", (1,)))
+    for k in ks]
+
+
+@pytest.mark.parametrize("ring,g,kind,k", QUAD_HOOK_CASES)
+def test_quadratic_extend_hooks_match_raw(ring, g, kind, k):
+    # IU and HU of H^g, their links at e_1 and (e_1, f_1), and IU(Y)<V> as
+    # verify_link_isos builds it (Y = <e_1, f_1>-perp, V the span of e_1):
+    # the hook mask holds every raw-true extension, exactly so for HU, and
+    # the vertices are the raw test's
+    from wittlab import catalog as C
+    from wittlab.quadratic import orthogonal_complement
+
+    Q = hyperbolic(C.catalog_parameters(ring)[0][1], g)
+    e1, f1 = Q.hyperbolic_pairs[0]
+    if kind == "iu<V>":
+        Y, _incl = orthogonal_complement(Q, [e1, f1])
+        V = list({(e1 * c).vec: e1 * c for c in range(Q.ring.size)}.values())
+        bound, _F = theorem_poset("iu", Q, 1, base=[e1])
+        F = decorate(iu_poset(Y), V)
+    else:
+        base = ([(e1, f1)] if kind == "hu" else [e1])[:k]
+        bound, F = theorem_poset(kind, Q, 1, base=base)
+    assert F.extend is not None and F.exact == (kind == "hu")
+    plain = SequencePoset(F.name, F.atoms, F.member_atoms)
+    assert F.vertex_ids == plain.vertex_ids
+    _assert_hook_matches_raw(F, plain, bound,
+                             random.Random("%s%d%s%d" % (ring, g, kind, k)),
+                             60)
+
+
+def test_hooked_posets_make_no_raw_call_at_construction():
+    # HU(H^3/GF(2)) and GL(GF(2)^3) take their vertices from the exact hook
+    # at the empty prefix, and their links from the parent's hook at the
+    # base: no membership test is memoized on either, and the link's one
+    # raw call is the check that its base is a simplex
+    H3 = hyperbolic(P2, 3)
+    e1, f1 = H3.hyperbolic_pairs[0]
+    M = free_module(GF2, 3)
+    for F, base, vertices, link_vertices in (
+            (hu_poset(H3), (e1, f1), 560, 36),
+            (gl_poset(M), M.gen(0), 7, 6)):
+        assert F._memo == {} and len(F.vertex_ids) == vertices
+        calls = []
+        raw = F._raw
+        F._raw = lambda seq: calls.append(seq) or raw(seq)
+        Fv = link(F, [base])
+        assert calls == [(base,)]
+        assert F._memo == {} and Fv._memo == {}
+        assert len(Fv.vertex_ids) == link_vertices
