@@ -134,6 +134,11 @@ def ring_left_inverse(ring, C, extra_rows=None):
             [sol[n * d:] for sol in sols])
 
 
+def row_unimodular(ring, row):
+    """Is a row of R^k left-unimodular (some c with sum c_i r_i = 1)?"""
+    return ring_left_inverse(ring, [[r] for r in row]) is not None
+
+
 def ring_matmul(ring, A, B):
     """The product of ring matrices A (n x l) and B (l x k)."""
     B = np.asarray(B, dtype=np.int64)

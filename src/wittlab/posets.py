@@ -6,22 +6,32 @@ members of length p+1 and faces delete one entry.
 
 A kind finds the extensions of a member through one hook, `extend(prefix,
 cols)`: given a member prefix (a tuple of atom ids) and an int array of atom
-ids, it returns the bool mask over cols that holds every a with prefix + (a,)
-a member, and never a prefix id.  With `exact` the mask holds exactly those
-a and no raw test runs; otherwise the raw predicate decides among the atoms
-it allows.  The vertices are the extensions of the empty prefix, and
-neighbors read (v, w) and (w, v) off the one mask at (v,), so a hook is
-given only for kinds whose membership does not depend on the order of the
-entries (unimodularity and pairwise lambda conditions are).  Links and
-decorations compose the parent's hook and test membership through the
-parent's memo.  The IU and HU hooks AND the rows of the element-level
-table `lam == 0` of `_PairTables` over the prefix; no atom x atom matrix
-is ever built.
+ids, it returns the bool mask over cols that holds exactly the a with
+prefix + (a,) a member, so no raw test runs.  The vertices are the
+extensions of the empty prefix, and neighbors read (v, w) and (w, v) off
+the one mask at (v,), so a hook is given only for kinds whose membership
+does not depend on the order of the entries (unimodularity and pairwise
+lambda conditions are).  Links and decorations compose the parent's hook
+and test membership through the parent's memo.
+
+Every concrete kind has a hook.  The unimodular kinds (GL over a general
+ring, the lambda- and mu-posets, IU) share one: x_1..x_k is a member iff a
+linear map y -> (f(y, x_i))_i is onto R^k, and then x_1..x_k, a is one iff
+f(K, a) = R for the kernel K of that map, so each prefix costs one solver
+and its candidates one product.  GL over a field keeps its span test, and
+the IU and HU hooks AND the rows of the element-level table `lam == 0` of
+`_PairTables` over the prefix; no atom x atom matrix is ever built.  Each
+kind's raw predicate stays as the oracle: it decides member_atoms, the
+link's check that its base is a simplex, and every membership of a poset
+built without a hook.
 """
+
+import functools
 
 import numpy as np
 
-from wittlab.modules import act_columns, is_unimodular
+from wittlab.linalg import LinearSolver, ring_left_rows, row_unimodular
+from wittlab.modules import _evaluation_matrix, act_columns, is_unimodular
 from wittlab.quadratic import is_lambda_unimodular
 
 SIMPLEX_ENTRY_CAP = 5_000_000
@@ -33,14 +43,14 @@ class PosetCapExceeded(RuntimeError):
 
 class SequencePoset:
     """extend (optional) maps a member prefix (a tuple of ids) and an int
-    array of ids cols to the numpy bool mask over cols that holds every a
-    with prefix + (a,) a member and no prefix id; exact (only with extend)
-    marks a mask that holds nothing else.  Give the hook only for kinds
-    whose membership does not depend on order: neighbors reads (v, w) and
-    (w, v) off one mask, and link puts the base after the prefix."""
+    array of ids cols to the numpy bool mask over cols that holds exactly
+    the a with prefix + (a,) a member (never a prefix id).  Give the hook
+    only for kinds whose membership does not depend on order: neighbors
+    reads (v, w) and (w, v) off one mask, and link puts the base after the
+    prefix.  Without a hook the raw predicate decides every extension."""
 
     def __init__(self, name, atoms, raw_member, entry_cap=SIMPLEX_ENTRY_CAP,
-                 extend=None, exact=False):
+                 extend=None):
         self.name = name
         self.atoms = list(atoms)
         self._raw = raw_member
@@ -51,13 +61,9 @@ class SequencePoset:
         # reads the size of this attribute when it is not None
         self.pair_ok = None
         self.extend = extend
-        self.exact = exact
-        cand = self._candidates((), np.arange(len(self.atoms), dtype=np.intp))
-        if not self.exact:
-            cand = cand[np.array([self.member_ids((i,))
-                                  for i in cand.tolist()], dtype=bool)]
-        self._varr = cand
-        self.vertex_ids = cand.tolist()
+        self._varr = self._extensions(
+            (), np.arange(len(self.atoms), dtype=np.intp))
+        self.vertex_ids = self._varr.tolist()
 
     # -- membership -------------------------------------------------------
 
@@ -74,26 +80,29 @@ class SequencePoset:
             return False
         return bool(self._raw(tuple(atoms)))
 
-    def _candidates(self, seq, among=None):
-        """Atom ids that may extend the member seq, as an ascending int
+    def _extensions(self, seq, among=None):
+        """The atom ids a with seq + (a,) a member, as an ascending int
         array drawn from among (ascending ids; all vertices if None): the
-        hook's mask, which is every extension when self.exact."""
+        hook's mask, or the raw test of each id without a hook."""
         ids = self._varr if among is None else among
-        return ids if self.extend is None else ids[self.extend(seq, ids)]
+        if self.extend is not None:
+            return ids[self.extend(seq, ids)]
+        return ids[np.array([self.member_ids(seq + (a,))
+                             for a in ids.tolist()], dtype=bool)]
 
     def neighbors(self, vid, among=None):
         """Ids of the vertices adjacent to vid in the 1-skeleton (either
         orientation), as an ascending int array, restricted to the
         ascending vertex ids among when given.  A hook's mask at (vid,)
-        holds (w, vid) too by order independence, so one candidate set
-        serves both orientations; only inexact candidates get the raw
-        test."""
-        cand = self._candidates((vid,), among)
-        if self.exact:
-            return cand
-        return cand[np.array([self.member_ids((vid, w))
-                              or self.member_ids((w, vid))
-                              for w in cand.tolist()], dtype=bool)]
+        holds (w, vid) too by order independence, so one mask serves both
+        orientations; without a hook each id gets the raw test both
+        ways."""
+        if self.extend is not None:
+            return self._extensions((vid,), among)
+        ids = self._varr if among is None else among
+        return ids[np.array([self.member_ids((vid, w))
+                             or self.member_ids((w, vid))
+                             for w in ids.tolist()], dtype=bool)]
 
     # -- simplices ---------------------------------------------------------
 
@@ -109,9 +118,8 @@ class SequencePoset:
             level = []
             budget = self.entry_cap // (p + 2)
             for seq in lower:
-                cands = (seq + (v,) for v in self._candidates(seq).tolist())
-                level.extend(cands if self.exact
-                             else filter(self.member_ids, cands))
+                level.extend(seq + (v,)
+                             for v in self._extensions(seq).tolist())
                 if len(level) > budget:
                     raise PosetCapExceeded(
                         "%s has > %d %d-simplices" % (self.name, budget, p))
@@ -158,19 +166,17 @@ def _parent_member(F, index, base_ids=()):
 def link(F, base_atoms, name=None):
     """F_v: sequences w with (w, v) in F; the vertex universe drops v's atoms.
 
-    v must be a simplex of F: atoms of F forming a member.  The raw
-    predicate alone does not decide that, since a kind may keep part of its
-    condition in the atom list (mu = 0 for the mu-poset, the universe for
-    the lambda-poset).  The link's hook is F's at the prefix followed by v,
-    read on the kept atoms, and is as exact as F's.  That puts v after the
-    extension where membership puts it last, which is sound only because a
-    hook's kind is order independent."""
-    base_atoms = tuple(base_atoms)
+    v must be a simplex of F: atoms of F forming a member, by F's raw
+    test through its memo, not its hook.  The raw predicate alone does not
+    decide that, since a kind may keep part of its condition in the atom
+    list (mu = 0 for the mu-poset, the universe for the lambda-poset).  The
+    link's hook is F's at the prefix followed by v, read on the kept atoms.
+    That puts v after the extension where membership puts it last, which is
+    sound only because a hook's kind is order independent."""
     index = {a: i for i, a in enumerate(F.atoms)}
-    if any(a not in index for a in base_atoms) \
-            or not F.member_atoms(base_atoms):
+    base_ids = tuple(index.get(a) for a in base_atoms)
+    if None in base_ids or not F.member_ids(base_ids):
         raise ValueError("base sequence is not a simplex of %s" % F.name)
-    base_ids = tuple(index[a] for a in base_atoms)
     kept = [i for i in range(len(F.atoms)) if i not in base_ids]
     kept_ids = np.array(kept, dtype=np.intp)
     extend = None
@@ -182,7 +188,7 @@ def link(F, base_atoms, name=None):
     return SequencePoset(name or "%s_link" % F.name,
                          [F.atoms[i] for i in kept],
                          _parent_member(F, index, base_ids),
-                         entry_cap=F.entry_cap, extend=extend, exact=F.exact)
+                         entry_cap=F.entry_cap, extend=extend)
 
 
 def decorate(F, decorations, name=None):
@@ -202,7 +208,7 @@ def decorate(F, decorations, name=None):
         return member(tuple(v for v, _s in seq))
 
     return SequencePoset(name or "%s<S>" % F.name, atoms, raw,
-                         entry_cap=F.entry_cap, extend=extend, exact=F.exact)
+                         entry_cap=F.entry_cap, extend=extend)
 
 
 # -- concrete kinds ------------------------------------------------------------
@@ -217,17 +223,64 @@ def _field_like(ring):
     return False
 
 
+def _onto_hook(ring, A, lead=None):
+    """The hook of a kind whose members x_1..x_k are the sequences on which
+    y -> (f(y, x_i))_i maps onto R^k, y running over the Z/m coordinates on
+    which the lead columns vanish: A[:, a, :] is the nd x d matrix of
+    y -> f(y, a) for atom a, lead the nd x l columns that must vanish (a
+    module's relators) or None.
+
+    f(y, a) is semilinear in y, so f(K, a) is a left ideal for the kernel K
+    of a member prefix's map, and the prefix extends by a iff it is R.  The
+    Z/m generators of K give every candidate's values in one product; a
+    unit among them settles it (over a field every nonzero value is one),
+    and otherwise the left ideal test is solved once per set of values."""
+    m, nd = ring.base_mod, A.shape[0]
+    whole = np.eye(nd, dtype=np.int64)
+    unit = ring.inv >= 0
+
+    @functools.lru_cache(maxsize=None)
+    def ideal_is_ring(values):
+        return row_unimodular(ring, values)
+
+    def extend(prefix, cols):
+        rows = A[:, list(prefix), :].reshape(nd, -1)
+        if lead is not None:
+            rows = np.hstack([lead, rows])
+        K = whole
+        if rows.shape[1]:
+            K = np.array(LinearSolver(rows.tolist(), m).kernel_rows(),
+                         dtype=np.int64).reshape(-1, nd)
+        vals = ring.indices(np.tensordot(K, A[:, cols, :], axes=1))
+        ok = unit[vals].any(axis=0)  # vals[j, c]: f(k_j, a_c)
+        rest = np.flatnonzero(~ok & vals.any(axis=0))
+        if len(rest):
+            ok[rest] = [ideal_is_ring(frozenset(col))
+                        for col in vals[:, rest].T.tolist()]
+        return ok
+
+    return extend
+
+
+def _lam_hook(Q, X):
+    """The lambda-unimodularity hook over the atoms with raw coordinate rows
+    X: f(y, a) = lambda(y, a), the witness in the antilinear slot."""
+    A = np.einsum("tsy,ay->sat", Q.lam_coeffs, X) % Q.ring.base_mod
+    return _onto_hook(Q.ring, A)
+
+
+def _coord_rows(elems, nd):
+    return np.array([x.vec for x in elems], dtype=np.int64).reshape(
+        len(elems), nd)
+
+
 def gl_poset(M, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
     """O(X) cap U(M): sequences from X (all of M by default) unimodular in
     M."""
     universe = list(M.elements()) if universe is None else list(universe)
-    extend = None
+    ring = M.ring
 
-    if _field_like(M.ring):
-        from wittlab.linalg import LinearSolver
-
-        ring = M.ring
-
+    if _field_like(ring):
         def span_rows(vecs):
             """Rows (i, t): the canonical v_i * b_t, as one int64 array."""
             V = np.array(vecs, dtype=np.int64).reshape(len(vecs), M.nd)
@@ -239,11 +292,12 @@ def gl_poset(M, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
             return sol.module_size == ring.size ** len(seq)
 
         # Over a field a prefix is unimodular iff it is independent, and it
-        # stays so after a exactly when a lies outside its span.
+        # stays so after a exactly when a lies outside its span; reducing
+        # by the span is faster here than _onto_hook's kernel product.
         vecs = [x.vec for x in universe]
         atom_rows = span_rows(vecs).reshape(len(vecs), ring.base_dim,
                                             M.nd).tolist()
-        coords = np.array(vecs, dtype=np.int64).reshape(len(vecs), M.nd)
+        coords = _coord_rows(universe, M.nd)
         m = ring.base_mod
 
         def extend(ids, cols):
@@ -258,19 +312,29 @@ def gl_poset(M, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
         def raw(seq):
             return is_unimodular(M, seq) is not None
 
+        # f(y, a) = phi_y(a), y the generator values of a functional phi_y,
+        # which must vanish on the relators
+        nrel, d = len(M.relators), ring.base_dim
+        A = ring_left_rows(ring, _evaluation_matrix(M, universe)).reshape(
+            M.nd, nrel + len(universe), d)
+        lead = A[:, :nrel, :].reshape(M.nd, -1) if nrel else None
+        extend = _onto_hook(ring, A[:, nrel:, :], lead)
+
     return SequencePoset(name or "U(%s)" % M.name, universe, raw,
-                         entry_cap=cap, extend=extend,
-                         exact=extend is not None)
+                         entry_cap=cap, extend=extend)
 
 
 def lambda_poset(Q_ambient, universe, name=None, cap=SIMPLEX_ENTRY_CAP):
     """O(universe) cap U(N, lambda): lambda-unimodular sequences in N."""
+    universe = list(universe)
 
     def raw(seq):
         return is_lambda_unimodular(Q_ambient, list(seq)) is not None
 
-    return SequencePoset(name or "U(%s,lam)" % Q_ambient.name, universe, raw,
-                         entry_cap=cap)
+    return SequencePoset(
+        name or "U(%s,lam)" % Q_ambient.name, universe, raw, entry_cap=cap,
+        extend=_lam_hook(Q_ambient, _coord_rows(universe,
+                                                Q_ambient.module.nd)))
 
 
 def mu_poset(Q_ambient, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
@@ -285,8 +349,8 @@ def mu_poset(Q_ambient, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
 
 class _PairTables:
     """Precomputed lambda values and mu flags over an enumerated module;
-    lam_zero is the |M| x |M| table lam == 0 that the IU and HU hooks
-    read."""
+    lam_zero is the |M| x |M| table lam == 0 that the IU and HU hooks and
+    raw tests read."""
 
     def __init__(self, Q, cap=4096):
         module = Q.module
@@ -297,44 +361,49 @@ class _PairTables:
         self.index = {x.vec: i for i, x in enumerate(self.elems)}
         ring = Q.ring
         m = ring.base_mod
-        X = np.array([x.vec for x in self.elems], dtype=np.int64)
-        coords = (X @ Q.lam_coeffs @ X.T) % m  # [t, x, y]
+        self.X = _coord_rows(self.elems, module.nd)
+        coords = (self.X @ Q.lam_coeffs @ self.X.T) % m  # [t, x, y]
         powers = np.array([m ** k for k in range(ring.base_dim)],
                           dtype=np.int64)
         self.lam = np.tensordot(powers, coords, axes=1)
         self.lam_zero = self.lam == ring.zero
         self.mu0 = np.array([Q.mu_zero(x) for x in self.elems], dtype=bool)
 
-    def lam_idx(self, i, j):
-        return int(self.lam[i, j])
+    def indices(self, elems):
+        return np.array([self.index[x.vec] for x in elems], dtype=np.intp)
+
+
+@functools.lru_cache(maxsize=None)
+def _off_diagonal(k, blocks=1):
+    """The bool mask of the (blocks*k)^2 entries (i, j) with i != j mod k:
+    pairs of distinct sequence entries; shared, so read-only."""
+    mask = ~np.tile(np.eye(k, dtype=bool), (blocks, blocks))
+    mask.flags.writeable = False
+    return mask
 
 
 def iu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
     """Isotropic lambda-unimodular sequences I U(M)."""
     if tables is None:
         tables = _PairTables(Q)
-    zero = Q.ring.zero
     keep = np.flatnonzero(tables.mu0)
     universe = [tables.elems[i] for i in keep]
     Z = tables.lam_zero
+    onto = _lam_hook(Q, tables.X[keep])
 
     def extend(prefix, cols):
-        # lambda(u, a) = 0 for every u in the prefix; lambda-unimodularity
-        # is left to the raw test
-        rows = keep[cols]
-        mask = np.ones(len(cols), dtype=bool)
-        for u in prefix:
-            mask &= Z[keep[u], rows] & (cols != u)
+        # lambda(u, a) = 0 for every u in the prefix, then
+        # lambda-unimodularity on the candidates left
+        mask = Z[np.ix_(keep[list(prefix)], keep[cols])].all(axis=0)
+        if mask.any():
+            mask[mask] = onto(prefix, cols[mask])
         return mask
 
     def raw(seq):
-        idx = [tables.index[x.vec] for x in seq]
-        for a in range(len(idx)):
-            if not tables.mu0[idx[a]]:
-                return False
-            for b in range(len(idx)):
-                if a != b and tables.lam_idx(idx[a], idx[b]) != zero:
-                    return False
+        idx = tables.indices(seq)
+        if not (tables.mu0[idx].all()
+                and Z[idx[:, None], idx][_off_diagonal(len(idx))].all()):
+            return False
         return is_lambda_unimodular(Q, list(seq)) is not None
 
     return SequencePoset(name or "IU(%s)" % Q.name, universe, raw,
@@ -345,11 +414,10 @@ def hu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
     """Hyperbolic lambda-unimodular sequences H U(M): atoms are pairs (x, y)
     with mu(x) = mu(y) = 0 and lambda(x, y) = 1, all of them vertices;
     sequence membership reduces to pairwise lambda conditions (the
-    witnesses are built into the pairs), so the hook is exact."""
+    witnesses are built into the pairs), so the hook reads them alone."""
     if tables is None:
         tables = _PairTables(Q)
-    ring = Q.ring
-    zero, one = ring.zero, ring.one
+    zero, one = Q.ring.zero, Q.ring.one
     mu0_idx = np.nonzero(tables.mu0)[0]
     lam = tables.lam
     pairs_rc = np.argwhere(lam[np.ix_(mu0_idx, mu0_idx)] == one)
@@ -369,25 +437,14 @@ def hu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
         return mask
 
     def raw(seq):
-        idx = [(tables.index[x.vec], tables.index[y.vec]) for x, y in seq]
-        k = len(idx)
-        for a in range(k):
-            ia, ja = idx[a]
-            if not (tables.mu0[ia] and tables.mu0[ja]):
-                return False
-            if tables.lam_idx(ia, ja) != one:
-                return False
-            for b in range(k):
-                if a == b:
-                    continue
-                ib, jb = idx[b]
-                if tables.lam_idx(ia, ib) != zero:
-                    return False
-                if tables.lam_idx(ja, jb) != zero:
-                    return False
-                if tables.lam_idx(ia, jb) != zero:
-                    return False
-        return True
+        # B holds lambda among x_1..x_k, y_1..y_k: entries of distinct atoms
+        # are lambda-orthogonal (lam == 0 is symmetric), lambda(x_a, y_a) = 1
+        k = len(seq)
+        both = tables.indices([x for x, _y in seq] + [y for _x, y in seq])
+        B = lam[both[:, None], both]
+        return bool(tables.mu0[both].all()
+                    and (B[_off_diagonal(k, 2)] == zero).all()
+                    and (B.diagonal(k) == one).all())
 
     return SequencePoset(name or "HU(%s)" % Q.name, atoms, raw,
-                         entry_cap=cap, extend=extend, exact=True)
+                         entry_cap=cap, extend=extend)

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from wittlab.linalg import ring_left_inverse
+from wittlab.linalg import row_unimodular
 from wittlab.quadratic import hyperbolic, transvection, unitary_group
 
 DEFAULT_BUDGET = 1 << 22
@@ -51,11 +51,6 @@ class RangeReport:
     def __repr__(self):
         return "RangeReport(%s, %s_%d: %s)" % (
             self.ring.name, self.prop, self.n, self.verdict)
-
-
-def row_unimodular(ring, row):
-    """Is a row of R^k left-unimodular (some c with sum c_i r_i = 1)?"""
-    return ring_left_inverse(ring, [[r] for r in row]) is not None
 
 
 def check_Sn(ring, n, budget=DEFAULT_BUDGET):

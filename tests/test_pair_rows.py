@@ -1,10 +1,16 @@
-"""The IU and HU hooks' one-atom masks against the dense pair matrices.
+"""The IU and HU hooks' one-atom masks against the dense pair matrices,
+and their raw tests against pair loops.
 
 The oracle is the dense atom x atom pair matrix, built here from
 `_PairTables.lam` by the formulas the posets used before masks were derived
 on demand, one block at a time so that the large cases stay small.  A
 link's oracle is the parent's row of the atom AND the parent's rows of the
-base entries, so it does not lean on the link's own hook.
+base entries, so it does not lean on the link's own hook.  The IU hook
+also tests lambda-unimodularity, so its mask lies inside the pair row and,
+at a vertex, is the pair row AND the raw test of each extension.
+
+The raw tests read `_PairTables` in one fancy-indexed block per sequence;
+their oracle is the pair loops they replaced, kept here.
 """
 
 import os
@@ -24,7 +30,11 @@ from wittlab.posets import (
     iu_poset,
     link,
 )
-from wittlab.quadratic import hyperbolic, orthogonal_complement
+from wittlab.quadratic import (
+    hyperbolic,
+    is_lambda_unimodular,
+    orthogonal_complement,
+)
 from wittlab.verify import _component_count
 
 ROW_SAMPLE = 150       # rows checked when a poset has more atoms than this
@@ -32,6 +42,7 @@ ADJ_SAMPLE = 300       # vertices neighbors are read among, past this many
 COPY_ATOMS = 25_000    # largest atom count given a hookless copy
 COPY_COST = 200_000    # raw tests the hookless copy may spend on one level
 BFS_VERTICES = 1_000   # largest vertex count given the plain-Python BFS
+UNI_ROWS = 10          # sampled rows whose IU mask is checked to the raw test
 
 
 def _iu_block(T):
@@ -136,8 +147,15 @@ def test_pair_rows_match_dense_oracle(ring, g, kind, at_pair):
     rng = random.Random("%s%d%s%d" % (ring, g, kind, at_pair))
     everything = np.arange(n)
     rows = range(n) if n <= ROW_SAMPLE else rng.sample(range(n), ROW_SAMPLE)
-    for a in rows:
-        assert np.array_equal(F.extend((a,), everything), oracle(a))
+    for i, a in enumerate(rows):
+        got, want = F.extend((a,), everything), oracle(a)
+        if kind != "hu":
+            assert not (got & ~want).any(), a
+            if i >= UNI_ROWS or not F.member_ids((a,)):
+                continue
+            for w in np.flatnonzero(want).tolist():
+                want[w] = F.member_atoms((F.atoms[a], F.atoms[w]))
+        assert np.array_equal(got, want), a
 
     verts = F.vertex_ids
     among = None
@@ -185,3 +203,70 @@ def test_hu_h5_certified_under_one_gib():
                           text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == ["homology-verified", "134912"]
+
+
+def _iu_raw_loops(T, seq):
+    """The IU raw test as the pair loops over `_PairTables.lam`."""
+    zero = T.Q.ring.zero
+    idx = [T.index[x.vec] for x in seq]
+    for a in range(len(idx)):
+        if not T.mu0[idx[a]]:
+            return False
+        for b in range(len(idx)):
+            if a != b and int(T.lam[idx[a], idx[b]]) != zero:
+                return False
+    return is_lambda_unimodular(T.Q, list(seq)) is not None
+
+
+def _hu_raw_loops(T, seq):
+    """The HU raw test as the pair loops over `_PairTables.lam`."""
+    zero, one = T.Q.ring.zero, T.Q.ring.one
+    idx = [(T.index[x.vec], T.index[y.vec]) for x, y in seq]
+    for a, (ia, ja) in enumerate(idx):
+        if not (T.mu0[ia] and T.mu0[ja]) or int(T.lam[ia, ja]) != one:
+            return False
+        for b, (ib, jb) in enumerate(idx):
+            if a != b and (int(T.lam[ia, ib]) != zero
+                           or int(T.lam[ja, jb]) != zero
+                           or int(T.lam[ia, jb]) != zero):
+                return False
+    return True
+
+
+def _raw_probes(F, rng, elems, count):
+    """Sequences of length 1..3 to feed a raw test: members grown by random
+    extension, members with one entry swapped for a random atom, and
+    random sequences of elements (atoms of IU, pairs of them for HU)."""
+    out = []
+    for _ in range(count):
+        seq = ()
+        for _p in range(rng.randrange(1, 4)):
+            cands = F._extensions(seq)
+            if not len(cands):
+                break
+            seq += (int(cands[rng.randrange(len(cands))]),)
+        if not seq:
+            continue
+        member = [F.atoms[i] for i in seq]
+        out.append(tuple(member))
+        member[rng.randrange(len(member))] = rng.choice(F.atoms)
+        out.append(tuple(member))
+        out.append(tuple(rng.choice(elems)
+                         for _i in range(rng.randrange(1, 4))))
+    return out
+
+
+@pytest.mark.parametrize("ring", ["gf2", "gf3", "z4"])
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_raw_tests_match_pair_loops(ring, g):
+    Q = hyperbolic(C.catalog_parameters(ring)[0][1], g)
+    T = _PairTables(Q)
+    rng = random.Random("%s%d" % (ring, g))
+    pairs = [(x, y) for x in T.elems for y in T.elems[:8]]
+    for F, loops, elems in ((iu_poset(Q, tables=T), _iu_raw_loops, T.elems),
+                            (hu_poset(Q, tables=T), _hu_raw_loops, pairs)):
+        probes = _raw_probes(F, rng, elems, 150)
+        assert any(loops(T, seq) for seq in probes)
+        assert not all(loops(T, seq) for seq in probes)
+        for seq in probes:
+            assert bool(F._raw(seq)) == loops(T, seq), seq
