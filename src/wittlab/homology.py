@@ -1,11 +1,17 @@
 """Integral homology of the realized posets.
 
 Chains are the free groups on length-(p+1) members; faces delete one entry.
-Homology runs a cross-degree unit-pivot reduction (Schur complement on one
-boundary matrix, row/column deletions on its neighbours, homology-preserving)
-before the Smith-normal-form endgame on the small remainders.  The complex
-is augmented, so all reported numbers are reduced homology.
+build_chain_complex finds the faces of a whole level at once: it deletes
+one column of the level's int array at a time and looks the rows up by
+searchsorted in the sorted row keys of the level below, so each boundary
+is three COO arrays.  Homology runs a cross-degree unit-pivot reduction
+(Schur complement on one boundary matrix, row/column deletions on its
+neighbours, homology-preserving) before the Smith-normal-form endgame on
+the small remainders.  The complex is augmented, so all reported numbers
+are reduced homology.
 """
+
+import numpy as np
 
 from wittlab import kernels
 
@@ -16,97 +22,101 @@ class ChainComplexData:
     def __init__(self, counts, boundaries):
         # counts[p] = number of p-cells (p = -1 is the augmentation cell)
         self.counts = dict(counts)
-        # boundaries[p]: dict (row, col) -> coeff for d_p: C_p -> C_{p-1}
-        self.boundaries = {p: dict(b) for p, b in boundaries.items()}
+        # boundaries[p] = (rows, cols, vals) int arrays of d_p: C_p ->
+        # C_{p-1}, column-major with the deleted position minor
+        self.boundaries = dict(boundaries)
+
+    def dense(self, p):
+        """d_p as a dense int64 array; for small complexes only."""
+        out = np.zeros((self.counts.get(p - 1, 0), self.counts.get(p, 0)),
+                       dtype=np.int64)
+        if p in self.boundaries:
+            rows, cols, vals = self.boundaries[p]
+            np.add.at(out, (rows, cols), vals)
+        return out
 
     def dd_is_zero(self):
-        for p, bp in self.boundaries.items():
-            bq = self.boundaries.get(p + 1)
-            if not bq:
-                continue
-            # compose via column expansion of d_{p+1}
-            cols = {}
-            for (r, c), v in bq.items():
-                cols.setdefault(c, []).append((r, v))
-            rows_p = {}
-            for (r, c), v in bp.items():
-                rows_p.setdefault(c, {})[r] = v
-            for c, entries in cols.items():
-                acc = {}
-                for mid, v in entries:
-                    for r, w in rows_p.get(mid, {}).items():
-                        acc[r] = acc.get(r, 0) + v * w
-                if any(acc.values()):
-                    return False
-        return True
+        return not any((self.dense(p) @ self.dense(p + 1)).any()
+                       for p in self.boundaries if p + 1 in self.boundaries)
+
+
+def _row_keys(rows, base):
+    """Keys in the lexicographic order of the rows (entries in [0, base)):
+    mixed-radix codes while base**width fits an int64, else big-endian
+    bytes."""
+    width = rows.shape[1]
+    if base ** width < 2 ** 63:
+        return rows @ base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return np.ascontiguousarray(rows, dtype=">u4").view(
+        "V%d" % (4 * width)).ravel()
+
+
+def face_rows(level, lower, base):
+    """F[j, i]: the row of lower (lexicographically sorted, entries below
+    base) that is level[j] with entry i deleted; KeyError when one is not
+    there."""
+    keys = _row_keys(lower, base)
+    out = np.empty(level.shape, dtype=np.intp)
+    for i in range(level.shape[1]):
+        face = _row_keys(np.delete(level, i, axis=1), base)
+        pos = np.searchsorted(keys, face).clip(max=len(keys) - 1)
+        if (keys[pos] != face).any():
+            raise KeyError("a face is not in the level below")
+        out[:, i] = pos
+    return out
 
 
 def build_chain_complex(poset, up_to_degree):
     """Boundary matrices of the realization through degree up_to_degree + 1."""
-    counts = {-1: 1}
-    boundaries = {}
-    index = {}
-    levels = {}
+    counts, boundaries, lower = {-1: 1}, {}, None
     for p in range(0, up_to_degree + 2):
         level = poset.simplices(p)
-        levels[p] = level
-        counts[p] = len(level)
-        index[p] = {seq: i for i, seq in enumerate(level)}
-        if not level:
+        counts[p] = n = len(level)
+        if not n:
             break
-    # augmentation
-    if counts.get(0):
-        boundaries[0] = {(0, i): 1 for i in range(counts[0])}
-    for p in range(1, up_to_degree + 2):
-        if not counts.get(p):
-            break
-        entries = {}
-        lower = index[p - 1]
-        for col, seq in enumerate(levels[p]):
-            for i in range(len(seq)):
-                face = seq[:i] + seq[i + 1:]
-                row = lower[face]
-                coeff = 1 if i % 2 == 0 else -1
-                entries[(row, col)] = entries.get((row, col), 0) + coeff
-        boundaries[p] = {k: v for k, v in entries.items() if v}
+        faces = np.zeros((n, 1), dtype=np.intp) if p == 0 else \
+            face_rows(level, lower, len(poset.atoms))  # p = 0: augmentation
+        boundaries[p] = (faces.ravel(), np.repeat(np.arange(n), p + 1),
+                         np.tile(np.where(np.arange(p + 1) % 2, -1, 1), n))
+        lower = level
     return ChainComplexData(counts, boundaries)
+
+
+def _grouped(keys, inner, vals, pool):
+    """{key: {inner: val}} over COO entries, keys in order of first
+    appearance, inner dicts in entry order, indices the int objects of pool."""
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    starts = np.flatnonzero(np.diff(k, prepend=-1))  # keys are >= 0
+    ends = np.r_[starts[1:], len(k)]
+    seq = np.argsort(order[starts], kind="stable")
+    inner, vals = pool[inner[order]].tolist(), vals[order].tolist()
+    return {key: dict(zip(inner[s:e], vals[s:e])) for key, s, e in zip(
+        pool[k[starts][seq]].tolist(), starts[seq].tolist(),
+        ends[seq].tolist())}
 
 
 class _Sparse:
     """Row/column indexed sparse integer matrix with unit-pivot reduction."""
 
-    def __init__(self, entries):
-        self.rows = {}
-        self.cols = {}
-        for (r, c), v in entries.items():
-            if v:
-                self.rows.setdefault(r, {})[c] = v
-                self.cols.setdefault(c, {})[r] = v
-
-    def set(self, r, c, v):
-        if v:
-            self.rows.setdefault(r, {})[c] = v
-            self.cols.setdefault(c, {})[r] = v
-        else:
-            if r in self.rows and c in self.rows[r]:
-                del self.rows[r][c]
-                if not self.rows[r]:
-                    del self.rows[r]
-            if c in self.cols and r in self.cols[c]:
-                del self.cols[c][r]
-                if not self.cols[c]:
-                    del self.cols[c]
-
-    def get(self, r, c):
-        return self.rows.get(r, {}).get(c, 0)
+    def __init__(self, coo, pool):
+        rows, cols, vals = coo  # no zero entries
+        self.rows = _grouped(rows, cols, vals, pool)
+        self.cols = _grouped(cols, rows, vals, pool)
 
     def delete_row(self, r):
-        for c in list(self.rows.get(r, {})):
-            self.set(r, c, 0)
+        for c in self.rows.pop(r, ()):
+            col = self.cols[c]
+            del col[r]
+            if not col:
+                del self.cols[c]
 
     def delete_col(self, c):
-        for r in list(self.cols.get(c, {})):
-            self.set(r, c, 0)
+        for r in self.cols.pop(c, ()):
+            row = self.rows[r]
+            del row[c]
+            if not row:
+                del self.rows[r]
 
     def best_pivot_in_row(self, r):
         row = self.rows.get(r)
@@ -124,74 +134,63 @@ class _Sparse:
         return best
 
     def eliminate(self, r, c, v):
-        """Schur complement step at a +-1 pivot; removes row r and col c."""
-        row_entries = [(cc, vv) for cc, vv in self.rows[r].items() if cc != c]
-        col_entries = [(rr, vv) for rr, vv in self.cols[c].items() if rr != r]
-        for rr, a in col_entries:
+        """Schur complement step at a +-1 pivot; removes row r and col c.
+        Writes go straight to the row and column dicts: row rr keeps its
+        entry at c and column cc its entry at r until the deletions at the
+        end, so none of them empties on the way."""
+        rows, cols = self.rows, self.cols
+        row_entries = [(cc, b) for cc, b in rows[r].items() if cc != c]
+        for rr, a in [(rr, a) for rr, a in cols[c].items() if rr != r]:
             factor = a * v  # v in {1,-1}: a / v
+            target = rows[rr]
             for cc, b in row_entries:
-                self.set(rr, cc, self.get(rr, cc) - factor * b)
+                x = target.get(cc, 0) - factor * b
+                if x:
+                    target[cc] = cols[cc][rr] = x
+                else:
+                    del target[cc], cols[cc][rr]
         self.delete_row(r)
         self.delete_col(c)
 
-    def to_dense(self, row_ids, col_ids):
-        ri = {r: i for i, r in enumerate(row_ids)}
-        ci = {c: i for i, c in enumerate(col_ids)}
-        out = [[0] * len(col_ids) for _ in row_ids]
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                out[ri[r]][ci[c]] = v
-        return out
 
-    def live_rows(self):
-        return set(self.rows)
-
-    def live_cols(self):
-        return set(self.cols)
+def _summary(chain, up_to_degree, cells, divisors):
+    """The report from the cell count cells(p) left in each degree and the
+    SNF divisors of each d_p."""
+    ranks = {p: len(divs) for p, divs in divisors.items()}
+    top = range(0, up_to_degree + 1)
+    return {"betti": {p: cells(p) - ranks.get(p, 0) - ranks.get(p + 1, 0)
+                      for p in top},
+            "torsion": {p: [d for d in divisors.get(p + 1, ())
+                            if d not in (0, 1)] for p in top},
+            "cells": {p: chain.counts.get(p, 0)
+                      for p in range(0, up_to_degree + 2)}}
 
 
 def homology_plain(chain, up_to_degree):
     """Oracle route: dense Smith normal form on every boundary matrix, no
     cross-degree reduction.  Only for small complexes."""
-    ranks = {}
-    torsion = {}
+    divisors = {}
     for p in range(0, up_to_degree + 2):
-        entries = chain.boundaries.get(p, {})
-        nrows = chain.counts.get(p - 1, 0)
-        ncols = chain.counts.get(p, 0)
-        if not entries or not nrows or not ncols:
-            ranks[p] = 0
-            torsion[p] = []
-            continue
-        dense = [[0] * ncols for _ in range(nrows)]
-        for (r, c), v in entries.items():
-            dense[r][c] = v
-        divs = kernels.snf_divisors(dense)
-        ranks[p] = len(divs)
-        torsion[p] = [d for d in divs if d not in (0, 1)]
-    betti = {}
-    tors = {}
-    for p in range(0, up_to_degree + 1):
-        cp = chain.counts.get(p, 0)
-        betti[p] = cp - ranks.get(p, 0) - ranks.get(p + 1, 0)
-        tors[p] = list(torsion.get(p + 1, []))
-    return {"betti": betti, "torsion": tors,
-            "cells": {p: chain.counts.get(p, 0)
-                      for p in range(0, up_to_degree + 2)}}
+        dense = chain.dense(p)
+        divisors[p] = kernels.snf_divisors(dense.tolist()) if dense.any() \
+            else []
+    return _summary(chain, up_to_degree, lambda p: chain.counts.get(p, 0),
+                    divisors)
 
 
 def homology(chain, up_to_degree):
     """Reduced Betti numbers and torsion through the requested degree."""
-    degrees = sorted(p for p in chain.counts if p >= -1)
-    live = {p: set(range(chain.counts.get(p, 0))) for p in degrees}
-    mats = {p: _Sparse(chain.boundaries.get(p, {}))
+    live = {p: set(range(n)) for p, n in chain.counts.items()}
+    empty = (np.zeros(0, dtype=np.intp),) * 3
+    pool = np.arange(max(chain.counts.values()) + 1).astype(object)
+    mats = {p: _Sparse(chain.boundaries.get(p, empty), pool)
             for p in range(0, up_to_degree + 2)}
     # cross-degree unit-pivot reduction, ascending: eliminations only change
     # values within their own degree, so one pass of per-degree fixpoints is
     # a complete reduction
     for p in sorted(mats):
         sp = mats[p]
-        pending = list(sp.live_rows())
+        pending = list(set(sp.rows))
         in_queue = set(pending)
         while pending:
             r = pending.pop()
@@ -213,24 +212,11 @@ def homology(chain, up_to_degree):
                     pending.append(rr)
                     in_queue.add(rr)
     # SNF endgame on the remainders
-    ranks = {}
-    torsion = {}
+    divisors = {}
     for p in sorted(mats):
         sp = mats[p]
-        rows = sorted(sp.live_rows())
-        cols = sorted(sp.live_cols())
-        if rows and cols:
-            dense = sp.to_dense(rows, cols)
-            divs = kernels.snf_divisors(dense)
-        else:
-            divs = []
-        ranks[p] = len(divs)
-        torsion[p] = [d for d in divs if d not in (0, 1)]
-    betti = {}
-    tors = {}
-    for p in range(0, up_to_degree + 1):
-        cp = len(live.get(p, ()))
-        betti[p] = cp - ranks.get(p, 0) - ranks.get(p + 1, 0)
-        tors[p] = list(torsion.get(p + 1, []))
-    return {"betti": betti, "torsion": tors,
-            "cells": {p: chain.counts.get(p, 0) for p in range(0, up_to_degree + 2)}}
+        cols = sorted(sp.cols)
+        dense = [[sp.rows[r].get(c, 0) for c in cols] for r in sorted(sp.rows)]
+        divisors[p] = kernels.snf_divisors(dense) if dense and cols else []
+    return _summary(chain, up_to_degree, lambda p: len(live.get(p, ())),
+                    divisors)

@@ -199,6 +199,8 @@ def snf_divisors(A):
             if any(A[i][t] for i in range(t + 1, nr)):
                 continue  # row ops on column may have refilled it
             d = A[t][t]
+            if d == 1 or d == -1:
+                break  # a unit divides every entry: nothing to scan
             # enforce divisibility of the remaining block
             offender = None
             for i in range(t + 1, nr):

@@ -2,31 +2,34 @@
 
 A SequencePoset holds an explicit vertex universe and a lazily memoized
 membership predicate on sequences of distinct atoms; p-simplices are the
-members of length p+1 and faces delete one entry.
+members of length p+1, one (N, p+1) int32 array of atom ids per level in
+lexicographic order, and faces delete one entry.
 
-A kind finds the extensions of a member through one hook, `extend(prefix,
-cols)`: given a member prefix (a tuple of atom ids) and an int array of atom
-ids, it returns the bool mask over cols that holds exactly the a with
-prefix + (a,) a member, so no raw test runs.  The vertices are the
-extensions of the empty prefix, and neighbors read (v, w) and (w, v) off
-the one mask at (v,), so a hook is given only for kinds whose membership
-does not depend on the order of the entries (unimodularity and pairwise
-lambda conditions are).  Links and decorations compose the parent's hook
-and test membership through the parent's memo.
+A kind finds extensions through one batched hook, `extend(P, cols)`: for an
+(n, k) int array P of member prefixes and an int array cols of atom ids it
+returns the (n, len(cols)) bool mask of exactly the (i, j) with P[i]
+followed by cols[j] a member (never a prefix id), so no raw test runs.  A
+level is the row-major nonzeros of the masks of the level below, one chunk
+of prefix rows at a time (no mask or span array past CHUNK cells); the
+vertices are the extensions of the empty prefix.  Membership must not
+depend on the order of the entries (unimodularity and pairwise lambda
+conditions do not): neighbors reads (v, w) and (w, v) off one mask, and a
+link puts its base after the prefix.  Links and decorations map P and cols
+into the parent's hook and test membership through the parent's memo.
 
-Every concrete kind has a hook.  The unimodular kinds (GL over a general
-ring, the lambda- and mu-posets, IU) share one: x_1..x_k is a member iff a
-linear map y -> (f(y, x_i))_i is onto R^k, and then x_1..x_k, a is one iff
-f(K, a) = R for the kernel K of that map, so each prefix costs one solver
-and its candidates one product.  GL over a field keeps its span test, and
-the IU and HU hooks AND the rows of the element-level table `lam == 0` of
-`_PairTables` over the prefix; no atom x atom matrix is ever built.  Each
-kind's raw predicate stays as the oracle: it decides member_atoms, the
-link's check that its base is a simplex, and every membership of a poset
-built without a hook.
+The unimodular kinds (GL over a general ring, the lambda- and mu-posets,
+IU) share one hook: x_1..x_k is a member iff y -> (f(y, x_i))_i is onto
+R^k, and then x_1..x_k, a is one iff f(K, a) = R for the kernel K of that
+map, so each prefix row costs one solver and its candidates one product.
+GL over a field tests a against the element codes of each prefix's span,
+and IU and HU AND the rows of `_PairTables.lam_zero` over the prefixes; no
+atom x atom matrix is ever built.  Each kind's raw predicate stays as the
+oracle: it decides member_atoms, the link's check that its base is a
+simplex, and every membership of a poset built without a hook.
 """
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -35,19 +38,23 @@ from wittlab.modules import _evaluation_matrix, act_columns, is_unimodular
 from wittlab.quadratic import is_lambda_unimodular
 
 SIMPLEX_ENTRY_CAP = 5_000_000
+# cells of the largest mask or span array one hook call builds
+CHUNK = 1 << 21
 
 
 class PosetCapExceeded(RuntimeError):
     pass
 
 
+def _row_chunks(n, width):
+    """Slices of range(n), CHUNK // width rows each (one at least)."""
+    step = max(1, CHUNK // max(width, 1))
+    return [slice(s, s + step) for s in range(0, n, step)]
+
+
 class SequencePoset:
-    """extend (optional) maps a member prefix (a tuple of ids) and an int
-    array of ids cols to the numpy bool mask over cols that holds exactly
-    the a with prefix + (a,) a member (never a prefix id).  Give the hook
-    only for kinds whose membership does not depend on order: neighbors
-    reads (v, w) and (w, v) off one mask, and link puts the base after the
-    prefix.  Without a hook the raw predicate decides every extension."""
+    """A sequence poset with the optional batched hook extend (see the
+    module docstring); without one the raw predicate decides extensions."""
 
     def __init__(self, name, atoms, raw_member, entry_cap=SIMPLEX_ENTRY_CAP,
                  extend=None):
@@ -61,8 +68,9 @@ class SequencePoset:
         # reads the size of this attribute when it is not None
         self.pair_ok = None
         self.extend = extend
-        self._varr = self._extensions(
-            (), np.arange(len(self.atoms), dtype=np.intp))
+        every = np.arange(len(self.atoms), dtype=np.int32)
+        self._varr = every[self._mask(np.zeros((1, 0), dtype=np.intp),
+                                      every)[0]]
         self.vertex_ids = self._varr.tolist()
 
     # -- membership -------------------------------------------------------
@@ -80,49 +88,54 @@ class SequencePoset:
             return False
         return bool(self._raw(tuple(atoms)))
 
-    def _extensions(self, seq, among=None):
-        """The atom ids a with seq + (a,) a member, as an ascending int
-        array drawn from among (ascending ids; all vertices if None): the
-        hook's mask, or the raw test of each id without a hook."""
-        ids = self._varr if among is None else among
+    def _mask(self, P, ids):
+        """The hook's mask, or without a hook the raw test's."""
         if self.extend is not None:
-            return ids[self.extend(seq, ids)]
-        return ids[np.array([self.member_ids(seq + (a,))
-                             for a in ids.tolist()], dtype=bool)]
+            return self.extend(P, ids)
+        return np.array([[self.member_ids(seq + (a,)) for a in ids.tolist()]
+                         for seq in map(tuple, P.tolist())],
+                        dtype=bool).reshape(len(P), len(ids))
 
-    def neighbors(self, vid, among=None):
-        """Ids of the vertices adjacent to vid in the 1-skeleton (either
-        orientation), as an ascending int array, restricted to the
-        ascending vertex ids among when given.  A hook's mask at (vid,)
-        holds (w, vid) too by order independence, so one mask serves both
-        orientations; without a hook each id gets the raw test both
-        ways."""
-        if self.extend is not None:
-            return self._extensions((vid,), among)
-        ids = self._varr if among is None else among
-        return ids[np.array([self.member_ids((vid, w))
-                             or self.member_ids((w, vid))
-                             for w in ids.tolist()], dtype=bool)]
+    def neighbors(self, vids, among=None):
+        """The ids among the ascending vertex ids `among` (all vertices if
+        None) adjacent to some id of vids (one id or an int array), in either
+        orientation: a hook's mask at (v,) holds (w, v) too, and without a
+        hook the raw test reads both.  Batches of vids double in size, each
+        tested against the ids no earlier batch found."""
+        vs = np.atleast_1d(np.asarray(vids, dtype=np.intp))
+        ids = left = self._varr if among is None else among
+        step = 1
+        while len(vs) and len(left):
+            rows, vs = vs[:step, None], vs[step:]
+            hit = self._mask(rows, left).any(axis=0)
+            if self.extend is None:
+                hit |= self._mask(left[:, None], rows[:, 0]).any(axis=1)
+            left = left[~hit]
+            step = min(2 * step, max(1, CHUNK // max(len(left), 1)))
+        return np.setdiff1d(ids, left, assume_unique=True)
 
     # -- simplices ---------------------------------------------------------
 
     def simplices(self, p):
-        """Members of length p+1, generated by extension (chain condition),
-        each member's extensions in ascending atom id."""
+        """The level of members of length p+1, grown from chunks of the
+        level below (chain condition).  A level past entry_cap // (p+2)
+        rows raises PosetCapExceeded and is not kept."""
         if p in self._levels:
             return self._levels[p]
         if p == 0:
-            level = [(v,) for v in self.vertex_ids]
+            level = self._varr[:, None]
         else:
-            lower = self.simplices(p - 1)
-            level = []
-            budget = self.entry_cap // (p + 2)
-            for seq in lower:
-                level.extend(seq + (v,)
-                             for v in self._extensions(seq).tolist())
-                if len(level) > budget:
+            lower, budget = self.simplices(p - 1), self.entry_cap // (p + 2)
+            parts, count = [np.zeros((0, p + 1), dtype=np.int32)], 0
+            for rows in _row_chunks(len(lower), len(self._varr)):
+                P = lower[rows]
+                i, j = np.nonzero(self._mask(P, self._varr))
+                count += len(i)
+                if count > budget:
                     raise PosetCapExceeded(
                         "%s has > %d %d-simplices" % (self.name, budget, p))
+                parts.append(np.hstack([P[i], self._varr[j, None]]))
+            level = np.concatenate(parts)
         self._levels[p] = level
         return level
 
@@ -136,14 +149,14 @@ class SequencePoset:
         A level past the simplex cap raises PosetCapExceeded."""
         for p in range(1, max_p + 1):
             level = self.simplices(p)
-            if not level:
+            if not len(level):
                 break
-            pool = level if len(level) <= samples else \
-                [level[rng.randrange(len(level))] for _ in range(samples)]
-            for seq in pool:
+            if len(level) > samples:
+                level = level[[rng.randrange(len(level))
+                               for _ in range(samples)]]
+            for seq in level.tolist():
                 for i in range(len(seq)):
-                    sub = seq[:i] + seq[i + 1:]
-                    if not self.member_ids(sub):
+                    if not self.member_ids(tuple(seq[:i] + seq[i + 1:])):
                         return False
         return True
 
@@ -166,24 +179,24 @@ def _parent_member(F, index, base_ids=()):
 def link(F, base_atoms, name=None):
     """F_v: sequences w with (w, v) in F; the vertex universe drops v's atoms.
 
-    v must be a simplex of F: atoms of F forming a member, by F's raw
-    test through its memo, not its hook.  The raw predicate alone does not
-    decide that, since a kind may keep part of its condition in the atom
-    list (mu = 0 for the mu-poset, the universe for the lambda-poset).  The
-    link's hook is F's at the prefix followed by v, read on the kept atoms.
-    That puts v after the extension where membership puts it last, which is
-    sound only because a hook's kind is order independent."""
+    v must be a simplex of F by F's raw test through its memo, not its hook:
+    the raw predicate alone does not decide that, since a kind may keep part
+    of its condition in the atom list (mu = 0 for the mu-poset, the universe
+    for the lambda-poset).  The link's hook is F's at the prefixes followed
+    by v, on the kept atoms: v after the extension, which is sound only
+    because a hook's kind is order independent."""
     index = {a: i for i, a in enumerate(F.atoms)}
     base_ids = tuple(index.get(a) for a in base_atoms)
     if None in base_ids or not F.member_ids(base_ids):
         raise ValueError("base sequence is not a simplex of %s" % F.name)
-    kept = [i for i in range(len(F.atoms)) if i not in base_ids]
-    kept_ids = np.array(kept, dtype=np.intp)
+    kept = np.array([i for i in range(len(F.atoms)) if i not in base_ids],
+                    dtype=np.intp)
+    tail = np.array(base_ids, dtype=np.intp)
     extend = None
     if F.extend is not None:
-        def extend(ids, cols):
-            return F.extend(tuple(kept[i] for i in ids) + base_ids,
-                            kept_ids[cols])
+        def extend(P, cols):
+            return F.extend(np.hstack([kept[P], np.broadcast_to(
+                tail, (len(P), len(tail)))]), kept[cols])
 
     return SequencePoset(name or "%s_link" % F.name,
                          [F.atoms[i] for i in kept],
@@ -199,8 +212,8 @@ def decorate(F, decorations, name=None):
     base = np.repeat(np.arange(len(F.atoms)), len(decorations))
     extend = None
     if F.extend is not None:
-        def extend(ids, cols):
-            return F.extend(tuple(int(base[i]) for i in ids), base[cols])
+        def extend(P, cols):
+            return F.extend(base[P], base[cols])
 
     member = _parent_member(F, {a: i for i, a in enumerate(F.atoms)})
 
@@ -215,12 +228,9 @@ def decorate(F, decorations, name=None):
 
 
 def _field_like(ring):
-    if ring.kind == "gf":
-        return True
-    if ring.kind == "zmod":
-        n = ring.size
-        return n > 1 and all(n % p for p in range(2, n) if p * p <= n)
-    return False
+    n = ring.size
+    return ring.kind == "gf" or ring.kind == "zmod" and n > 1 and all(
+        n % p for p in range(2, n) if p * p <= n)
 
 
 def _onto_hook(ring, A, lead=None):
@@ -231,10 +241,11 @@ def _onto_hook(ring, A, lead=None):
     module's relators) or None.
 
     f(y, a) is semilinear in y, so f(K, a) is a left ideal for the kernel K
-    of a member prefix's map, and the prefix extends by a iff it is R.  The
-    Z/m generators of K give every candidate's values in one product; a
-    unit among them settles it (over a field every nonzero value is one),
-    and otherwise the left ideal test is solved once per set of values."""
+    of a member prefix's map, and the prefix extends by a iff it is R.  One
+    solver per prefix row gives the Z/m generators of K and one product the
+    values on its candidates (the cells where the optional mask `where`
+    holds); a unit among them settles it (over a field every nonzero value
+    is one), and otherwise the left ideal test runs once per value set."""
     m, nd = ring.base_mod, A.shape[0]
     whole = np.eye(nd, dtype=np.int64)
     unit = ring.inv >= 0
@@ -243,21 +254,28 @@ def _onto_hook(ring, A, lead=None):
     def ideal_is_ring(values):
         return row_unimodular(ring, values)
 
-    def extend(prefix, cols):
-        rows = A[:, list(prefix), :].reshape(nd, -1)
-        if lead is not None:
-            rows = np.hstack([lead, rows])
-        K = whole
-        if rows.shape[1]:
-            K = np.array(LinearSolver(rows.tolist(), m).kernel_rows(),
-                         dtype=np.int64).reshape(-1, nd)
-        vals = ring.indices(np.tensordot(K, A[:, cols, :], axes=1))
-        ok = unit[vals].any(axis=0)  # vals[j, c]: f(k_j, a_c)
-        rest = np.flatnonzero(~ok & vals.any(axis=0))
-        if len(rest):
-            ok[rest] = [ideal_is_ring(frozenset(col))
-                        for col in vals[:, rest].T.tolist()]
-        return ok
+    def extend(P, cols, where=None):
+        out = np.ones((len(P), len(cols)), dtype=bool) if where is None \
+            else where.copy()
+        for prefix, row in zip(P, out):
+            sel = np.flatnonzero(row)
+            if not len(sel):
+                continue
+            rows = A[:, prefix, :].reshape(nd, -1)
+            if lead is not None:
+                rows = np.hstack([lead, rows])
+            K = whole
+            if rows.shape[1]:
+                K = np.array(LinearSolver(rows.tolist(), m).kernel_rows(),
+                             dtype=np.int64).reshape(-1, nd)
+            vals = ring.indices(np.tensordot(K, A[:, cols[sel], :], axes=1))
+            ok = unit[vals].any(axis=0)  # vals[j, c]: f(k_j, a_c)
+            rest = np.flatnonzero(~ok & vals.any(axis=0))
+            if len(rest):
+                ok[rest] = [ideal_is_ring(frozenset(col))
+                            for col in vals[:, rest].T.tolist()]
+            row[sel] = ok
+        return out
 
     return extend
 
@@ -279,45 +297,53 @@ def gl_poset(M, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
     M."""
     universe = list(M.elements()) if universe is None else list(universe)
     ring = M.ring
+    m, d, nd = ring.base_mod, ring.base_dim, M.nd
 
-    if _field_like(ring):
-        def span_rows(vecs):
+    if _field_like(ring) and m ** nd < 2 ** 62:
+        def span_rows(V):
             """Rows (i, t): the canonical v_i * b_t, as one int64 array."""
-            V = np.array(vecs, dtype=np.int64).reshape(len(vecs), M.nd)
             return M.canon_columns(act_columns(ring, V)).T
 
         def raw(seq):
-            rows = span_rows([v.vec for v in seq]).tolist()
-            sol = LinearSolver(rows, ring.base_mod, width=M.nd)
+            rows = span_rows(_coord_rows(seq, nd)).tolist()
+            sol = LinearSolver(rows, m, width=nd)
             return sol.module_size == ring.size ** len(seq)
 
         # Over a field a prefix is unimodular iff it is independent, and it
-        # stays so after a exactly when a lies outside its span; reducing
-        # by the span is faster here than _onto_hook's kernel product.
-        vecs = [x.vec for x in universe]
-        atom_rows = span_rows(vecs).reshape(len(vecs), ring.base_dim,
-                                            M.nd).tolist()
-        coords = _coord_rows(universe, M.nd)
-        m = ring.base_mod
+        # stays so after a iff a is none of the q^k Z/m combinations of its
+        # span rows, compared by canonical codes; the code m^nd ends the
+        # sorted codes, so every search lands on a code
+        coords = _coord_rows(universe, nd)
+        atom_rows = span_rows(coords).reshape(len(universe), d, nd)
+        powers = m ** np.arange(nd, dtype=np.int64)
+        codes, atom_code = np.unique(np.r_[coords @ powers, m ** nd],
+                                     return_inverse=True)
 
-        def extend(ids, cols):
-            sol = LinearSolver([r for i in ids for r in atom_rows[i]], m,
-                               width=M.nd)
-            rem = coords[cols]
-            for row, j in zip(sol.H, sol.pivots):  # reduce_vec, all at once
-                rem -= np.outer(rem[:, j] // row[j], row)
-                rem %= m
-            return rem.any(axis=1)
+        def extend(P, cols):
+            n, k = P.shape  # C: the m^(kd) coefficient rows
+            C = np.array(list(itertools.product(range(m), repeat=k * d)),
+                         dtype=np.int64).reshape(m ** (k * d), k * d)
+            out = np.empty((n, len(cols)), dtype=bool)
+            for rows in _row_chunks(n, len(C) * nd + len(codes)):
+                R = atom_rows[P[rows]].reshape(len(P[rows]), k * d, nd)
+                span = M.canon_columns(np.einsum("sj,njx->xns", C, R).reshape(
+                    nd, -1)).T @ powers
+                pos = np.searchsorted(codes, span)
+                hit = np.flatnonzero(codes[pos] == span)
+                table = np.zeros((len(R), len(codes)), dtype=bool)
+                table[hit // len(C), pos[hit]] = True
+                out[rows] = ~table[:, atom_code[cols]]
+            return out
     else:
         def raw(seq):
             return is_unimodular(M, seq) is not None
 
         # f(y, a) = phi_y(a), y the generator values of a functional phi_y,
         # which must vanish on the relators
-        nrel, d = len(M.relators), ring.base_dim
+        nrel = len(M.relators)
         A = ring_left_rows(ring, _evaluation_matrix(M, universe)).reshape(
-            M.nd, nrel + len(universe), d)
-        lead = A[:, :nrel, :].reshape(M.nd, -1) if nrel else None
+            nd, nrel + len(universe), d)
+        lead = A[:, :nrel, :].reshape(nd, -1) if nrel else None
         extend = _onto_hook(ring, A[:, nrel:, :], lead)
 
     return SequencePoset(name or "U(%s)" % M.name, universe, raw,
@@ -391,13 +417,13 @@ def iu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
     Z = tables.lam_zero
     onto = _lam_hook(Q, tables.X[keep])
 
-    def extend(prefix, cols):
+    def extend(P, cols):
         # lambda(u, a) = 0 for every u in the prefix, then
         # lambda-unimodularity on the candidates left
-        mask = Z[np.ix_(keep[list(prefix)], keep[cols])].all(axis=0)
-        if mask.any():
-            mask[mask] = onto(prefix, cols[mask])
-        return mask
+        mask = np.ones((len(P), len(cols)), dtype=bool)
+        for u in keep[P].T:
+            mask &= Z[u[:, None], keep[cols]]
+        return onto(P, cols, mask)
 
     def raw(seq):
         idx = tables.indices(seq)
@@ -426,14 +452,15 @@ def hu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
     atoms = [(tables.elems[i], tables.elems[j]) for i, j in zip(X, Y)]
     Z = tables.lam_zero
 
-    def extend(prefix, cols):
+    def extend(P, cols):
         # both entries of each atom c lambda-orthogonal to both entries of
         # every prefix atom u (u itself fails: lambda(x, y) = 1)
         x, y = X[cols], Y[cols]
-        mask = np.ones(len(cols), dtype=bool)
-        for u in prefix:
-            z = Z[X[u]] & Z[Y[u]]
-            mask &= z[x] & z[y]
+        mask = np.ones((len(P), len(cols)), dtype=bool)
+        for rows in _row_chunks(len(P), len(Z) + len(cols)):
+            for u in P[rows].T:
+                z = Z[X[u]] & Z[Y[u]]
+                mask[rows] &= z[:, x] & z[:, y]
         return mask
 
     def raw(seq):

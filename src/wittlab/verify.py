@@ -66,20 +66,17 @@ class ConnectivityVerdict:
 
 
 def _component_count(poset):
-    """Number of path components, by BFS over the shrinking array of
-    unvisited vertex ids: each vertex asks for its neighbors among those
-    only, so no pair is tested once both ends are visited."""
+    """Number of path components, by a level-synchronous BFS: each frontier
+    asks for its neighbors among the shrinking array of unvisited vertex
+    ids only, so no pair is tested once both ends are visited."""
     todo = np.array(poset.vertex_ids, dtype=np.intp)
     comps = 0
     while todo.size:
         comps += 1
-        stack = [int(todo[0])]
-        todo = todo[1:]
-        while stack and todo.size:
-            found = poset.neighbors(stack.pop(), among=todo)
-            if found.size:
-                todo = np.setdiff1d(todo, found, assume_unique=True)
-                stack.extend(found.tolist())
+        frontier, todo = todo[:1], todo[1:]
+        while frontier.size and todo.size:
+            frontier = poset.neighbors(frontier, among=todo)
+            todo = np.setdiff1d(todo, frontier, assume_unique=True)
     return comps
 
 
@@ -98,52 +95,45 @@ def _free_reduce(word):
     return out[i:j]
 
 
-def _pi1_trivial(poset, budget=200000):
+def _pi1_trivial(poset, chain, budget=200000):
     """Spanning-tree edge-path presentation plus length-1/2 Tietze
     eliminations (`_presentation_trivial`); True only when every generator
-    dies."""
+    dies.  Each triangle's edges are its rows in d_2 of chain, the poset's
+    chain complex through degree 1 at least."""
     verts = poset.vertex_ids
     if not verts:
         return False
     edges = poset.simplices(1)
     adj = {}
-    for idx, (a, b) in enumerate(edges):
+    for idx, (a, b) in enumerate(edges.tolist()):
         adj.setdefault(a, []).append((b, idx))
         adj.setdefault(b, []).append((a, idx))
-    root = verts[0]
-    tree = set()
-    seen = {root}
-    stack = [root]
+    tree = np.zeros(len(edges), dtype=bool)
+    seen, stack = {verts[0]}, [verts[0]]
     while stack:
         v = stack.pop()
         for w, idx in adj.get(v, ()):
             if w not in seen:
                 seen.add(w)
-                tree.add(idx)
+                tree[idx] = True
                 stack.append(w)
     if seen != set(verts):
         return False  # disconnected
-    ngens = len(edges) - len(tree)
+    ngens = len(edges) - int(tree.sum())
     if not ngens:
         return True
-    edge_index = {e: i for i, e in enumerate(edges)}
-    relators = []
-    for (a, b, c) in poset.simplices(2):
-        word = []
-        for e, sign in (((a, b), 1), ((b, c), 1), ((a, c), -1)):
-            idx = edge_index.get(e)
-            if idx is None:
-                return False
-            if idx not in tree:
-                word.append(sign * (idx + 1))
-        relators.append(word)
+    # triangle (a, b, c) reads (a, b) (b, c) (a, c)^-1: faces 2, 0 and 1,
+    # and a tree edge is the identity 0
+    E = chain.boundaries.get(2, (np.zeros(0, dtype=np.intp),))[0].reshape(
+        -1, 3)[:, [2, 0, 1]]
+    relators = np.where(tree[E], 0, (E + 1) * [1, 1, -1]).tolist()
     return _presentation_trivial(ngens, relators, budget)
 
 
 def _presentation_trivial(ngens, relators, budget=200000):
     """True when length-1/2 Tietze eliminations kill all ngens generators
     of the presentation; relators are words in signed generators (g or -g
-    for the inverse, g > 0).
+    for the inverse, g > 0, and 0 for the identity).
 
     A relator that reduces to g^(+-1) sets g = 1; one that reduces to
     g^s h^t with g != h sets g = h^(-s t) by substitution.  The eliminated
@@ -179,6 +169,8 @@ def _presentation_trivial(ngens, relators, budget=200000):
                 changed = True
             elif word:
                 kept.append(word)
+            if len(dead) == ngens:  # nothing left to kill
+                return True
         relators = kept
     return len(dead) == ngens
 
@@ -216,7 +208,7 @@ def connectivity_verdict(poset, d, pi1_budget=200000):
                  "torsion": hom["torsion"][p], "cells": hom["cells"]})
     detail = {"betti": hom["betti"], "torsion": hom["torsion"],
               "cells": hom["cells"]}
-    if d >= 1 and _pi1_trivial(poset, budget=pi1_budget):
+    if d >= 1 and _pi1_trivial(poset, chain, budget=pi1_budget):
         detail["pi1"] = "trivial"
         return ConnectivityVerdict(d, "fully-verified", detail)
     return ConnectivityVerdict(d, "homology-verified", detail)
@@ -534,28 +526,23 @@ def _poset_iso_check(lhs, rhs, fwd, max_p=3):
     membership preservation in both directions through dimension max_p.
     A level past either poset's simplex cap raises PosetCapExceeded."""
     lhs_verts = [lhs.atoms[i] for i in lhs.vertex_ids]
-    rhs_verts = {rhs.atoms[i] for i in rhs.vertex_ids}
-    imgs = {}
-    for a in lhs_verts:
-        if a not in fwd:
-            return False
-        imgs[a] = fwd[a]
-    if len(set(map(tuple_key, imgs.values()))) != len(lhs_verts):
+    if any(a not in fwd for a in lhs_verts):
         return False
-    if {tuple_key(v) for v in imgs.values()} != \
-            {tuple_key(v) for v in rhs_verts}:
+    keys = [tuple_key(fwd[a]) for a in lhs_verts]
+    if len(set(keys)) != len(keys) or set(keys) != {
+            tuple_key(rhs.atoms[i]) for i in rhs.vertex_ids}:
         return False
-    inv = {tuple_key(v): a for a, v in imgs.items()}
+    inv = dict(zip(keys, lhs_verts))
     for p in range(0, max_p + 1):
         lhs_level = lhs.simplices(p)
-        for seq in lhs_level:
-            image = tuple(imgs[lhs.atoms[i]] for i in seq)
+        for seq in lhs_level.tolist():
+            image = tuple(fwd[lhs.atoms[i]] for i in seq)
             if not rhs.member_atoms(image):
                 return False
         rhs_level = rhs.simplices(p)
         if len(rhs_level) != len(lhs_level):
             return False
-        for seq in rhs_level:
+        for seq in rhs_level.tolist():
             pre = tuple(inv[tuple_key(rhs.atoms[i])] for i in seq)
             if not lhs.member_atoms(pre):
                 return False

@@ -147,3 +147,23 @@ def test_snf_known_value():
     # divisors via minors: gcd 2, then 4, det 624 -> 2, 2, 156
     A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     assert sorted(kernels.snf_divisors(A)) == [2, 2, 156]
+
+
+@KERNELS
+def test_snf_unit_pivot_then_non_unit_block(impl):
+    # a +-1 pivot needs no divisibility scan; the block left after it still
+    # has non-unit divisors (and torsion) that the minor gcds must match
+    rng = random.Random(23)
+    fixed = [
+        [[1, 0, 0], [0, 2, 4], [0, 6, 8]],
+        [[-1, 2, 3], [4, 6, 0], [2, 0, 10]],
+        [[1, 1, 1], [1, 3, 5], [1, 5, 9]],
+        [[0, -1], [4, 2], [6, 0]],
+    ]
+    cases = fixed + [[[1] + [0] * 3] + [[0] + [2 * rng.randrange(-3, 4)
+                                            for _ in range(3)]
+                                       for _ in range(2)] for _ in range(6)]
+    for A in cases:
+        want = minor_gcd_divisors(A)
+        assert 1 in want and any(d > 1 for d in want), A
+        assert sorted(impl.snf_divisors(A)) == want, A
