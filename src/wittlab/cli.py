@@ -102,11 +102,7 @@ def cmd_stable_rank(args):
 def cmd_usr(args):
     ring = _ring_from_args(args)
     param = _param_from_args(args, ring)
-    try:
-        res = S.unitary_stable_rank(ring, param, args.nmax, mode=args.eu_mode)
-    except S.BudgetExceeded as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 1
+    res = S.unitary_stable_rank(ring, param, args.nmax, mode=args.eu_mode)
     out = {
         "ring": ring.name,
         "epsilon": param.epsilon,
@@ -354,7 +350,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
-    except (B.BlockError, S.BudgetExceeded, KeyError, ValueError) as exc:
+    except (CapExceeded, PosetCapExceeded, S.BudgetExceeded) as exc:
+        print(json.dumps({"error": str(exc)}))
+        return 1
+    except (B.BlockError, KeyError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}))
         return 2
     return code

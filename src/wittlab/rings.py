@@ -1,10 +1,17 @@
 """Finite rings with anti-involution, central units and form parameters.
 
-Rings are fully tabulated (addition/multiplication/involution tables as
-numpy arrays over canonical element indices) and validated exhaustively at
-construction.  Every ring also carries a base decomposition: a free Z/m
-module structure of dimension d (m = base modulus) in which all linear
-algebra is done exactly.
+Every ring here is a free Z/m-module of rank d (m = base modulus) with a
+basis b_0..b_{d-1}, and is given by its structure constants: the tensor T
+with b_s b_t = sum_u T[s, t, u] b_u and the matrix C whose column t holds
+the coordinates of conj(b_t).  All tables (addition, multiplication,
+involution, the base matrices of multiplication and conjugation) are
+derived from T and C over canonical element indices, and all linear
+algebra is done exactly in the base module.  Construction checks the ring
+axioms on the basis only: T is associative on basis triples, C^2 = 1 and
+C(b_s b_t) = C(b_t) C(b_s).  That is complete, because the product is
+bilinear and C is linear, so addition, distributivity and additivity of
+the involution hold by construction and the other laws extend from the
+basis.
 """
 
 import itertools
@@ -18,105 +25,65 @@ class RingError(ValueError):
     pass
 
 
-def _mixed_radix_index(coeffs, m):
-    idx = 0
-    for c in reversed(coeffs):
-        idx = idx * m + int(c)
-    return idx
-
-
-def _mixed_radix_coeffs(idx, m, d):
-    out = []
-    for _ in range(d):
-        out.append(idx % m)
-        idx //= m
-    return tuple(out)
-
-
 class Ring:
     """A finite ring with anti-involution, tabulated up to SIZE_CAP elements.
 
-    Elements are canonical indices 0..size-1.  `to_base[r]` holds the
-    coordinates of r in the base free Z/m-module of rank `base_dim`; index 0
-    is always zero and the base coordinates are the mixed-radix digits of
-    the index, so `from_base` is just re-indexing.
+    Built from the structure tensor T (d x d x d over Z/m, T[s, t] the
+    coordinates of b_s b_t) and the involution matrix C (column t the
+    coordinates of conj(b_t)).  Elements are canonical indices
+    0..size-1: index = sum_t c_t m^t for the coordinates c of the element,
+    so `to_base[r]` holds the coordinates of r, index 0 is zero and
+    `basis[t]` = m^t is b_t.
     """
 
-    def __init__(self, name, kind, base_mod, base_dim, mul, conj):
-        size = base_mod ** base_dim
+    def __init__(self, name, kind, m, T, C):
+        m = int(m)
+        C = np.ascontiguousarray(C, dtype=np.int64) % m
+        d = len(C)
+        size = m ** d
         if size > SIZE_CAP:
             raise RingError(
                 "ring with %d elements exceeds the tabulation cap %d"
                 % (size, SIZE_CAP)
             )
+        T = np.asarray(T, dtype=np.int64) % m
+        _check_basis(T, C, m)
         self.name = name
         self.kind = kind
         self.size = size
-        self.base_mod = int(base_mod)
-        self.base_dim = int(base_dim)
-        m, d = self.base_mod, self.base_dim
-
-        self.to_base = np.array(
-            [_mixed_radix_coeffs(i, m, d) for i in range(size)], dtype=np.int64
-        )
-        # addition is coordinatewise in the base module
-        coords = self.to_base
-        powers = np.array([m ** k for k in range(d)], dtype=np.int64)
-        self.add = ((coords[:, None, :] + coords[None, :, :]) % m) @ powers
-        self.neg = ((-coords) % m) @ powers
-        self.mul = np.asarray(mul, dtype=np.int64)
-        self.conj = np.asarray(conj, dtype=np.int64)
+        self.base_mod = m
+        self.base_dim = d
         self.zero = 0
-        one = None
-        for i in range(size):
-            if np.array_equal(self.mul[i], np.arange(size)) and np.array_equal(
-                self.mul[:, i], np.arange(size)
-            ):
-                one = i
-                break
-        if one is None:
+        self.basis = [m ** t for t in range(d)]
+
+        coords = np.arange(size)[:, None] // np.array(self.basis) % m
+        self.to_base = coords
+        self.add = self.indices(coords[:, None, :] + coords[None, :, :])
+        self.neg = self.indices(-coords)
+        # column t of Lmat[a] / Rmat[a] holds the coordinates of a b_t / b_t a
+        self.Lmat = np.einsum("as,stu->aut", coords, T, order="C") % m
+        self.Rmat = np.einsum("as,tsu->aut", coords, T, order="C") % m
+        self.Cmat = C
+        self.mul = self.indices(np.einsum("aut,bt->abu", self.Lmat, coords))
+        self.conj = self.indices(coords @ C.T)
+
+        eye = np.eye(d, dtype=np.int64)
+        one = np.flatnonzero((self.Lmat == eye).all(axis=(1, 2))
+                             & (self.Rmat == eye).all(axis=(1, 2)))
+        if not len(one):
             raise RingError("ring has no multiplicative identity")
-        self.one = one
-
-        self._validate()
-
-        # units and inverses
-        inv = np.full(size, -1, dtype=np.int64)
-        eye = self.one
-        for a in range(size):
-            hits = np.where(self.mul[a] == eye)[0]
-            for b in hits:
-                if self.mul[b, a] == eye:
-                    inv[a] = b
-                    break
-        self.inv = inv
-        self.units = frozenset(int(a) for a in range(size) if inv[a] >= 0)
-        mulT = self.mul.T
+        self.one = int(one[0])
+        inverse = (self.mul == self.one) & (self.mul.T == self.one)
+        self.inv = np.where(inverse.any(axis=1), inverse.argmax(axis=1), -1)
+        self.units = frozenset(np.flatnonzero(self.inv >= 0).tolist())
         self.central = frozenset(
-            int(a) for a in range(size) if np.array_equal(self.mul[a], mulT[a])
-        )
-
-        # base-module matrices of left/right multiplication and conjugation
-        basis = [self.index_of_coords(tuple(int(k == t) for k in range(d)))
-                 for t in range(d)]
-        self.basis = basis
-        Lmat = np.empty((size, d, d), dtype=np.int64)
-        Rmat = np.empty((size, d, d), dtype=np.int64)
-        for a in range(size):
-            for t, bt in enumerate(basis):
-                Lmat[a, :, t] = coords[self.mul[a, bt]]
-                Rmat[a, :, t] = coords[self.mul[bt, a]]
-        self.Lmat = Lmat
-        self.Rmat = Rmat
-        Cmat = np.empty((d, d), dtype=np.int64)
-        for t, bt in enumerate(basis):
-            Cmat[:, t] = coords[self.conj[bt]]
-        self.Cmat = Cmat
+            np.flatnonzero((self.mul == self.mul.T).all(axis=1)).tolist())
 
     # -- basics ---------------------------------------------------------
 
     def index_of_coords(self, coords):
-        return _mixed_radix_index([c % self.base_mod for c in coords], self.base_mod)
+        m = self.base_mod
+        return sum(int(c) % m * m ** t for t, c in enumerate(coords))
 
     def indices(self, coords):
         """Ring indices of an int array's coordinate blocks (last axis)."""
@@ -138,46 +105,20 @@ class Ring:
     def __repr__(self):
         return "Ring(%s)" % self.name
 
-    # -- validation -----------------------------------------------------
 
-    def _validate(self):
-        size = self.size
-        add, mul, conj, neg = self.add, self.mul, self.conj, self.neg
-        idx = np.arange(size)
-        if not np.array_equal(add, add.T):
-            raise RingError("addition not commutative")
-        if not np.array_equal(add[0], idx):
-            raise RingError("0 is not the additive identity")
-        if not np.array_equal(add[idx, neg[idx]], np.zeros(size, dtype=np.int64)):
-            raise RingError("negation broken")
-        a = idx[:, None, None]
-        b = idx[None, :, None]
-        c = idx[None, None, :]
-        if not np.array_equal(add[add[a, b], c], add[a, add[b, c]]):
-            raise RingError("addition not associative")
-        if not np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]]):
-            raise RingError("multiplication not associative")
-        if not np.array_equal(mul[a, add[b, c]], add[mul[a, b], mul[a, c]]):
-            raise RingError("left distributivity fails")
-        if not np.array_equal(mul[add[a, b], c], add[mul[a, c], mul[b, c]]):
-            raise RingError("right distributivity fails")
-        if not np.array_equal(conj[conj[idx]], idx):
-            raise RingError("involution does not square to the identity")
-        if not np.array_equal(conj[add[idx[:, None], idx[None, :]]],
-                              add[conj[idx][:, None], conj[idx][None, :]]):
-            raise RingError("involution not additive")
-        if not np.array_equal(conj[mul[idx[:, None], idx[None, :]]],
-                              mul[conj[idx][None, :].T, conj[idx][None, :]].T):
-            raise RingError("involution does not reverse products")
-
-
-def _check_conj_reverses(ring):
-    # direct, loop-based double check used by tests
-    for a in range(ring.size):
-        for b in range(ring.size):
-            if ring.conj[ring.mul[a, b]] != ring.mul[ring.conj[b], ring.conj[a]]:
-                return False
-    return True
+def _check_basis(T, C, m):
+    """The ring axioms on basis elements; see the module docstring."""
+    d = len(C)
+    # (b_s b_t) b_u and b_s (b_t b_u)
+    if not np.array_equal(np.einsum("stv,vuw->stuw", T, T) % m,
+                          np.einsum("tuv,svw->stuw", T, T) % m):
+        raise RingError("multiplication not associative")
+    if not np.array_equal(C @ C % m, np.eye(d, dtype=np.int64)):
+        raise RingError("involution does not square to the identity")
+    # conj(b_s b_t) and conj(b_t) conj(b_s)
+    if not np.array_equal(np.einsum("wv,stv->stw", C, T) % m,
+                          np.einsum("it,js,ijw->stw", C, C, T) % m):
+        raise RingError("involution does not reverse products")
 
 
 # -- constructors --------------------------------------------------------
@@ -187,44 +128,68 @@ _IRREDUCIBLE = {4: (1, 1), 8: (1, 1, 0), 9: (2, 0)}
 # x^3 = x+1 over GF(2), x^2 = -1 over GF(3)
 
 
-def _gf_tables(q):
-    ps = [p for p in (2, 3, 5, 7) if q % p == 0]
-    p = ps[0]
-    e = 0
-    qq = q
-    while qq > 1:
-        if qq % p:
-            raise RingError("%d is not a prime power" % q)
-        qq //= p
-        e += 1
-    size = q
-
-    def poly_mul(i, j):
-        ci = _mixed_radix_coeffs(i, p, e)
-        cj = _mixed_radix_coeffs(j, p, e)
-        prod = [0] * (2 * e - 1)
-        for s, a in enumerate(ci):
-            for t, b in enumerate(cj):
-                prod[s + t] = (prod[s + t] + a * b) % p
-        if e > 1:
-            red = _IRREDUCIBLE[q]  # x^e == sum red[k] x^k
-            for s in range(2 * e - 2, e - 1, -1):
-                v = prod[s]
-                if v:
-                    prod[s] = 0
-                    for k, rk in enumerate(red):
-                        prod[s - e + k] = (prod[s - e + k] + v * rk) % p
-        return _mixed_radix_index(prod[:e], p)
-
-    mul = [[poly_mul(i, j) for j in range(size)] for i in range(size)]
-    return p, e, mul
+def _gf_structure(q, mode):
+    """(p, T, C) of GF(q) = GF(p)[x]/(x^e - ...) on the basis 1, x, .., x^(e-1)."""
+    if not 2 <= q <= 9:
+        raise RingError("gf supports prime powers 2 <= q <= 9")
+    p = next(k for k in range(2, q + 1) if q % k == 0)
+    e = next(k for k in range(1, q) if p ** k >= q)
+    if p ** e != q:
+        raise RingError("%d is not a prime power" % q)
+    if mode not in ("id", "frobenius"):
+        raise RingError("unknown conj mode %r" % mode)
+    if mode == "frobenius" and e % 2 and e > 1:
+        raise RingError("frobenius is not an involution on GF(%d)" % q)
+    # x -> x^(p^(e/2)) has order 2; on GF(p) it is the identity
+    exp = p ** (e // 2) if mode == "frobenius" else 1
+    powers = [np.eye(e, dtype=np.int64)[0]]  # coordinates of x^k, reduced
+    for _ in range(max(2 * e - 2, (e - 1) * exp)):
+        top, low = powers[-1][-1], powers[-1][:-1]
+        powers.append((np.concatenate(([0], low))
+                       + top * np.array(_IRREDUCIBLE[q])) % p)
+    s = np.arange(e)
+    T = np.array(powers)[s[:, None] + s[None, :]]
+    C = np.array(powers)[s * exp].T
+    return p, T, C
 
 
-_NAMED_GROUPS = {}
-
-
-def _register_group(name, table, inverse=None):
-    _NAMED_GROUPS[name] = table
+def _group_structure(group, w1):
+    """(T, C) of the group ring over its group basis: b_g b_h = b_gh and
+    conj(b_g) = w1(g) b_(g^-1).  Associativity is the ring's basis check."""
+    if isinstance(group, str):
+        if group not in _NAMED_GROUPS:
+            raise RingError("unknown group %r" % group)
+        group = _NAMED_GROUPS[group]
+    ng = len(group)
+    if not ng or any(not isinstance(row, (list, tuple)) or len(row) != ng
+                     for row in group):
+        raise RingError("group table must be a non-empty square table")
+    if ng > 8:
+        raise RingError("group order must be <= 8")
+    if not all(isinstance(g, int) and 0 <= g < ng for row in group for g in row):
+        raise RingError("group table entries must be element indices < %d" % ng)
+    table = np.array(group, dtype=np.int64)
+    elems = np.arange(ng)
+    ident = np.flatnonzero((table == elems).all(axis=1)
+                           & (table.T == elems).all(axis=1))
+    if not len(ident):
+        raise RingError("group table has no identity")
+    inverse = (table == ident[0]) & (table.T == ident[0])
+    if not inverse.any(axis=1).all():
+        raise RingError("group table has an element without inverse")
+    w1 = w1 or [1] * ng
+    if isinstance(w1, dict):
+        w1 = [int(w1.get(str(g), w1.get(g, 1))) for g in range(ng)]
+    if len(w1) != ng or any(v not in (1, -1) for v in w1):
+        raise RingError("w1 must map each group element to +-1")
+    w1 = np.array(w1, dtype=np.int64)
+    if not np.array_equal(w1[table], np.outer(w1, w1)):
+        raise RingError("w1 is not a homomorphism")
+    T = np.zeros((ng, ng, ng), dtype=np.int64)
+    T[elems[:, None], elems[None, :], table] = 1
+    C = np.zeros((ng, ng), dtype=np.int64)
+    C[inverse.argmax(axis=1), elems] = w1
+    return T, C
 
 
 def _cyclic(n):
@@ -303,14 +268,12 @@ def _q8():
     return table
 
 
-for _n in range(1, 9):
-    _register_group("C%d" % _n, _cyclic(_n))
-_register_group("C2xC2", _product(_cyclic(2), _cyclic(2)))
-_register_group("C2xC4", _product(_cyclic(2), _cyclic(4)))
-_register_group("C2xC2xC2", _product(_cyclic(2), _product(_cyclic(2), _cyclic(2))))
-_register_group("S3", _s3())
-_register_group("D4", _d4())
-_register_group("Q8", _q8())
+_NAMED_GROUPS = {"C%d" % _n: _cyclic(_n) for _n in range(1, 9)}
+_NAMED_GROUPS.update(
+    C2xC2=_product(_cyclic(2), _cyclic(2)),
+    C2xC4=_product(_cyclic(2), _cyclic(4)),
+    C2xC2xC2=_product(_cyclic(2), _product(_cyclic(2), _cyclic(2))),
+    S3=_s3(), D4=_d4(), Q8=_q8())
 
 
 def make_ring(spec):
@@ -326,82 +289,24 @@ def make_ring(spec):
         n = int(spec["n"])
         if n < 2:
             raise RingError("zmod needs n >= 2")
-        mul = [[(i * j) % n for j in range(n)] for i in range(n)]
-        conj = list(range(n))
-        return Ring(spec.get("name", "Z/%d" % n), kind, n, 1, mul, conj)
+        return Ring(spec.get("name", "Z/%d" % n), kind, n, [[[1]]], [[1]])
     if kind == "gf":
         q = int(spec["q"])
-        if q > 9:
-            raise RingError("gf supports q <= 9")
-        p, e, mul = _gf_tables(q)
         mode = spec.get("conj", "id")
-        if mode == "id":
-            conj = list(range(q))
-        elif mode == "frobenius":
-            if e == 1:
-                conj = list(range(q))  # x -> x^p is the identity on GF(p)
-            elif e % 2:
-                raise RingError("frobenius is not an involution on GF(%d)" % q)
-            else:
-                exp = p ** (e // 2)  # x -> x^(p^(e/2)) has order 2
-                conj = []
-                for a in range(q):
-                    acc = a
-                    for _ in range(exp - 1):
-                        acc = mul[acc][a]
-                    conj.append(acc)
-        else:
-            raise RingError("unknown conj mode %r" % mode)
-        name = spec.get("name", "GF(%d)%s" % (q, "~" if mode == "frobenius" and e > 1 else ""))
-        return Ring(name, kind, p, e, mul, conj)
+        p, T, C = _gf_structure(q, mode)
+        tilde = "~" if mode == "frobenius" and q != p else ""
+        name = spec.get("name", "GF(%d)%s" % (q, tilde))
+        return Ring(name, kind, p, T, C)
     if kind == "group_ring":
         m = int(spec["m"])
+        if m < 2:
+            raise RingError("group_ring needs m >= 2")
         group = spec["group"]
-        table = _NAMED_GROUPS[group] if isinstance(group, str) else group
-        ng = len(table)
-        if ng > 8:
-            raise RingError("group order must be <= 8")
-        w1 = spec.get("w1") or [1] * ng
-        if isinstance(w1, dict):
-            w1 = [int(w1.get(str(g), w1.get(g, 1))) for g in range(ng)]
-        if len(w1) != ng or any(v not in (1, -1) for v in w1):
-            raise RingError("w1 must map each group element to +-1")
-        for g in range(ng):
-            for h in range(ng):
-                if w1[table[g][h]] != w1[g] * w1[h]:
-                    raise RingError("w1 is not a homomorphism")
-        ident = next(g for g in range(ng) if all(table[g][h] == h for h in range(ng)))
-        ginv = [next(h for h in range(ng) if table[g][h] == ident) for g in range(ng)]
-        size = m ** ng
-
-        def gr_mul(i, j):
-            ci = _mixed_radix_coeffs(i, m, ng)
-            cj = _mixed_radix_coeffs(j, m, ng)
-            out = [0] * ng
-            for g in range(ng):
-                if ci[g]:
-                    for h in range(ng):
-                        if cj[h]:
-                            k = table[g][h]
-                            out[k] = (out[k] + ci[g] * cj[h]) % m
-            return _mixed_radix_index(out, m)
-
-        mul = [[gr_mul(i, j) for j in range(size)] for i in range(size)]
-
-        def gr_conj(i):
-            ci = _mixed_radix_coeffs(i, m, ng)
-            out = [0] * ng
-            for g in range(ng):
-                if ci[g]:
-                    sign = w1[g]
-                    out[ginv[g]] = (out[ginv[g]] + sign * ci[g]) % m
-            return _mixed_radix_index(out, m)
-
-        conj = [gr_conj(i) for i in range(size)]
-        gname = group if isinstance(group, str) else "G%d" % ng
-        suffix = "" if all(v == 1 for v in w1) else ",w1"
+        T, C = _group_structure(group, spec.get("w1"))
+        gname = group if isinstance(group, str) else "G%d" % len(C)
+        suffix = "" if (C >= 0).all() else ",w1"  # C holds w1(g) = -1 as is
         name = spec.get("name", "(Z/%d)[%s%s]" % (m, gname, suffix))
-        return Ring(name, kind, m, ng, mul, conj)
+        return Ring(name, kind, m, T, C)
     raise RingError("unknown ring kind %r" % kind)
 
 

@@ -71,6 +71,41 @@ def test_cancel_command(capsys):
     assert json.loads(out)["verified"]
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "gf", "q": 1},
+    {"kind": "gf", "q": 0},
+    {"kind": "group_ring", "m": 0, "group": "C2"},
+    {"kind": "group_ring", "m": 1, "group": "C2"},
+    {"kind": "group_ring", "m": 2, "group": []},
+    {"kind": "group_ring", "m": 2, "group": [[0, 1], [1, 2]]},
+    {"kind": "group_ring", "m": 2, "group": [[0, 0], [0, 1]]},
+], ids=["gf-q1", "gf-q0", "group-m0", "group-m1", "group-empty",
+        "group-out-of-range", "group-no-inverses"])
+def test_malformed_ring_spec_is_an_error(capsys, spec):
+    code, out = run_cli(capsys, "stable-rank", "--ring", json.dumps(spec))
+    assert code == 2
+    assert json.loads(out)["error"]
+
+
+def test_cap_exits_outside_complex_are_inconclusive(capsys, monkeypatch):
+    # H^6 + H over GF(2) has 16384 elements, past the module cap
+    code, out = run_cli(capsys, "cancel", "--ring", "gf2",
+                        "--qm", "H^6", "--qn", "H^6")
+    assert code == 1
+    assert "cap" in json.loads(out)["error"]
+    # straighten without --usr computes usr, which may run out of budget
+    from wittlab import stable_range as S
+
+    def over_budget(*args, **kwargs):
+        raise S.BudgetExceeded("EU orbit BFS budget")
+
+    monkeypatch.setattr(S, "unitary_stable_rank", over_budget)
+    code, out = run_cli(capsys, "straighten", "--ring", "gf2", "--qm", "H^3",
+                        "--seq", "[[0,0,1,0,0,0]]", "--k", "1")
+    assert code == 1
+    assert json.loads(out)["error"] == "EU orbit BFS budget"
+
+
 def test_complex_verify_and_cache(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
     instance = json.dumps({"ring": "gf2", "module": "free:2"})
