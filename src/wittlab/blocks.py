@@ -489,6 +489,34 @@ def reduce_keep_tail(A, n_top, l, sr, budget=SEARCH_BUDGET):
 # -- hyperbolic frames ---------------------------------------------------------
 
 
+def pair_coordinates(Q, V):
+    """The 2gd x nd matrix over Z/m sending v to the coordinates of
+    (A_1, B_1, ..., A_g, B_g), where B_l = lambda(e_l, v) and
+    A_l = eps^-1 lambda(f_l, v), for the pairs given as the rows
+    e_1, f_1, ..., e_g, f_g of V.  When the pairs are hyperbolic and span
+    Q, these are the coordinates of v in them."""
+    ring = Q.ring
+    d, nd = ring.base_dim, Q.module.nd
+    g = len(V) // 2
+    eps_inv = int(ring.inv[Q.param.epsilon])
+    # L[l, 0] = lambda(e_l, -), L[l, 1] = lambda(f_l, -), as d x nd
+    L = (V @ Q.lam_coeffs).transpose(1, 0, 2).reshape(g, 2, d, nd)
+    Z = np.stack([ring.Lmat[eps_inv] @ L[:, 1], L[:, 0]], axis=1)
+    return Z.reshape(2 * g * d, nd) % ring.base_mod
+
+
+def adjoint_inverse(phi):
+    """phi^-1 for a unitary phi of a hyperbolic H^g on its standard basis,
+    read off the lambda-adjoint: phi sends (e_l, f_l) to (u_l, v_l), so the
+    coordinates of phi^-1(x) are A_l = eps^-1 lambda(v_l, x) and
+    B_l = lambda(u_l, x), one product.  phi must already be verified
+    unitary; that proof is what makes this map its inverse."""
+    H = phi.Q
+    Z = pair_coordinates(H, phi.f.generator_images())
+    f = ModuleMap.from_matrix(H.module, H.module, Z, check=False)
+    return UnitaryMap(H, f, check=False, tag=("inv", phi.tag))
+
+
 class HyperbolicFrame:
     """A decomposition Q = P + H^g: g hyperbolic pairs plus the orthogonal
     complement P, with coordinate maps in both directions.
@@ -512,14 +540,10 @@ class HyperbolicFrame:
         self.eps_inv = int(ring.inv[self.eps])
         # abstract copy of the hyperbolic part
         self.H_std = hyperbolic(Q.param, self.g) if self.g else None
-        d, nd = ring.base_dim, Q.module.nd
         V = np.array([x.vec for pair in self.pairs for x in pair],
-                     dtype=np.int64).reshape(2 * self.g, nd)
+                     dtype=np.int64).reshape(2 * self.g, Q.module.nd)
         self._E = Q.module.canon_columns(act_columns(ring, V))
-        # L[l, 0] = lambda(e_l, -), L[l, 1] = lambda(f_l, -), as d x nd
-        L = (V @ Q.lam_coeffs).transpose(1, 0, 2).reshape(self.g, 2, d, nd)
-        Z = np.stack([ring.Lmat[self.eps_inv] @ L[:, 1], L[:, 0]], axis=1)
-        self._Z = Z.reshape(2 * self.g * d, nd) % ring.base_mod
+        self._Z = pair_coordinates(Q, V)
         # rows of Q's generators: P-parts (in Q) and H-coordinates, cached
         # by extend_h_unitary
         self._gen_rows = None
@@ -611,22 +635,22 @@ def sequence_block(frame, seq):
     return Block(P.module, matrix, funcs), ps
 
 
-def _dual_completion(H_std, zs, usr, cap, sweep=300, budget=1 << 22):
+def _dual_completion(H_std, zs, base, usr, cap, sweep=300, budget=1 << 22):
     """A hyperbolic summand U containing the z's, its pairs, and the pairs of
     the complement: the searched substitute for the hyperbolic-basis step.
+    base holds the z's lambda-unimodularity witnesses.
 
-    Strategy: dual witnesses first; then a seeded sweep of alternate duals
-    (offsets from the witness kernel); finally an elementary-unitary orbit
-    word moving the z's into H^k, whose inverse pulls the standard pairs
-    back to an envelope.  Every output is verified by the caller.
+    Strategy: the witnesses as duals first; then a seeded sweep of
+    alternate duals (offsets from the witness kernel); finally an
+    elementary-unitary orbit word moving the z's into H^k, whose inverse
+    pulls the standard pairs back to an envelope.  The Witt searches on U
+    and its complement go through witt_index's memo, so each presentation
+    is searched once per process.  Every output is verified by the caller.
     """
     import random
 
     k = len(zs)
     ring = H_std.ring
-    base = is_lambda_unimodular(H_std, zs)
-    if base is None:
-        raise BlockError("projections are not lambda-unimodular")
 
     def try_duals(ys):
         gens = list(zs) + list(ys)
@@ -679,7 +703,7 @@ def _dual_completion(H_std, zs, usr, cap, sweep=300, budget=1 << 22):
     rho = identity_unitary(H_std)
     for t in word:
         rho = t.compose(rho)
-    rho_inv = rho.inverse()
+    rho_inv = adjoint_inverse(rho)
     pairs = [(rho_inv(module.gen(2 * l)), rho_inv(module.gen(2 * l + 1)))
              for l in range(frame_g(H_std))]
     return pairs[:k], pairs[k:]
@@ -756,17 +780,18 @@ def hyperbolic_straighten(Q, seq, k=None, frame=None, usr=1, cap=1 << 12):
             phi1 = t.compose(phi1)
     moved = [phi1(v) for v in seq]
     zs = [frame.project_std(v) for v in moved]
-    if is_lambda_unimodular(frame.H_std, zs) is None:
+    witnesses = is_lambda_unimodular(frame.H_std, zs)
+    if witnesses is None:
         raise BlockError("hyperbolic projections failed to become "
                          "lambda-unimodular (internal)")
     # rectify: hyperbolic envelope of the projections
-    u_pairs, v_pairs = _dual_completion(frame.H_std, zs, usr, cap)
+    u_pairs, v_pairs = _dual_completion(frame.H_std, zs, witnesses, usr, cap)
     all_pairs = list(u_pairs) + list(v_pairs)
     imgs = []
     for x, y in all_pairs:
         imgs.extend([x, y])
     F = ModuleMap(frame.H_std.module, frame.H_std.module, imgs, check=False)
-    psi_std = UnitaryMap(frame.H_std, F, check=True).inverse()
+    psi_std = adjoint_inverse(UnitaryMap(frame.H_std, F, check=True))
     phi = frame.extend_h_unitary(psi_std).compose(phi1)
     # post-conditions, re-verified independently
     out = [phi(v) for v in seq]
@@ -834,12 +859,21 @@ def transitive_move(Q, v, r, frame=None, usr=1, cap=1 << 12, budget=1 << 22):
 
 def _eu_reach_first_pair(H_std, z, budget):
     """Word of elementary unitary generators carrying z into
-    {e_1 + f_1 s}; raises when the budget exhausts."""
+    {e_1 + f_1 s}; raises when the budget exhausts.  A non-empty word is
+    kept in H_std.eu_cache under ("reach", z.vec, budget), beside the
+    generators it lists: after straightening z lies in H^1, so a frame
+    meets few distinct starts."""
+    key = ("reach", z.vec, budget)
+    if key in H_std.eu_cache:
+        return list(H_std.eu_cache[key])
     ring = H_std.ring
     d = ring.base_dim
     one = ring.to_base[ring.one]
-    return _eu_word(H_std, [z], lambda V: (V[:, :d] == one).all(axis=1)
+    word = _eu_word(H_std, [z], lambda V: (V[:, :d] == one).all(axis=1)
                     & ~V[:, 2 * d:].any(axis=1), budget, "EU reach")
+    if word:  # the empty word is found before any generator is built
+        H_std.eu_cache[key] = word
+    return word
 
 
 # -- cancellation --------------------------------------------------------------

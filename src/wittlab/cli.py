@@ -71,6 +71,25 @@ def _element(module, blocks):
     return module.element([int(b) for b in blocks])
 
 
+USR_NMAX = 2
+
+
+class Inconclusive(Exception):
+    """A run that ends without a verdict; main prints the reason, exit 1."""
+
+
+def _usr_from_args(args, ring, param):
+    """An explicit --usr as given, otherwise usr(R) measured up to
+    USR_NMAX; raises Inconclusive when the measurement finds none."""
+    if args.usr is not None:
+        return args.usr
+    usr = S.unitary_stable_rank(ring, param, USR_NMAX).value
+    if usr is None:
+        raise Inconclusive("usr(R) > %d: no bound to run the pipeline with"
+                           % USR_NMAX)
+    return usr
+
+
 def cmd_suite(args):
     config = None
     if args.config:
@@ -122,8 +141,7 @@ def cmd_straighten(args):
     param = _param_from_args(args, ring)
     Q = _qm_from_args(args, param)
     seq = [_element(Q.module, blocks) for blocks in json.loads(args.seq)]
-    usr = args.usr if args.usr is not None else \
-        S.unitary_stable_rank(ring, param, 2).value
+    usr = _usr_from_args(args, ring, param)
     phi = B.hyperbolic_straighten(Q, seq, args.k, usr=usr)
     images = [[int(b) for b in phi(v).ring_blocks()] for v in seq]
     print(json.dumps({"images": images, "moves": unitary_word(phi),
@@ -137,7 +155,8 @@ def cmd_transitive_move(args):
     Q = _qm_from_args(args, param)
     v = _element(Q.module, json.loads(args.v))
     r = int(args.r) if args.r is not None else Q.mu_rep(v)
-    phi, target = B.transitive_move(Q, v, r, usr=args.usr or 1)
+    usr = _usr_from_args(args, ring, param)
+    phi, target = B.transitive_move(Q, v, r, usr=usr)
     from wittlab.quadratic import unitary_word
 
     print(json.dumps({
@@ -164,8 +183,7 @@ def cmd_cancel(args):
     if iso is None:
         print(json.dumps({"error": "M + H and N + H are not isometric"}))
         return 2
-    usr = args.usr if args.usr is not None else \
-        S.unitary_stable_rank(ring, param, 2).value
+    usr = _usr_from_args(args, ring, param)
     beta = B.cancel_H(Qm, Qn, iso, sums=(MH, NH), usr=usr)
     print(json.dumps({
         "isometry": [[int(b) for b in beta(g).ring_blocks()]
@@ -350,6 +368,11 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
+    except Inconclusive as exc:
+        print(json.dumps({"verdict": {"result": "inconclusive",
+                                      "detail": {"reason": str(exc)}}},
+                         sort_keys=True))
+        return 1
     except (CapExceeded, PosetCapExceeded, S.BudgetExceeded) as exc:
         print(json.dumps({"error": str(exc)}))
         return 1

@@ -362,10 +362,6 @@ class UnitaryMap:
     def __call__(self, x):
         return self.f(x)
 
-    def inverse(self):
-        return UnitaryMap(self.Q, self.f.inverse(), check=False,
-                          tag=("inv", self.tag))
-
     def compose(self, other):
         return UnitaryMap(self.Q, self.f.compose(other.f), check=False,
                           tag=("comp", self.tag, other.tag))
@@ -528,6 +524,10 @@ def _cardinality_bound(Q):
     return ub
 
 
+WITT_MEMO_SIZE = 1 << 12
+_WITT_MEMO = {}  # (presentation, usr, cap) -> (pair vectors, complement, B)
+
+
 def witt_index(Q, usr=None, cap=GROUP_CAP):
     """Largest g with H^g a quadratic direct summand, with the decomposition.
 
@@ -537,12 +537,47 @@ def witt_index(Q, usr=None, cap=GROUP_CAP):
     follows by cancellation once the complement's value reaches usr.  When
     Q's tracked hyperbolic pairs span it they are returned as they are, so
     the decomposition of H^g never depends on the search order.
+
+    The search reads Q only through its presentation (form parameter,
+    generators, relators, gram and mu), so its result is memoized on that
+    presentation together with usr and cap, for the life of the process
+    (at most WITT_MEMO_SIZE entries, the oldest dropped first).  A memo
+    entry holds the pairs as coordinate vectors, the complement and the
+    inclusion matrix; every call wraps them onto Q's own module.
     """
     if Q.module.size > cap:
         raise CapExceeded("module too large for Witt search")
     tracked = tracked_decomposition(Q)
     if tracked is not None:
         return tracked
+    key = (_presentation(Q), usr, cap)
+    entry = _WITT_MEMO.get(key)
+    if entry is None:
+        dec = _witt_search(Q, usr, cap)
+        entry = (tuple((x.vec, y.vec) for x, y in dec.pairs),
+                 None if dec.complement is Q else dec.complement,
+                 dec.complement_incl.B)
+        if len(_WITT_MEMO) >= WITT_MEMO_SIZE:
+            del _WITT_MEMO[next(iter(_WITT_MEMO))]
+        _WITT_MEMO[key] = entry
+    pairs, complement, incl = entry
+    module = Q.module
+    if complement is None:  # no pair split off: Q is its own complement
+        complement = Q
+    return WittDecomposition(
+        Q, [(ModuleElement(module, x), ModuleElement(module, y))
+            for x, y in pairs], complement,
+        ModuleMap.from_matrix(complement.module, module, incl, check=False))
+
+
+def _presentation(Q):
+    """Everything the Witt search reads of Q."""
+    return (Q.param, Q.module.ngens, Q.module.relators,
+            tuple(map(tuple, Q.gram)), tuple(Q.mu))
+
+
+def _witt_search(Q, usr, cap):
+    """The greedy and backtracking search behind witt_index, uncached."""
     ub = _cardinality_bound(Q)
 
     pairs = []
@@ -602,8 +637,7 @@ def witt_index(Q, usr=None, cap=GROUP_CAP):
 
 
 def _witt_backtrack(Q, ub, cap, memo):
-    key = (tuple(map(tuple, Q.gram)), tuple(Q.mu), Q.module.relators,
-           Q.module.ngens)
+    key = _presentation(Q)
     if key in memo:
         return memo[key]
     best = 0

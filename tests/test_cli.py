@@ -106,6 +106,82 @@ def test_cap_exits_outside_complex_are_inconclusive(capsys, monkeypatch):
     assert json.loads(out)["error"] == "EU orbit BFS budget"
 
 
+def spy_usr(monkeypatch, target):
+    """Record the usr that the CLI hands to blocks.<target>."""
+    from wittlab import blocks as B
+
+    seen = []
+    real = getattr(B, target)
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["usr"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(B, target, spy)
+    return seen
+
+
+PIPELINES = [
+    ("straighten", "hyperbolic_straighten",
+     ["--qm", "H^3", "--seq", "[[0,0,1,0,0,0]]", "--k", "1"]),
+    ("transitive-move", "transitive_move", ["--qm", "H^2", "--v", "[0,0,1,0]"]),
+    ("cancel", "cancel_H", ["--qm", "H^1", "--qn", "H^1"]),
+]
+
+
+@pytest.mark.parametrize("command,target,argv", PIPELINES,
+                         ids=[p[0] for p in PIPELINES])
+def test_explicit_usr_is_kept_as_given(capsys, monkeypatch, command, target,
+                                       argv):
+    from wittlab import stable_range as S
+
+    def unused(*args, **kwargs):
+        raise AssertionError("an explicit --usr is not measured")
+
+    monkeypatch.setattr(S, "unitary_stable_rank", unused)
+    for usr in (0, 1):
+        seen = spy_usr(monkeypatch, target)
+        code, out = run_cli(capsys, command, "--ring", "gf2", "--usr",
+                            str(usr), *argv)
+        assert seen == [usr]
+        assert code == 0 and json.loads(out)["verified"]
+
+
+@pytest.mark.parametrize("command,target,argv", PIPELINES,
+                         ids=[p[0] for p in PIPELINES])
+def test_measured_usr_is_used(capsys, monkeypatch, command, target, argv):
+    from wittlab import stable_range as S
+
+    measured = []
+
+    def usr_one(*args, **kwargs):
+        measured.append(args)
+        return S.UsrResult(1, [])
+
+    monkeypatch.setattr(S, "unitary_stable_rank", usr_one)
+    seen = spy_usr(monkeypatch, target)
+    code, out = run_cli(capsys, command, "--ring", "gf2", *argv)
+    assert len(measured) == 1 and seen == [1]
+    assert code == 0 and json.loads(out)["verified"]
+
+
+@pytest.mark.parametrize("command,target,argv", PIPELINES,
+                         ids=[p[0] for p in PIPELINES])
+def test_unmeasured_usr_is_inconclusive(capsys, monkeypatch, command, target,
+                                        argv):
+    # usr past n_max: the pipelines are never run with usr = None
+    from wittlab import stable_range as S
+
+    monkeypatch.setattr(S, "unitary_stable_rank",
+                        lambda *args, **kwargs: S.UsrResult(None, []))
+    seen = spy_usr(monkeypatch, target)
+    code, out = run_cli(capsys, command, "--ring", "gf2", *argv)
+    assert code == 1 and seen == []
+    verdict = json.loads(out)["verdict"]
+    assert verdict["result"] == "inconclusive"
+    assert "usr" in verdict["detail"]["reason"]
+
+
 def test_complex_verify_and_cache(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
     instance = json.dumps({"ring": "gf2", "module": "free:2"})
