@@ -96,13 +96,24 @@ def _grouped(keys, inner, vals, pool):
         ends[seq].tolist())}
 
 
-class _Sparse:
-    """Row/column indexed sparse integer matrix with unit-pivot reduction."""
+def _columns(rows, vals, pool, width):
+    """{col: {row: val}} of a column-major COO whose column c holds the
+    `width` entries c * width ..., read in constant-size groups; indices
+    the int objects of pool."""
+    keys = pool[:len(rows) // width].tolist()
+    rows, vals = iter(pool[rows].tolist()), iter(vals.tolist())
+    return {c: dict(zip(r, v)) for c, r, v in zip(
+        keys, zip(*[rows] * width), zip(*[vals] * width))}
 
-    def __init__(self, coo, pool):
+
+class _Sparse:
+    """Row/column indexed sparse integer matrix with unit-pivot reduction.
+    d_p comes column-major with p + 1 entries per column (`width`)."""
+
+    def __init__(self, coo, pool, width):
         rows, cols, vals = coo  # no zero entries
         self.rows = _grouped(rows, cols, vals, pool)
-        self.cols = _grouped(cols, rows, vals, pool)
+        self.cols = _columns(rows, vals, pool, width)
 
     def delete_row(self, r):
         for c in self.rows.pop(r, ()):
@@ -183,7 +194,7 @@ def homology(chain, up_to_degree):
     live = {p: set(range(n)) for p, n in chain.counts.items()}
     empty = (np.zeros(0, dtype=np.intp),) * 3
     pool = np.arange(max(chain.counts.values()) + 1).astype(object)
-    mats = {p: _Sparse(chain.boundaries.get(p, empty), pool)
+    mats = {p: _Sparse(chain.boundaries.get(p, empty), pool, p + 1)
             for p in range(0, up_to_degree + 2)}
     # cross-degree unit-pivot reduction, ascending: eliminations only change
     # values within their own degree, so one pass of per-degree fixpoints is

@@ -409,34 +409,50 @@ def identity_unitary(Q):
     return UnitaryMap(Q, identity_map(Q.module), check=False, tag="id")
 
 
-def transvection(Q, e, u, x):
-    """tau(e, u, x): v -> v + u l(e,v) - e eps_bar l(u,v) - e eps_bar x l(e,v).
+def transvection_matrices(Q, e, U, X):
+    """The matrices of tau(e, u_i, x_i), v -> v + u l(e,v) - e eps_bar l(u,v)
+    - e eps_bar x l(e,v), for the rows u_i of the raw coordinate array U and
+    the ring indices x_i of X, as one (k, nd, nd) int64 array mod m:
 
-    Requires mu(e) = 0, lambda(e, u) = 0, x a representative of mu(u); the
-    result is verified unitary and invertible.  As a matrix it is
-    I + M_u L_e - M_e Lmat[eps_bar] L_u - M_e Lmat[eps_bar x] L_e, with L_y
-    the d x nd coordinate matrix of lambda(y, -) and M_y the nd x d matrix
-    of r -> y r.  The orthogonal-transvection designation additionally
-    asks e to be lambda-unimodular (the `orthogonal` property).
+        I + M_u L_e - M_e Lmat[eps_bar] L_u - M_e Lmat[eps_bar x] L_e,
+
+    with L_y the d x nd coordinate matrix of lambda(y, -) and M_y the
+    nd x d matrix of r -> y r.  Requires mu(e) = 0, lambda(e, u_i) = 0 and
+    x_i a representative of mu(u_i), each checked by one product over all
+    rows; the maps are not yet verified unitary.
     """
     ring = Q.ring
     param = Q.param
-    if not Q.mu_zero(e):
+    d, m = ring.base_dim, ring.base_mod
+    nd = Q.module.nd
+    U = np.asarray(U, dtype=np.int64).reshape(-1, nd)
+    X = np.asarray(X, dtype=np.int64).reshape(len(U))
+    EU = np.vstack([np.array(e, dtype=np.int64).reshape(1, nd), U])
+    mu = Q.mu_reps(EU)
+    L = np.einsum("kn,tnm->ktm", EU, Q.lam_coeffs)
+    L_e, L_U = L[0], L[1:]
+    if mu[0] != param.coset_rep(ring.zero):
         raise RingError("transvection needs mu(e) = 0")
-    if Q.lam(e, u) != ring.zero:
+    if (L_e @ U.T % m).any():
         raise RingError("transvection needs lambda(e, u) = 0")
-    if param.coset_rep(int(x)) != Q.mu_rep(u):
+    if not np.array_equal(param.coset_reps(X), mu[1:]):
         raise RingError("x must represent mu(u)")
+    M = act_columns(ring, EU)
+    M_e = M[:, :d]
+    M_U = M[:, d:].reshape(nd, len(U), d).transpose(1, 0, 2)  # (k, nd, d)
     eb = param.eps_bar
-    module = Q.module
-    E = np.array([e.vec, u.vec], dtype=np.int64).reshape(2, module.nd)
-    L_e, L_u = (E @ Q.lam_coeffs).transpose(1, 0, 2)
-    M = act_columns(ring, E)
-    M_e, M_u = M[:, :ring.base_dim], M[:, ring.base_dim:]
-    Lmat = ring.Lmat
-    B = np.eye(module.nd, dtype=np.int64) + M_u @ L_e \
-        - M_e @ Lmat[eb] @ L_u - M_e @ Lmat[ring.mul[eb, int(x)]] @ L_e
-    f = ModuleMap.from_matrix(module, module, B, check=False)
+    B = np.eye(nd, dtype=np.int64) + M_U @ L_e - (M_e @ ring.Lmat[eb]) @ L_U \
+        - M_e @ ring.Lmat[ring.mul[eb, X]] @ L_e
+    return B % m
+
+
+def transvection(Q, e, u, x):
+    """tau(e, u, x), the one-row case of transvection_matrices, verified
+    unitary and invertible.  The orthogonal-transvection designation
+    additionally asks e to be lambda-unimodular (the `orthogonal`
+    property)."""
+    B = transvection_matrices(Q, e.vec, [u.vec], [int(x)])[0]
+    f = ModuleMap.from_matrix(Q.module, Q.module, B, check=False)
     return UnitaryMap(Q, f, check=True, tag=("tau", e.vec, u.vec, int(x)))
 
 

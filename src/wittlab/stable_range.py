@@ -6,14 +6,19 @@ and runs orbit BFS under the elementary unitary generators.  Everything is
 budgeted; RangeReports carry the verdict plus a witness or certificate.
 """
 
-import itertools
-
 import numpy as np
 
 from wittlab.linalg import row_unimodular
-from wittlab.quadratic import hyperbolic, transvection, unitary_group
+from wittlab.modules import ModuleMap
+from wittlab.quadratic import (
+    UnitaryMap,
+    hyperbolic,
+    transvection_matrices,
+    unitary_group,
+)
 
 DEFAULT_BUDGET = 1 << 22
+CHUNK = 1 << 18  # array cells a chunked sweep or BFS step computes at once
 
 
 class BudgetExceeded(RuntimeError):
@@ -53,40 +58,67 @@ class RangeReport:
             self.ring.name, self.prop, self.n, self.verdict)
 
 
+def _unimodular_rows(ring, entries, memo):
+    """Left-unimodularity of each row of an (N, k) array of ring indices.
+    A unit among the entries settles a row; the others depend only on
+    their set of entries, solved once per set and kept in `memo`."""
+    ok = (ring.inv[entries] >= 0).any(axis=1)
+    rest = np.flatnonzero(~ok)
+    if len(rest):
+        sets, inverse = np.unique(np.sort(entries[rest], axis=1), axis=0,
+                                  return_inverse=True)
+        verdict = []
+        for row in sets.tolist():
+            key = frozenset(row)
+            if key not in memo:
+                memo[key] = row_unimodular(ring, key)
+            verdict.append(memo[key])
+        ok[rest] = np.array(verdict, dtype=bool)[inverse.reshape(-1)]
+    return ok
+
+
 def check_Sn(ring, n, budget=DEFAULT_BUDGET):
-    """(S_n): every unimodular row of R^(n+1) shortens to R^n."""
+    """(S_n): every unimodular row of R^(n+1) shortens to R^n.
+
+    The rows r go in product order, and for each the shortenings
+    (r_i + t_i r_n)_i in product order of t, up to the first unimodular
+    one; each one tried is a visit.  A chunk of rows and all of their
+    shortenings are tested at once, and the counts, the budget exit and
+    the first failing row are read off as a row-by-row search meets
+    them."""
     if n < 1:
         raise ValueError("n >= 1 required")
     size = ring.size ** (n + 1)
     if size > budget:
         raise BudgetExceeded("(S_%d) sweep needs %d rows" % (n, size))
-    uni_short = {}
-
-    def short_unimodular(row):
-        if row not in uni_short:
-            uni_short[row] = row_unimodular(ring, row)
-        return uni_short[row]
-
+    memo = {}
+    ts = _digits(np.arange(ring.size ** n), ring.size, n)
+    step = max(1, CHUNK // (len(ts) * n))
     visits = 0
     checked = 0
-    for row in itertools.product(range(ring.size), repeat=n + 1):
-        if not row_unimodular(ring, row):
+    for lo in range(0, size, step):
+        rows = _digits(np.arange(lo, min(lo + step, size)), ring.size, n + 1)
+        rows = rows[_unimodular_rows(ring, rows, memo)]
+        if not len(rows):
             continue
-        checked += 1
-        last = row[n]
-        found = False
-        for t in itertools.product(range(ring.size), repeat=n):
-            visits += 1
-            if visits > budget:
-                raise BudgetExceeded("(S_%d) shortening search" % n)
-            shortened = tuple(
-                int(ring.add[row[i], ring.mul[t[i], last]]) for i in range(n))
-            if short_unimodular(shortened):
-                found = True
-                break
-        if not found:
-            return RangeReport(ring, "S", n, "fails", witness=list(row),
-                               stats={"checked": checked, "visits": visits})
+        short = ring.add[rows[:, None, :n],
+                         ring.mul[ts[None], rows[:, None, n:]]]
+        hit = _unimodular_rows(ring, short.reshape(-1, n), memo).reshape(
+            len(rows), len(ts))
+        found = hit.any(axis=1)
+        spent = visits + np.cumsum(np.where(found, hit.argmax(axis=1) + 1,
+                                            len(ts)))
+        fails = np.flatnonzero(~found)
+        last = fails[0] if len(fails) else len(rows) - 1
+        if spent[last] > budget:
+            raise BudgetExceeded("(S_%d) shortening search" % n)
+        if len(fails):
+            return RangeReport(ring, "S", n, "fails",
+                               witness=rows[last].tolist(),
+                               stats={"checked": checked + int(last) + 1,
+                                      "visits": int(spent[last])})
+        visits = int(spent[-1])
+        checked += len(rows)
     return RangeReport(ring, "S", n, "holds",
                        stats={"checked": checked, "visits": visits})
 
@@ -113,11 +145,27 @@ def stable_rank(ring, n_max, budget=DEFAULT_BUDGET):
 
 # -- the EU-orbit engine and (T_n) -------------------------------------------
 # The generators of each (H, u_mode) and their stacked matrices are cached in
-# H.eu_cache, so each transvection is built and verified unitary once per H
+# H.eu_cache, so each distinct transvection is verified unitary once per H
 # and the cache lives exactly as long as H.  The BFS keeps only its frontier,
 # so what it holds does not grow with |H|.
 
-CHUNK = 1 << 18  # image coordinates the BFS computes at once
+
+def _u_blocks(ring, ngens, support, u_mode):
+    """The u's of one basis vector's family as ring-index rows: every
+    vector supported on `support` in product order ("all"), or the zero
+    vector and then c * g_i for i in support, c != 0 ("basis")."""
+    if u_mode == "all":
+        rows = _digits(np.arange(ring.size ** len(support)), ring.size,
+                       len(support))
+    elif u_mode == "basis":
+        rows = np.kron(np.eye(len(support), dtype=np.int64),
+                       np.arange(1, ring.size)[:, None])
+        rows = np.vstack([np.zeros_like(rows[:1]), rows])
+    else:
+        raise ValueError("unknown u_mode %r" % u_mode)
+    blocks = np.zeros((len(rows), ngens), dtype=np.int64)
+    blocks[:, support] = rows
+    return blocks
 
 
 def elementary_unitary_generators(ring, param, n, u_mode="all", H=None):
@@ -130,77 +178,70 @@ def elementary_unitary_generators(ring, param, n, u_mode="all", H=None):
     same by the Eichler composition law, which check_Tn does not assume:
     it only uses the reduced family for sound "holds" verdicts).  The
     family is cached on H: a repeated call returns the cached list.
+
+    Each b's matrices come from transvection_matrices a chunk of (u, x)
+    rows at a time, in the order (b, u, x in mu(u) + Lambda); a matrix
+    equal to an earlier one (the same map) is dropped before it is
+    verified unitary.
     """
     if H is None:
         H = hyperbolic(param, n)
     if ("gens", u_mode) in H.eu_cache:
         return H, list(H.eu_cache[("gens", u_mode)])
     module = H.module
-    gens = []
-    lam = param.lam
-    for bi in range(2 * n):
-        b = module.gen(bi)
-        dual = bi + 1 if bi % 2 == 0 else bi - 1
-        support = [i for i in range(2 * n) if i != dual]
-        if u_mode == "all":
-            u_blocks = (
-                dict(zip(support, coeffs))
-                for coeffs in itertools.product(range(ring.size),
-                                                repeat=len(support))
-            )
-        elif u_mode == "basis":
-            singles = [{}]
-            singles += [{i: c} for i in support for c in range(1, ring.size)]
-            u_blocks = iter(singles)
-        else:
-            raise ValueError("unknown u_mode %r" % u_mode)
-        for placed in u_blocks:
-            blocks = [ring.zero] * (2 * n)
-            for i, c in placed.items():
-                blocks[i] = c
-            u = module.element(blocks)
-            mu_rep = H.mu_rep(u)
-            for l in lam:
-                x = int(ring.add[mu_rep, l])
-                t = transvection(H, b, u, x)
-                gens.append(t)
-    # dedupe by action
+    lam = np.array(list(param.lam), dtype=np.int64)
+    step = max(1, CHUNK // (module.nd * module.nd * len(lam)))
     seen = set()
     out = []
-    for t in gens:
-        k = t.key()
-        if k not in seen:
-            seen.add(k)
-            out.append(t)
+    for bi in range(2 * n):
+        b = module.gen(bi).vec
+        support = [i for i in range(2 * n) if i != bi ^ 1]
+        blocks = _u_blocks(ring, 2 * n, support, u_mode)
+        for lo in range(0, len(blocks), step):
+            U = ring.to_base[blocks[lo:lo + step]].reshape(-1, module.nd)
+            X = ring.add[np.repeat(H.mu_reps(U), len(lam)),
+                         np.tile(lam, len(U))]
+            U = np.repeat(U, len(lam), axis=0)
+            for B, u, x in zip(transvection_matrices(H, b, U, X),
+                               U.tolist(), X.tolist()):
+                key = B.tobytes()
+                if key in seen:
+                    continue
+                seen.add(key)
+                f = ModuleMap.from_matrix(module, module, B, check=False)
+                out.append(UnitaryMap(H, f, check=True,
+                                      tag=("tau", b, tuple(u), x)))
     H.eu_cache[("gens", u_mode)] = out
     return H, list(out)
 
 
 def _mu_class_partition(H, budget):
-    """The unimodular vectors of H by mu-class, in enumeration order.  mu of
-    every element comes from one product over q_coeffs; left-unimodularity
-    depends only on the set of entries, so it is solved once per set."""
+    """The unimodular vectors of H by mu-class: {mu: sorted element codes}
+    (codes as element_codes gives them).  H is free, so the element with
+    code c has the base-m digits of c as coordinates; they are read off a
+    chunk of codes at a time, mu from one product over q_coeffs and
+    unimodularity from _unimodular_rows."""
     ring = H.ring
     module = H.module
     if module.size > budget:
         raise BudgetExceeded("H^n too large to enumerate")
-    elems, V = module.element_rows(cap=module.size)
-    mu = H.mu_reps(V).tolist()
-    entries = np.sort(ring.indices(V.reshape(len(elems), module.ngens,
-                                             ring.base_dim)), axis=1)
-    rows, inverse = np.unique(entries, axis=0, return_inverse=True)
-    unimodular = {}  # per entry set
-    row_ok = []
-    for row in rows.tolist():
-        key = frozenset(row)
-        if key not in unimodular:
-            unimodular[key] = row_unimodular(ring, key)
-        row_ok.append(unimodular[key])
-    ok = np.array(row_ok, dtype=bool)[inverse.reshape(-1)] & V.any(axis=1)
-    classes = {}
-    for i in np.flatnonzero(ok).tolist():
-        classes.setdefault(mu[i], []).append(elems[i])
-    return classes
+    if module.relators:
+        raise ValueError("the EU-orbit engine needs a free module")
+    memo = {}
+    mus, codes = [], []
+    step = max(1, CHUNK // module.nd)
+    for lo in range(0, module.size, step):
+        code = np.arange(lo, min(lo + step, module.size), dtype=np.int64)
+        V = _digits(code, ring.base_mod, module.nd)
+        entries = ring.indices(V.reshape(len(V), module.ngens,
+                                         ring.base_dim))
+        ok = _unimodular_rows(ring, entries, memo) & (code != 0)
+        mus.append(H.mu_reps(V[ok]))
+        codes.append(code[ok])
+    mu, code = np.concatenate(mus), np.concatenate(codes)
+    order = np.argsort(mu, kind="stable")
+    keys, starts = np.unique(mu[order], return_index=True)
+    return dict(zip(keys.tolist(), np.split(code[order], starts[1:])))
 
 
 def _codes(rows, m):
@@ -209,6 +250,14 @@ def _codes(rows, m):
     rows = np.asarray(rows, dtype=np.int64)
     width = rows.shape[1]
     return (rows % m) @ (m ** np.arange(width - 1, -1, -1, dtype=np.int64))
+
+
+def _digits(codes, base, width):
+    """The rows of `width` columns whose mixed-radix codes (base `base`,
+    first column most significant) are the int array `codes`: the inverse
+    of _codes, and row c of a product enumeration."""
+    return np.asarray(codes, dtype=np.int64)[:, None] \
+        // base ** np.arange(width - 1, -1, -1, dtype=np.int64) % base
 
 
 def element_codes(H, rows):
@@ -247,10 +296,12 @@ def _bfs(mats, m, start, target, budget, spent):
     seen = frontier @ radix
     levels = []  # per level: (parent position, generator) of each new state
     hit = None
+    cap = max(1, CHUNK // (ngens * k * nd))
     while len(frontier) and hit is None:
-        # chunks of 1, 2, 4, ... states: a hit early in the level ends the
-        # level early, and a long level still takes few numpy calls
-        lo, step, cap = 0, 1, max(1, CHUNK // (ngens * k * nd))
+        # with a target, chunks of 1, 2, 4, ... states: a hit early in the
+        # level ends the level early, and a long level still takes few
+        # numpy calls; without one, every chunk is full
+        lo, step = 0, cap if target is None else 1
         found = []  # per chunk: (position, code, coordinates) of unseen images
         while lo < len(frontier):
             rows = frontier[lo:lo + step]
@@ -334,27 +385,27 @@ def check_Tn(ring, param, n, budget=DEFAULT_BUDGET, mode="transvection"):
     else:
         raise ValueError("unknown mode %r" % mode)
     classes = _mu_class_partition(H, budget)
+    m = ring.base_mod
     visits = 0
     stats = {"classes": len(classes), "generators": len(gens)}
-    for rep_mu, members in sorted(classes.items()):
-        member_idx = np.sort(element_codes(H, [x.vec for x in members]))
+    for rep_mu in sorted(classes):
+        member_idx = classes[rep_mu]
+        seed = H.module.from_vec(
+            _digits(member_idx[:1], m, H.module.nd)[0].tolist())
         if mode == "full-u":
             # the orbit under the whole group is the set of images of the seed
             visits += len(gens)
             if visits > budget:
                 raise BudgetExceeded("full-U orbit budget")
-            seen = np.unique(element_codes(H, [t(members[0]).vec
-                                               for t in gens]))
+            seen = np.unique(element_codes(H, [t(seed).vec for t in gens]))
         else:
             _, seen, u_mode, visits = eu_search(
-                H, members[:1], want=member_idx, budget=budget, spent=visits)
+                H, [seed], want=member_idx, budget=budget, spent=visits)
             if u_mode == "all":
                 stats["generators_full"] = len(H.eu_cache[("gens", "all")])
         if not np.array_equal(seen, member_idx):
-            missing = int(np.setdiff1d(member_idx, seen)[0])
-            m = ring.base_mod
-            unreached = [missing // m ** i % m
-                         for i in reversed(range(H.module.nd))]
+            missing = np.setdiff1d(member_idx, seen)[:1]
+            unreached = _digits(missing, m, H.module.nd)[0].tolist()
             return RangeReport(ring, "T", n, "fails",
                                witness={"mu": rep_mu,
                                         "orbit_size": len(seen),

@@ -90,14 +90,14 @@ def test_engine_orbits_match_reference_bfs(rname):
     H, gens = S.elementary_unitary_generators(ring, param, 2, u_mode="basis")
     elems = [x.vec for x in H.module.elements()]
     classes = S._mu_class_partition(H, S.DEFAULT_BUDGET)
-    for members in classes.values():
-        seed = members[0]
-        want = np.sort(S.element_codes(H, [x.vec for x in members]))
+    for want in classes.values():
+        assert np.array_equal(want, np.sort(want))
+        seed = H.module.from_vec(elems[want[0]])
         word, reached, u_mode, _ = S.eu_search(H, [seed], want=want)
         assert word is None and u_mode == "basis"
         got = {elems[i] for i in reached}
         assert got == reference_orbit(H, gens, seed)
-        assert got == {x.vec for x in members}
+        assert got == {elems[i] for i in want}
 
 
 # the full-U route enumerates U(H^2), which takes minutes over the larger
@@ -164,13 +164,13 @@ def test_tiny_budgets_still_raise():
 
 def test_generators_are_cached_on_h(monkeypatch):
     calls = [0]
-    real = S.transvection
+    real = S.transvection_matrices
 
     def counting(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(S, "transvection", counting)
+    monkeypatch.setattr(S, "transvection_matrices", counting)
     H = hyperbolic(P2, 2)
     _, first = S.elementary_unitary_generators(GF2, P2, 2, u_mode="basis",
                                                H=H)

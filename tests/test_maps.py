@@ -377,8 +377,9 @@ def test_mu_class_partition_matches_per_element(rname):
         for n in (1, 2):
             H = hyperbolic(param, n)
             got = S._mu_class_partition(H, S.DEFAULT_BUDGET)
-            assert {k: [x.vec for x in v] for k, v in got.items()} \
-                == partition_oracle(H)
+            elems = [x.vec for x in H.module.elements(cap=H.module.size)]
+            assert {k: [elems[c] for c in v.tolist()]
+                    for k, v in got.items()} == partition_oracle(H)
             assert all(type(k) is int for k in got)
 
 

@@ -105,7 +105,9 @@ def test_orbit_order_independence():
     from wittlab.stable_range import _mu_class_partition
 
     classes = _mu_class_partition(H, 1 << 22)
-    for rep_mu, members in classes.items():
+    elems = list(H.module.elements())  # element codes index the enumeration
+    for rep_mu, codes in classes.items():
+        members = [elems[c] for c in codes.tolist()]
         seed = members[0]
         seen = {seed.vec}
         frontier = [seed]
@@ -137,4 +139,7 @@ def test_mu_partition_memo_matches_per_element(rname):
         for x in H.module.elements(cap=H.module.size):
             if not x.is_zero() and row_unimodular(ring, x.ring_blocks()):
                 want.setdefault(H.mu_rep(x), []).append(x)
-        assert _mu_class_partition(H, 1 << 22) == want
+        elems = list(H.module.elements(cap=H.module.size))
+        got = _mu_class_partition(H, 1 << 22)
+        assert {k: [elems[c] for c in v.tolist()] for k, v in got.items()} \
+            == want
