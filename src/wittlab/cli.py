@@ -368,10 +368,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
-    except Inconclusive as exc:
+    except (Inconclusive, MemoryError) as exc:
+        detail = {"reason": V.exit_reason(exc)}
         print(json.dumps({"verdict": {"result": "inconclusive",
-                                      "detail": {"reason": str(exc)}}},
-                         sort_keys=True))
+                                      "detail": detail}}, sort_keys=True))
         return 1
     except (CapExceeded, PosetCapExceeded, S.BudgetExceeded) as exc:
         print(json.dumps({"error": str(exc)}))

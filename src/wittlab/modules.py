@@ -649,102 +649,3 @@ def _partial_consistent(M, N, assigned, rel_cols):
             row[k * N.nd:(k + 1) * N.nd] = list(hr)
             rows.append(row)
     return LinearSolver(rows, m, width=width).contains(target)
-
-
-# -- GL transitivity -------------------------------------------------------
-
-
-def elementary_automorphisms(M, cap=512):
-    """Transvections x -> x + v*phi(x) with phi(v) = 0, plus central units."""
-    ring = M.ring
-    autos = []
-    space = functional_space(M)
-    if space.module_size <= cap:
-        funcs = [functional_from_coords(M, v) for v in space.enumerate_module()]
-    else:
-        funcs = [functional_from_coords(M, list(r)) for r in space.H]
-    cand_vs = M.gens() + [-g for g in M.gens()]
-    for v in cand_vs:
-        for phi in funcs:
-            if phi(v) == ring.zero:
-                imgs = [g + v * phi(g) for g in M.gens()]
-                f = ModuleMap(M, M, imgs, check=False)
-                autos.append(f)
-    for u in ring.units:
-        if u in ring.central and u != ring.one:
-            autos.append(ModuleMap(M, M, [g * u for g in M.gens()], check=False))
-    return autos
-
-
-def gl_transitive_check(M, sr=None, cap=ENUM_CAP):
-    """Do all split injections R -> M lie in one GL(M)-orbit?
-
-    BFS under elementary automorphisms fuses cheaply; remaining class
-    distinctions are resolved exactly via complement isomorphism.
-    """
-    if sr is None:
-        from wittlab import stable_range
-
-        sr = stable_range.stable_rank(M.ring, 3).value
-    rk = rank(M, cap=cap)
-    report = {
-        "module": M.name,
-        "rank": rk,
-        "sr": sr,
-        "applicable": sr is not None and rk >= sr + 1,
-    }
-    uni = [x for x in M.elements(cap=cap)
-           if is_unimodular(M, [x]) is not None]
-    report["unimodular_count"] = len(uni)
-    if not uni:
-        report["orbits"] = 0
-        report["single_orbit"] = True
-        return report
-    autos = elementary_automorphisms(M)
-    index = {x: i for i, x in enumerate(uni)}
-    parent = list(range(len(uni)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for x in uni:
-        for f in autos:
-            y = f(x)
-            if y in index:
-                union(index[x], index[y])
-    classes = {}
-    for i, x in enumerate(uni):
-        classes.setdefault(find(i), []).append(x)
-    # exact fusion via complement isomorphism
-    comps = {}
-
-    def comp_of(x):
-        if x not in comps:
-            K, _, _ = split_summand(M, [x])
-            comps[x] = K
-        return comps[x]
-
-    roots = list(classes)
-    buckets = [[roots[0]]]
-    for rt in roots[1:]:
-        x = classes[rt][0]
-        placed = False
-        for bucket in buckets:
-            if is_isomorphic(comp_of(classes[bucket[0]][0]), comp_of(x)) is not None:
-                bucket.append(rt)
-                placed = True
-                break
-        if not placed:
-            buckets.append([rt])
-    report["orbits"] = len(buckets)
-    report["single_orbit"] = len(buckets) == 1
-    report["class_sizes"] = sorted(sum(len(classes[rt]) for rt in b) for b in buckets)
-    return report

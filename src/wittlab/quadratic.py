@@ -749,7 +749,9 @@ def _quad_dfs(Q1, Q2, collect_all, cap):
     """DFS over generator images of Q1 into Q2 preserving gram and mu;
     lambda between pool elements is tabulated once."""
     elems, V, pools = _signature_pools(Q2, Q1, cap)
-    used = np.unique(np.concatenate(list(pools.values())))
+    # return_index keeps np.unique from importing numpy.ma
+    used = np.unique(np.concatenate(list(pools.values())),
+                     return_index=True)[0]
     cands = [elems[i] for i in used.tolist()]
     lam = Q2.lam_table(V[used], V[used])
     pools = {sig: np.searchsorted(used, p) for sig, p in pools.items()}

@@ -2,14 +2,21 @@
 
 (S_n) sweeps enumerate all unimodular rows of R^(n+1) and search shortening
 vectors; (T_n) partitions the unimodular vectors of H^n by their mu-class
-and runs orbit BFS under the elementary unitary generators.  Everything is
-budgeted; RangeReports carry the verdict plus a witness or certificate.
+and runs orbit BFS under the elementary unitary generators.  GL transitivity
+on the unimodular elements of any module walks the same BFS under the
+elementary automorphisms.  Everything is budgeted; RangeReports carry the
+verdict plus a witness or certificate.
 """
+
+import functools
 
 import numpy as np
 
 from wittlab.linalg import row_unimodular
-from wittlab.modules import ModuleMap
+from wittlab.modules import (ENUM_CAP, ModuleMap, act_columns,
+                             functional_space, is_isomorphic, rank,
+                             split_summand)
+from wittlab.posets import gl_poset
 from wittlab.quadratic import (
     UnitaryMap,
     hyperbolic,
@@ -260,12 +267,18 @@ def _digits(codes, base, width):
         // base ** np.arange(width - 1, -1, -1, dtype=np.int64) % base
 
 
+def _canon_rows(module, V):
+    """The rows of the int array V (k x nd) in the module's canonical form:
+    V mod m on a free module."""
+    return module.canon_columns(V.T).T
+
+
 def element_codes(H, rows):
-    """Indices in H's element enumeration of coordinate rows; H must be
-    free (no relators to reduce by), as every H^n is."""
-    if H.module.relators:
-        raise ValueError("the EU-orbit engine needs a free module")
-    return _codes(rows, H.ring.base_mod)
+    """The codes (as _codes gives them) of the canonical forms of coordinate
+    rows of H's module; on a free module, as every H^n is, the indices in
+    its element enumeration."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, H.module.nd)
+    return _codes(_canon_rows(H.module, rows), H.ring.base_mod)
 
 
 def _gen_permutations(H, gens):
@@ -274,11 +287,12 @@ def _gen_permutations(H, gens):
     return np.hstack([t.f.B.T for t in gens])
 
 
-def _bfs(mats, m, start, target, budget, spent):
+def _bfs(mats, module, start, target, budget, spent):
     """Level-synchronous BFS from `start`, a k x nd array of coordinate rows
-    moved entrywise by the generators stacked in `mats` (as built by
-    _gen_permutations).  Only the frontier is kept as coordinates; a state
-    is one mixed-radix int over its k * nd coordinates.
+    of `module` moved entrywise by the generators stacked in `mats` (as
+    _gen_permutations stacks them) and put in canonical form.  Only the
+    frontier is kept as coordinates; a state is one mixed-radix int over
+    its k * nd canonical coordinates.
 
     With a `target` (coordinate rows -> bool mask) it stops at the first
     state whose entries all satisfy it, in the (state, generator) order of
@@ -288,11 +302,12 @@ def _bfs(mats, m, start, target, budget, spent):
     Returns (path or None, sorted codes of the reached states, spent).
     """
     k, nd = start.shape
+    m = module.ring.base_mod
     ngens = mats.shape[1] // nd
     if m ** (k * nd) >= 1 << 62:
         raise BudgetExceeded("state space of %d-tuples too large" % k)
     radix = m ** np.arange(k * nd - 1, -1, -1, dtype=np.int64)
-    frontier = start.reshape(1, k * nd) % m
+    frontier = _canon_rows(module, start).reshape(1, k * nd)
     seen = frontier @ radix
     levels = []  # per level: (parent position, generator) of each new state
     hit = None
@@ -308,7 +323,8 @@ def _bfs(mats, m, start, target, budget, spent):
             spent += len(rows) * ngens
             if spent > budget:
                 raise BudgetExceeded("EU orbit BFS budget")
-            imgs = (rows.reshape(-1, nd) @ mats) % m  # (F*k) x (G*nd)
+            imgs = _canon_rows(module, (rows.reshape(-1, nd) @ mats).reshape(
+                -1, nd))  # the (F*k) x (G*nd) images, one per row
             imgs = imgs.reshape(len(rows), k, ngens, nd).transpose(0, 2, 1, 3)
             imgs = imgs.reshape(len(rows) * ngens, k * nd)
             codes = imgs @ radix
@@ -349,10 +365,11 @@ def eu_search(H, xs, target=None, want=None, budget=DEFAULT_BUDGET, spent=0):
     empty word before any generator is built.  Returns (word or None,
     sorted codes of the reached states, u_mode, spent); the word lists the
     cached generators in application order."""
+    if H.module.relators:  # the EU family is built on H^n
+        raise ValueError("the EU-orbit engine needs a free module")
     m = H.ring.base_mod
     start = np.array([x.vec for x in xs], dtype=np.int64).reshape(
         len(xs), H.module.nd)
-    element_codes(H, start)  # refuses a presented H
     if target is not None and target(start).all():
         return [], _codes(start.reshape(1, -1), m), "basis", spent
     for u_mode in ("basis", "all"):
@@ -360,8 +377,8 @@ def eu_search(H, xs, target=None, want=None, budget=DEFAULT_BUDGET, spent=0):
             H.ring, H.param, len(H.hyperbolic_pairs), u_mode=u_mode, H=H)
         if ("mats", u_mode) not in H.eu_cache:
             H.eu_cache[("mats", u_mode)] = _gen_permutations(H, gens)
-        path, reached, spent = _bfs(H.eu_cache[("mats", u_mode)], m, start,
-                                    target, budget, spent)
+        path, reached, spent = _bfs(H.eu_cache[("mats", u_mode)], H.module,
+                                    start, target, budget, spent)
         if path is not None or (target is None
                                 and np.array_equal(reached, want)):
             break
@@ -382,6 +399,7 @@ def check_Tn(ring, param, n, budget=DEFAULT_BUDGET, mode="transvection"):
     elif mode == "full-u":
         H = hyperbolic(param, n)
         gens = unitary_group(H, cap=budget)
+        mats = _gen_permutations(H, gens)
     else:
         raise ValueError("unknown mode %r" % mode)
     classes = _mu_class_partition(H, budget)
@@ -390,22 +408,24 @@ def check_Tn(ring, param, n, budget=DEFAULT_BUDGET, mode="transvection"):
     stats = {"classes": len(classes), "generators": len(gens)}
     for rep_mu in sorted(classes):
         member_idx = classes[rep_mu]
-        seed = H.module.from_vec(
-            _digits(member_idx[:1], m, H.module.nd)[0].tolist())
+        seed = _digits(member_idx[:1], m, H.module.nd)
         if mode == "full-u":
-            # the orbit under the whole group is the set of images of the seed
+            # the orbit under the whole group is the set of images of the
+            # seed; return_index keeps np.unique from importing numpy.ma
             visits += len(gens)
             if visits > budget:
                 raise BudgetExceeded("full-U orbit budget")
-            seen = np.unique(element_codes(H, [t(seed).vec for t in gens]))
+            seen = np.unique(element_codes(H, seed @ mats),
+                             return_index=True)[0]
         else:
             _, seen, u_mode, visits = eu_search(
-                H, [seed], want=member_idx, budget=budget, spent=visits)
+                H, [H.module.from_vec(seed[0].tolist())], want=member_idx,
+                budget=budget, spent=visits)
             if u_mode == "all":
                 stats["generators_full"] = len(H.eu_cache[("gens", "all")])
         if not np.array_equal(seen, member_idx):
-            missing = np.setdiff1d(member_idx, seen)[:1]
-            unreached = _digits(missing, m, H.module.nd)[0].tolist()
+            missing = np.setdiff1d(member_idx, seen, assume_unique=True)
+            unreached = _digits(missing[:1], m, H.module.nd)[0].tolist()
             return RangeReport(ring, "T", n, "fails",
                                witness={"mu": rep_mu,
                                         "orbit_size": len(seen),
@@ -414,6 +434,80 @@ def check_Tn(ring, param, n, budget=DEFAULT_BUDGET, mode="transvection"):
                                stats=dict(stats, visits=visits), mode=mode)
     return RangeReport(ring, "T", n, "holds",
                        stats=dict(stats, visits=visits), mode=mode)
+
+
+# -- GL transitivity --------------------------------------------------------
+
+
+def _gl_generators(M):
+    """The elementary automorphisms of M, stacked as by _gen_permutations,
+    each in canonical form and once: x -> x + v phi(x) for v = +-g_i and
+    phi(v) = 0 (phi over every functional if there are at most 512, else
+    over the Z/m generators of their space), and x -> x u for the central
+    units u != 1."""
+    ring = M.ring
+    m, d, nd = ring.base_mod, ring.base_dim, M.nd
+    space = functional_space(M)
+    gammas = space.module_rows() if space.module_size <= 512 \
+        else np.array(space.H, dtype=np.int64)
+    # Phi[p] x = coords(phi_p(x)) and Mv[i] r = coords(v_i r)
+    Phi = ring.Lmat[ring.indices(gammas.reshape(-1, M.ngens, d))].transpose(
+        0, 2, 1, 3).reshape(-1, d, nd)
+    V = np.vstack([M.gen_columns.T, -M.gen_columns.T]) % m
+    Mv = act_columns(ring, V).reshape(nd, len(V), d).transpose(1, 0, 2)
+    iv, ip = np.nonzero(~(np.einsum("pdn,vn->vpd", Phi, V) % m).any(axis=2))
+    Bs = [np.eye(nd, dtype=np.int64) + Mv[iv] @ Phi[ip]]
+    Bs += [np.kron(np.eye(M.ngens, dtype=np.int64), ring.Rmat[u])[None]
+           for u in sorted(ring.units & ring.central - {ring.one})]
+    Bs = np.concatenate(Bs)
+    BT = _canon_rows(M, Bs.transpose(0, 2, 1).reshape(-1, nd)).reshape(
+        Bs.shape)  # BT[g, i] = the canonical image of basis vector i
+    _, keep = np.unique(BT.reshape(len(BT), -1), axis=0, return_index=True)
+    return BT[np.sort(keep)].transpose(1, 0, 2).reshape(nd, -1)
+
+
+def gl_transitive_check(M, sr=None, cap=ENUM_CAP):
+    """Do all split injections R -> M lie in one GL(M)-orbit?
+
+    _bfs walks the orbits of the elementary automorphisms on the canonical
+    codes of gl_poset's vertices, each from the least code no walk reached,
+    on one DEFAULT_BUDGET of visits; orbits left apart fuse exactly when
+    their complements are isomorphic.
+    """
+    if sr is None:
+        sr = stable_rank(M.ring, 3).value
+    rk = rank(M, cap=cap)
+    F = gl_poset(M, universe=M.elements(cap=cap))
+    report = {"module": M.name, "rank": rk, "sr": sr,
+              "applicable": sr is not None and rk >= sr + 1,
+              "unimodular_count": len(F.vertex_ids)}
+    if not F.vertex_ids:
+        return dict(report, orbits=0, single_orbit=True)
+    m = M.ring.base_mod
+    left = np.sort(_codes([F.atoms[i].vec for i in F.vertex_ids], m))
+    mats, classes, spent = _gl_generators(M), [], 0
+    while len(left):
+        _, orbit, spent = _bfs(mats, M, _digits(left[:1], m, M.nd), None,
+                               DEFAULT_BUDGET, spent)
+        classes.append(orbit)
+        left = np.setdiff1d(left, orbit, assume_unique=True)
+
+    @functools.lru_cache(maxsize=None)
+    def complement(i):
+        x = M.from_vec(_digits(classes[i][:1], m, M.nd)[0].tolist())
+        return split_summand(M, [x])[0]
+
+    buckets = []
+    for i in range(len(classes)):
+        for bucket in buckets:
+            if is_isomorphic(complement(bucket[0]), complement(i)) is not None:
+                bucket.append(i)
+                break
+        else:
+            buckets.append([i])
+    return dict(report, orbits=len(buckets), single_orbit=len(buckets) == 1,
+                class_sizes=sorted(sum(len(classes[i]) for i in bucket)
+                                   for bucket in buckets))
 
 
 class UsrResult:

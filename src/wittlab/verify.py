@@ -15,7 +15,7 @@ import collections
 
 import numpy as np
 
-from wittlab.homology import build_chain_complex, homology
+from wittlab.homology import _row_keys, build_chain_complex, homology
 from wittlab.modules import (
     CapExceeded,
     direct_sum_modules,
@@ -173,6 +173,13 @@ def _presentation_trivial(ngens, relators, budget=200000):
                 return True
         relators = kept
     return len(dead) == ngens
+
+
+def exit_reason(exc):
+    """The reason an inconclusive verdict gives for a cap or memory exit."""
+    if isinstance(exc, MemoryError):
+        return "out of memory" + (": %s" % exc if str(exc) else "")
+    return str(exc)
 
 
 def connectivity_verdict(poset, d, pi1_budget=200000):
@@ -405,7 +412,8 @@ def verify(theorem, X, rank, base=None, cap=5_000_000, k_max=1):
     """Report on a registry theorem (a name of NAMES) for X at rank sr or
     usr, on its link at base if given; k_max is the stabilization depth of
     the gbar invariant.  A cap exit ends as inconclusive with the reason,
-    and with no bound or poset name."""
+    and with no bound or poset name; so does running out of memory while
+    the poset is built, and after that with the bound and the name."""
     name, entry = lookup(theorem)
     if base and not entry.needs_base:
         name += "-link"
@@ -415,11 +423,15 @@ def verify(theorem, X, rank, base=None, cap=5_000_000, k_max=1):
     try:
         bound, poset = theorem_poset(theorem, X, rank, base, cap, k_max,
                                      hypothesis)
-    except (CapExceeded, PosetCapExceeded) as exc:
+    except (CapExceeded, PosetCapExceeded, MemoryError) as exc:
         verdict = ConnectivityVerdict(None, "inconclusive",
-                                      {"reason": str(exc)})
+                                      {"reason": exit_reason(exc)})
         return TheoremReport(name, None, verdict, hypothesis, None)
-    verdict = connectivity_verdict(poset, bound)
+    try:
+        verdict = connectivity_verdict(poset, bound)
+    except MemoryError as exc:
+        verdict = ConnectivityVerdict(bound, "inconclusive",
+                                      {"reason": exit_reason(exc)})
     return TheoremReport(name, bound, verdict, hypothesis, poset.name)
 
 
@@ -448,12 +460,13 @@ def verify_link_isos(Q, x_pairs, usr, cap=100000):
     the IU link against IU(Y)<V>, and the HU link against HU(Y), with
     Y = V-perp cap W-perp; each checked as an explicit poset isomorphism.
     A cap exit in the Witt search, the pair tables or a compared simplex
-    level returns {"result": "inconclusive", "reason": ...} instead; a
-    simplex cap's reason names the poset and the level."""
+    level, or running out of memory, returns {"result": "inconclusive",
+    "reason": ...} instead; a simplex cap's reason names the poset and the
+    level."""
     try:
         return _link_iso_results(Q, x_pairs, usr, cap)
-    except (CapExceeded, PosetCapExceeded) as exc:
-        return {"result": "inconclusive", "reason": str(exc)}
+    except (CapExceeded, PosetCapExceeded, MemoryError) as exc:
+        return {"result": "inconclusive", "reason": exit_reason(exc)}
 
 
 def _link_iso_results(Q, x_pairs, usr, cap):
@@ -522,34 +535,19 @@ def _link_iso_results(Q, x_pairs, usr, cap):
 
 
 def _poset_iso_check(lhs, rhs, fwd, max_p=3):
-    """fwd: map on lhs vertices; checks bijectivity on vertices and
-    membership preservation in both directions through dimension max_p.
-    A level past either poset's simplex cap raises PosetCapExceeded."""
-    lhs_verts = [lhs.atoms[i] for i in lhs.vertex_ids]
-    if any(a not in fwd for a in lhs_verts):
+    """fwd: map on lhs vertices.  Read as lhs atom id -> rhs atom id, it
+    must be a bijection onto rhs's vertices that maps each level through
+    max_p onto rhs's, the levels compared as sorted row keys.  A level past
+    either poset's simplex cap raises PosetCapExceeded."""
+    index = {a: i for i, a in enumerate(rhs.atoms)}
+    perm = np.full(len(lhs.atoms), -1, dtype=np.int64)
+    perm[lhs.vertex_ids] = [index.get(fwd.get(lhs.atoms[i]), -1)
+                            for i in lhs.vertex_ids]
+    if not np.array_equal(np.sort(perm[lhs.vertex_ids]), rhs.vertex_ids):
         return False
-    keys = [tuple_key(fwd[a]) for a in lhs_verts]
-    if len(set(keys)) != len(keys) or set(keys) != {
-            tuple_key(rhs.atoms[i]) for i in rhs.vertex_ids}:
-        return False
-    inv = dict(zip(keys, lhs_verts))
     for p in range(0, max_p + 1):
-        lhs_level = lhs.simplices(p)
-        for seq in lhs_level.tolist():
-            image = tuple(fwd[lhs.atoms[i]] for i in seq)
-            if not rhs.member_atoms(image):
-                return False
-        rhs_level = rhs.simplices(p)
-        if len(rhs_level) != len(lhs_level):
+        image, level = perm[lhs.simplices(p)], rhs.simplices(p)
+        if not np.array_equal(np.sort(_row_keys(image, len(rhs.atoms))),
+                              np.sort(_row_keys(level, len(rhs.atoms)))):
             return False
-        for seq in rhs_level.tolist():
-            pre = tuple(inv[tuple_key(rhs.atoms[i])] for i in seq)
-            if not lhs.member_atoms(pre):
-                return False
     return True
-
-
-def tuple_key(v):
-    if isinstance(v, tuple):
-        return tuple(tuple_key(x) for x in v)
-    return v.vec

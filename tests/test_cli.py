@@ -106,6 +106,21 @@ def test_cap_exits_outside_complex_are_inconclusive(capsys, monkeypatch):
     assert json.loads(out)["error"] == "EU orbit BFS budget"
 
 
+def test_memory_exit_is_inconclusive(capsys, monkeypatch):
+    from wittlab import stable_range as S
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 17.0 GiB")
+
+    monkeypatch.setattr(S, "unitary_stable_rank", out_of_memory)
+    code, out = run_cli(capsys, "straighten", "--ring", "gf2", "--qm", "H^3",
+                        "--seq", "[[0,0,1,0,0,0]]", "--k", "1")
+    assert code == 1
+    assert json.loads(out)["verdict"] == {
+        "result": "inconclusive",
+        "detail": {"reason": "out of memory: Unable to allocate 17.0 GiB"}}
+
+
 def spy_usr(monkeypatch, target):
     """Record the usr that the CLI hands to blocks.<target>."""
     from wittlab import blocks as B

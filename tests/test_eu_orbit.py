@@ -186,14 +186,23 @@ def test_generators_are_cached_on_h(monkeypatch):
 
 
 def test_orbit_bfs_does_not_import_numpy_ma():
-    # np.union1d's unique imports numpy.ma (10-15 ms); the BFS merges its
-    # sorted, disjoint levels without it
+    # np.unique without return flags and np.union1d import numpy.ma
+    # (10-19 ms): neither the BFS, nor the failing (T_1) search, nor the
+    # isometry search of a cancellation sum may call them
     code = ("import sys\n"
+            "from wittlab import catalog as C\n"
             "from wittlab import stable_range as S\n"
+            "from wittlab.quadratic import direct_sum_quadratic as plus\n"
+            "from wittlab.quadratic import hyperbolic, is_quad_isomorphic\n"
             "from wittlab.rings import make_form_parameter, make_ring\n"
             "R = make_ring({'kind': 'gf', 'q': 2})\n"
             "P = make_form_parameter(R, 1, ())\n"
             "assert S.check_Tn(R, P, 2).verdict == 'holds'\n"
+            "assert S.check_Tn(R, P, 1).verdict == 'fails'\n"
+            "H, D = hyperbolic(P, 1), C.degenerate_point(P)\n"
+            "A = plus(plus(H, D)[0], H)[0]\n"
+            "B = plus(plus(D, H)[0], H)[0]\n"
+            "assert is_quad_isomorphic(A, B) is not None\n"
             "print('numpy.ma' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(wittlab.__file__))
     path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]

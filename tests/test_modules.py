@@ -10,7 +10,6 @@ from wittlab.modules import (
     cyclic_module,
     direct_sum_modules,
     free_module,
-    gl_transitive_check,
     is_isomorphic,
     is_unimodular,
     is_unimodular_bruteforce,
@@ -19,10 +18,16 @@ from wittlab.modules import (
     submodule,
     ModuleMap,
 )
-from wittlab.rings import make_ring
+from wittlab.quadratic import make_quadratic, unitary_group
+from wittlab.rings import make_form_parameter, make_ring
+from wittlab.stable_range import gl_transitive_check
 
 Z4 = make_ring({"kind": "zmod", "n": 4})
 GF2 = make_ring({"kind": "gf", "q": 2})
+GF3 = make_ring({"kind": "gf", "q": 3})
+Z8 = make_ring({"kind": "zmod", "n": 8})
+Z2C2 = make_ring({"kind": "group_ring", "m": 2, "group": "C2", "w1": [1, 1]})
+Z2S3 = make_ring({"kind": "group_ring", "m": 2, "group": "S3", "w1": [1] * 6})
 
 
 def test_module_sizes():
@@ -212,6 +217,85 @@ def test_gl1_orbit_units():
     # GL_1 = units acting by multiplication: unimodular elements are the units
     assert rep["unimodular_count"] == 2
     assert rep["single_orbit"]
+
+
+def _plus(A, B):
+    return direct_sum_modules(A, B)[0]
+
+
+# (module, rank, unimodular count, orbit sizes) as the union-find engine over
+# ModuleMap objects reported them; every one has sr = 1
+GL_PINNED = {
+    "gf2^1": (lambda: free_module(GF2, 1), 1, 1, [1]),
+    "gf2^2": (lambda: free_module(GF2, 2), 2, 3, [3]),
+    "gf2^3": (lambda: free_module(GF2, 3), 3, 7, [7]),
+    "gf2^4": (lambda: free_module(GF2, 4), 4, 15, [15]),
+    "z4^1": (lambda: free_module(Z4, 1), 1, 2, [2]),
+    "z4^2": (lambda: free_module(Z4, 2), 2, 12, [12]),
+    "z4^3": (lambda: free_module(Z4, 3), 3, 56, [56]),
+    "gf3^3": (lambda: free_module(GF3, 3), 3, 26, [26]),
+    "z2c2^2": (lambda: free_module(Z2C2, 2), 2, 12, [12]),
+    "z4^2+z4/2": (lambda: _plus(free_module(Z4, 2), cyclic_module(Z4, 2)),
+                  2, 24, [24]),
+    "z4+z4/2": (lambda: _plus(free_module(Z4, 1), cyclic_module(Z4, 2)),
+                1, 4, [4]),
+    "z4/2+z4/2": (lambda: _plus(cyclic_module(Z4, 2), cyclic_module(Z4, 2)),
+                  0, 0, None),
+    "z8+z8/4": (lambda: _plus(free_module(Z8, 1), cyclic_module(Z8, 4)),
+                1, 16, [16]),
+}
+
+
+@pytest.mark.parametrize("case", GL_PINNED)
+def test_gl_transitivity_pinned_reports(case):
+    build, rk, count, sizes = GL_PINNED[case]
+    M = build()
+    want = {"module": M.name, "rank": rk, "sr": 1, "applicable": rk >= 2,
+            "unimodular_count": count, "orbits": len(sizes or []),
+            "single_orbit": True}
+    if sizes is not None:
+        want["class_sizes"] = sizes
+    assert gl_transitive_check(M) == want
+
+
+def _automorphism_orbits(M):
+    """The orbits of every automorphism of M (the unitary group of the zero
+    form) on the unimodular elements found by the brute-force oracle."""
+    param = make_form_parameter(M.ring, M.ring.one)
+    Q = make_quadratic(M, [[M.ring.zero] * M.ngens] * M.ngens,
+                       [M.ring.zero] * M.ngens, param)
+    group = unitary_group(Q)
+    left = {x for x in M.elements() if is_unimodular_bruteforce(M, [x])}
+    orbits = []
+    while left:
+        orbit = {f(next(iter(left))) for f in group}
+        orbits.append(len(orbit))
+        left -= orbit
+    return len(group), sorted(orbits)
+
+
+GL_ORACLE = {
+    "gf2^3": (lambda: free_module(GF2, 3), 168),
+    "z4^2": (lambda: free_module(Z4, 2), 96),
+    "z2c2^2": (lambda: free_module(Z2C2, 2), 96),
+    "gf3^2": (lambda: free_module(GF3, 2), 48),
+    "z4+z4/2": (lambda: _plus(free_module(Z4, 1), cyclic_module(Z4, 2)), 8),
+    # the central units split the 12 units into six orbits of two, which
+    # only the complement isomorphisms fuse
+    "z2s3^1": (lambda: free_module(Z2S3, 1), 12),
+}
+
+
+@pytest.mark.parametrize("case", GL_ORACLE)
+def test_gl_orbits_match_automorphism_group(case):
+    build, group_size = GL_ORACLE[case]
+    M = build()
+    size, orbits = _automorphism_orbits(M)
+    assert size == group_size
+    rep = gl_transitive_check(M, sr=1)
+    assert rep["unimodular_count"] == sum(orbits)
+    assert rep["orbits"] == len(orbits)
+    assert rep["class_sizes"] == orbits
 
 
 def test_stabilization_depth_independence():

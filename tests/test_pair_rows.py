@@ -205,6 +205,36 @@ def test_hu_h5_certified_under_one_gib():
     assert proc.stdout.split() == ["homology-verified", "134912"]
 
 
+def test_hu_h6_out_of_memory_is_inconclusive():
+    # under a 400 MiB address space HU(H^6/GF(2))'s atom list does not fit;
+    # the MemoryError ends as an inconclusive verdict with its reason, and
+    # the process exits normally
+    import wittlab
+
+    code = "\n".join([
+        "import resource",
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))",
+        "from wittlab import catalog as C",
+        "from wittlab.quadratic import hyperbolic",
+        "from wittlab.verify import verify_hu_connectivity",
+        "Q = hyperbolic(C.catalog_parameters('gf2')[0][1], 6)",
+        "rep = verify_hu_connectivity(Q, usr=1)",
+        "print(rep.verdict.result, rep.bound, rep.critical)",
+        "print(rep.verdict.detail['reason'])",
+    ])
+    src = os.path.dirname(os.path.dirname(wittlab.__file__))
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    verdict, reason = proc.stdout.splitlines()
+    assert verdict == "inconclusive None False"
+    assert reason.startswith("out of memory")
+
+
 def _iu_raw_loops(T, seq):
     """The IU raw test as the pair loops over `_PairTables.lam`."""
     zero = T.Q.ring.zero

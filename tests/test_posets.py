@@ -337,6 +337,51 @@ def test_link_isos_h3():
     assert res["Y_size"] == 16  # H^2 inside H^3
 
 
+def test_poset_iso_check_rejects_swapped_vertex_images(monkeypatch):
+    # the HU link isomorphism of H^3, and the same map with the images of
+    # two vertices with different neighborhoods swapped, which no
+    # automorphism of the link undoes
+    from wittlab import verify
+
+    calls = []
+    check = verify._poset_iso_check
+    monkeypatch.setattr(verify, "_poset_iso_check",
+                        lambda *args: calls.append(args) or check(*args))
+    H3 = hyperbolic(P2, 3)
+    e1, f1 = H3.hyperbolic_pairs[0]
+    assert verify_link_isos(H3, [(e1, f1)], usr=1)["hu"]
+    lhs, rhs, fwd = calls[-1]
+    assert check(lhs, rhs, fwd)
+    v, *rest = lhs.vertex_ids
+
+    def around(a, b):
+        return set(lhs.neighbors(a).tolist()) - {b}
+
+    w = next(w for w in rest if around(v, w) != around(w, v))
+    x, y = lhs.atoms[v], lhs.atoms[w]
+    assert not check(lhs, rhs, {**fwd, x: fwd[y], y: fwd[x]})
+
+
+def test_memory_exits_are_inconclusive(monkeypatch):
+    # a MemoryError in the chain build keeps the bound and the poset name;
+    # one in the link isomorphisms ends that report too
+    from wittlab import verify
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(verify, "build_chain_complex", out_of_memory)
+    rep = verify_gl_connectivity(free_module(GF2, 3), sr=1)
+    assert rep.bound == 1 and rep.poset_name == "U(GF(2)^3)"
+    assert rep.verdict.to_dict() == {"target": 1, "result": "inconclusive",
+                                     "detail": {"reason": "out of memory"}}
+    assert not rep.critical
+    monkeypatch.setattr(verify, "witt_index", out_of_memory)
+    H3 = hyperbolic(P2, 3)
+    assert verify_link_isos(H3, [H3.hyperbolic_pairs[0]], usr=1) == {
+        "result": "inconclusive", "reason": "out of memory"}
+
+
 def test_link_isos_cap_exit_is_inconclusive():
     # a compared level past the simplex cap is not a pass: the report is
     # inconclusive and its reason names the poset and the level
