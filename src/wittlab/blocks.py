@@ -665,7 +665,7 @@ def _dual_completion(H_std, zs, base, usr, cap, sweep=300, budget=1 << 22):
         if V.size * U.size != H_std.size:
             return None
         vdec = witt_index(V, usr=usr, cap=cap)
-        if vdec.g != frame_g(H_std) - k:
+        if vdec.g != len(H_std.hyperbolic_pairs) - k:
             return None
         if V.size != ring.size ** (2 * vdec.g):
             return None
@@ -705,7 +705,7 @@ def _dual_completion(H_std, zs, base, usr, cap, sweep=300, budget=1 << 22):
         rho = t.compose(rho)
     rho_inv = adjoint_inverse(rho)
     pairs = [(rho_inv(module.gen(2 * l)), rho_inv(module.gen(2 * l + 1)))
-             for l in range(frame_g(H_std))]
+             for l in range(len(H_std.hyperbolic_pairs))]
     return pairs[:k], pairs[k:]
 
 
@@ -729,10 +729,6 @@ def _eu_word(H_std, xs, target, budget, what):
     if word is None:
         raise BlockError("%s: no elementary word reaches the target" % what)
     return word
-
-
-def frame_g(H_std):
-    return len(H_std.hyperbolic_pairs)
 
 
 def hyperbolic_straighten(Q, seq, k=None, frame=None, usr=1, cap=1 << 12):

@@ -229,6 +229,19 @@ def _write_atomic(path, data):
         raise
 
 
+def _read_cached(path):
+    """The cached verify output at path, or None on a miss: no file, or one
+    that is not JSON holding a dict with a verdict dict (say, truncated)."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if isinstance(data, dict) and isinstance(data.get("verdict"), dict):
+        return data
+    return None
+
+
 def _resolve_instance(instance):
     ring = C.resolve_ring(instance["ring"])
     param = C.resolve_parameter(ring, instance.get("epsilon"),
@@ -255,12 +268,11 @@ def cmd_complex(args):
     if cache_dir and args.action == "verify":
         os.makedirs(cache_dir, exist_ok=True)
         cache_path = os.path.join(cache_dir, _cache_key(digest) + ".json")
-        if os.path.exists(cache_path) and not args.no_cache:
-            with open(cache_path) as fh:
-                data = json.load(fh)
+        data = None if args.no_cache else _read_cached(cache_path)
+        if data is not None:
             data["cached"] = True
             print(json.dumps(data, indent=2, sort_keys=True))
-            return _exit_code(data.get("verdict", {}))
+            return _exit_code(data["verdict"])
     parts = _resolve_instance(instance)
     _name, entry = V.lookup(args.theorem)
     if entry.rank == "sr":

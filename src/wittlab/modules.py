@@ -50,11 +50,12 @@ class Module:
 
     def canon_columns(self, A):
         """A (nd x k int64) mod m, each column replaced by its canonical
-        form when there are relators to reduce by."""
-        A = A % self.ring.base_mod
-        if self.relators and A.shape[1]:
-            A = np.array([self.canon(col) for col in A.T.tolist()],
-                         dtype=np.int64).T
+        form: reduce_vec's pass over the Howell rows of the relations, in
+        pivot order, on all columns at once."""
+        m = self.ring.base_mod
+        A = A % m
+        for h, j in zip(self.rel.H, self.rel.pivots):
+            A = (A - np.outer(h, A[j] // h[j])) % m
         return A
 
     @property
@@ -91,11 +92,8 @@ class Module:
     def elements(self, cap=ENUM_CAP):
         if self.size > cap:
             raise CapExceeded("module has %d elements, cap %d" % (self.size, cap))
-        seen = set()
         for vec in self.rel.enumerate_canonical_reps():
-            if vec not in seen:
-                seen.add(vec)
-                yield ModuleElement(self, vec)
+            yield ModuleElement(self, vec)
 
     def element_rows(self, cap=ENUM_CAP):
         """The elements, and their coordinates as one (size, nd) array."""

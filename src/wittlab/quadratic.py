@@ -547,10 +547,8 @@ _WITT_MEMO = {}  # (presentation, usr, cap) -> (pair vectors, complement, B)
 def witt_index(Q, usr=None, cap=GROUP_CAP):
     """Largest g with H^g a quadratic direct summand, with the decomposition.
 
-    Greedy descent is exact when it meets the cardinality bound; otherwise
-    the exact value is certified bottom-up: the greedy tail is settled by
-    full backtracking on the (small) deep complements, and each level above
-    follows by cancellation once the complement's value reaches usr.  When
+    One depth-first search over hyperbolic pairs finds it (_witt_search),
+    cut off at the cardinality bound and, given usr, by cancellation.  When
     Q's tracked hyperbolic pairs span it they are returned as they are, so
     the decomposition of H^g never depends on the search order.
 
@@ -593,94 +591,39 @@ def _presentation(Q):
 
 
 def _witt_search(Q, usr, cap):
-    """The greedy and backtracking search behind witt_index, uncached."""
-    ub = _cardinality_bound(Q)
+    """The search behind witt_index, uncached: depth first over the pairs
+    (x, y) in candidate and then partner order, each splitting off the
+    orthogonal complement of [x, y].  A node keeps the first branch of
+    largest g; it stops at its cardinality bound, or by cancellation once a
+    complement's index reaches usr, since no later branch can do better.
+    Nodes are memoized on their presentation for the length of the search,
+    and each returns its pairs and inclusion on its own module."""
+    memo = {}
 
-    pairs = []
-    chain = []
-    levels = [Q]
-    while True:
-        cur = levels[-1]
-        found = None
-        for x in _hyperbolic_pair_candidates(cur, cap):
-            for y in _partners(cur, x, cap):
-                found = (x, y)
-                break
-            if found:
-                break
-        if not found:
-            break
-        x, y = found
-        comp, incl = orthogonal_complement(cur, [x, y])
-        pairs.append((x, y))
-        chain.append(incl)
-        levels.append(comp)
-    leaf = levels[-1]
-    g_greedy = len(pairs)
-    g_exact = g_greedy
-    if g_greedy < ub:
-        # exact value bottom-up along the greedy chain: the leaf has no
-        # hyperbolic pair (witt 0 by exhaustion); a level is settled by
-        # cancellation when the value below reaches usr, by backtracking
-        # otherwise
-        vals = [None] * len(levels)
-        vals[-1] = 0
-        memo = {}
-        for i in range(len(levels) - 2, -1, -1):
-            below = vals[i + 1]
-            if usr is not None and below >= usr:
-                vals[i] = below + 1
-            else:
-                vals[i] = _witt_backtrack(levels[i], _cardinality_bound(levels[i]),
-                                          cap, memo)
-        g_exact = vals[0]
-        if g_exact > g_greedy:
-            pairs, leaf, chain = _witt_extract(Q, g_exact, cap)
-    # pull pairs and the complement back to Q's module
-    out_pairs = []
-    for i, (x, y) in enumerate(pairs):
-        lx, ly = x, y
-        for incl in reversed(chain[:i]):
-            lx, ly = incl(lx), incl(ly)
-        out_pairs.append((lx, ly))
-    if chain:
-        comp_incl = chain[0]
-        for incl in chain[1:]:
-            comp_incl = comp_incl.compose(incl)
-    else:
-        comp_incl = identity_map(Q.module)
-    return WittDecomposition(Q, out_pairs, leaf, comp_incl)
-
-
-def _witt_backtrack(Q, ub, cap, memo):
-    key = _presentation(Q)
-    if key in memo:
+    def search(P):
+        key = _presentation(P)
+        if key not in memo:
+            memo[key] = split(P)
         return memo[key]
-    best = 0
-    for x in _hyperbolic_pair_candidates(Q, cap):
-        for y in _partners(Q, x, cap):
-            comp, _ = orthogonal_complement(Q, [x, y * Q.param.epsilon])
-            got = 1 + _witt_backtrack(comp, ub - 1, cap, memo)
-            if got > best:
-                best = got
-            if best >= ub:
-                memo[key] = best
-                return best
-    memo[key] = best
-    return best
 
+    def split(P):
+        best = WittDecomposition(P, [], P, identity_map(P.module))
+        ub = _cardinality_bound(P)
+        if ub == 0:
+            return best
+        for x in _hyperbolic_pair_candidates(P, cap):
+            for y in _partners(P, x, cap):
+                comp, incl = orthogonal_complement(P, [x, y])
+                sub = search(comp)
+                if sub.g >= best.g:
+                    best = WittDecomposition(
+                        P, [(x, y)] + [(incl(u), incl(v)) for u, v in sub.pairs],
+                        sub.complement, incl.compose(sub.complement_incl))
+                if best.g == ub or (usr is not None and sub.g >= usr):
+                    return best
+        return best
 
-def _witt_extract(Q, target, cap):
-    """Recover an explicit decomposition of the given Witt index."""
-    if target == 0:
-        return [], Q, []
-    for x in _hyperbolic_pair_candidates(Q, cap):
-        for y in _partners(Q, x, cap):
-            comp, incl = orthogonal_complement(Q, [x, y * Q.param.epsilon])
-            if _witt_backtrack(comp, target - 1, cap, {}) >= target - 1:
-                pairs, leaf, chain = _witt_extract(comp, target - 1, cap)
-                return [(x, y)] + pairs, leaf, [incl] + chain
-    raise RingError("failed to extract a decomposition at the computed index")
+    return search(Q)
 
 
 def stable_witt_index(Q, k_max, usr=None, cap=GROUP_CAP):

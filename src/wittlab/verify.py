@@ -504,11 +504,7 @@ def _link_iso_results(Q, x_pairs, usr, cap):
     lhs = link(big, vs)
     iu_y = iu_poset(Y, tables=tables_Y, cap=cap)
     rhs = decorate(iu_y, V_elems)
-    fwd = {}
-    for i in lhs.vertex_ids:
-        a = lhs.atoms[i]
-        y, x = decompose(a)
-        fwd[a] = (y, next(e for e in V_elems if e == x))
+    fwd = {lhs.atoms[i]: decompose(lhs.atoms[i]) for i in lhs.vertex_ids}
     results["iu"] = _poset_iso_check(lhs, rhs, fwd)
 
     # (3) HU(M)_x = HU(Y)

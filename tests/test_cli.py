@@ -219,6 +219,28 @@ def test_complex_verify_and_cache(tmp_path, capsys, monkeypatch):
     assert data3["verdict"] == data["verdict"]
 
 
+@pytest.mark.parametrize("damage", ['{"verdict": {"res', "[]"],
+                         ids=["truncated", "list"])
+def test_complex_damaged_cache_entry_is_a_miss(tmp_path, capsys, monkeypatch,
+                                               damage):
+    from wittlab import cli
+
+    monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
+    instance = json.dumps({"ring": "gf2", "module": "free:2"})
+    argv = ("complex", "verify", "--theorem", "gl", "--instance", instance)
+    _, fresh = run_cli(capsys, *argv, "--no-cache")
+    path = tmp_path / (cli._cache_key(json.loads(fresh)["instance_digest"])
+                       + ".json")
+    path.write_text(damage)
+    code, out = run_cli(capsys, *argv)
+    data = json.loads(out)
+    assert code == 0 and not data.get("cached")
+    assert data["verdict"] == json.loads(fresh)["verdict"]
+    # the damaged entry was overwritten with a readable one
+    assert json.loads(path.read_text())["verdict"] == data["verdict"]
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_complex_empty_poset_is_refuted(tmp_path, capsys, monkeypatch):
     # an empty poset at d >= -1 refutes non-emptiness: exit 2, fresh or cached
     from wittlab import verify

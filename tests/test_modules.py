@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from wittlab.modules import (
@@ -47,6 +48,20 @@ def test_canonicalization_is_idempotent_and_additive():
         cv = M.canon(v)
         assert M.canon(list(cv)) == cv
         assert M.add_vec(cv, M.canon(w)) == M.canon([a + b for a, b in zip(v, w)])
+
+
+@pytest.mark.parametrize("ring", [Z4, Z8, Z2C2], ids=lambda R: R.name)
+def test_canon_columns_matches_per_column_canon(ring):
+    rng = random.Random(ring.name)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        rels = [[rng.randrange(ring.size) for _ in range(n)]
+                for _ in range(rng.randint(1, 3))]
+        M = Module(ring, n, rels)
+        A = np.array([[rng.randrange(-9, 9) for _ in range(20)]
+                      for _ in range(M.nd)], dtype=np.int64)
+        want = [M.canon(col) for col in A.T.tolist()]
+        assert M.canon_columns(A).T.tolist() == [list(v) for v in want]
 
 
 def test_right_action_respects_relations():
