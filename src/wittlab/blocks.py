@@ -65,9 +65,9 @@ def row_left_coefficients(ring, row):
     return None if inv is None else inv[0]
 
 
-def shorten_row(ring, row, budget=SEARCH_BUDGET):
+def shorten_row(ring, row):
     """t in R^n with (row_i + t_i * last) unimodular, first found in a
-    support-growing sweep; None if the sweep exhausts the budget."""
+    support-growing sweep; None after SEARCH_BUDGET visits."""
     n = len(row) - 1
     last = row[n]
 
@@ -83,7 +83,7 @@ def shorten_row(ring, row, budget=SEARCH_BUDGET):
         for positions in itertools.combinations(range(n), support):
             for vals in itertools.product(range(1, ring.size), repeat=support):
                 visits += 1
-                if visits > budget:
+                if visits > SEARCH_BUDGET:
                     return None
                 t = [ring.zero] * n
                 for p, v in zip(positions, vals):
@@ -93,7 +93,7 @@ def shorten_row(ring, row, budget=SEARCH_BUDGET):
     return None
 
 
-def gl_column_to_e1(ring, col, budget=SEARCH_BUDGET):
+def gl_column_to_e1(ring, col):
     """C in GL_n with C*col = e_1, built from elementary row operations.
 
     Needs n >= 2 and the shortening search to succeed (guaranteed when
@@ -110,7 +110,7 @@ def gl_column_to_e1(ring, col, budget=SEARCH_BUDGET):
         work[i] = int(ring.add[work[i], ring.mul[t, work[j]]])
         C[i] = [int(ring.add[C[i][s], ring.mul[t, C[j][s]]]) for s in range(n)]
 
-    t = shorten_row(ring, work, budget=budget)
+    t = shorten_row(ring, work)
     if t is None:
         raise BlockError("stable-range shortening failed")
     for i in range(n - 1):
@@ -325,7 +325,7 @@ def _conj_twist(ring, S, column):
     return out
 
 
-def matrix_reduce(A, sr, budget=SEARCH_BUDGET):
+def matrix_reduce(A, sr):
     """A vector m in M^n such that the unipotent move with column m makes the
     top n x k matrix unimodular, following the inductive proof (base case via
     a stable-range correction, inductive step via a GL_n pivot and a right
@@ -343,7 +343,7 @@ def matrix_reduce(A, sr, budget=SEARCH_BUDGET):
     if k == 1:
         c = A.funcs[0](mprime[0])
         row = tuple(A.matrix[i][0] for i in range(n)) + (c,)
-        t = shorten_row(ring, row, budget=budget)
+        t = shorten_row(ring, row)
         if t is None:
             raise BlockError("stable-range shortening failed in the base case")
         m_col = [mprime[0] * int(ring.conj[t[i]]) for i in range(n)]
@@ -358,13 +358,13 @@ def matrix_reduce(A, sr, budget=SEARCH_BUDGET):
     # inductive step (here n >= sr + 1)
     c = A.funcs[0](mprime[0])
     row = tuple(A.matrix[i][0] for i in range(n)) + (c,)
-    t = shorten_row(ring, row, budget=budget)
+    t = shorten_row(ring, row)
     if t is None:
         raise BlockError("stable-range shortening failed")
     m1 = [mprime[0] * int(ring.conj[t[i]]) for i in range(n)]
     A_a = block_act(A, ("left_unipotent", m1))
     col1 = [A_a.matrix[i][0] for i in range(n)]
-    C = gl_column_to_e1(ring, col1, budget=budget)
+    C = gl_column_to_e1(ring, col1)
     A_1 = block_act(A_a, ("left_gl", C))
     # right move clearing the first row
     D = rmat_identity(ring, k)
@@ -373,7 +373,7 @@ def matrix_reduce(A, sr, budget=SEARCH_BUDGET):
     A_2 = block_act(A_1, ("right", D))
     # sub-block on rows 2..n, columns 2..k
     sub = Block(M, [row[1:] for row in A_2.matrix[1:]], A_2.funcs[1:])
-    sub_cert = matrix_reduce(sub, sr, budget=budget)
+    sub_cert = matrix_reduce(sub, sr)
     m4 = [M.zero()] + sub_cert.m_column
     Cinv = ring_matrix_inverse(ring, C)
     twisted = _conj_twist(ring, Cinv, m4)
@@ -385,7 +385,7 @@ def matrix_reduce(A, sr, budget=SEARCH_BUDGET):
                                 moved.matrix)
 
 
-def _sk_step(B_matrix, ring, sr, budget=SEARCH_BUDGET):
+def _sk_step(B_matrix, ring, sr):
     """Matrix stable-range step: r in R^(rows-1) such that adding r_i *
     (last row) to the other rows leaves the top unimodular.  Realized by a
     matrix reduction over the module R whose functional row is
@@ -396,12 +396,12 @@ def _sk_step(B_matrix, ring, sr, budget=SEARCH_BUDGET):
     funcs = [AntiFunctional(R1, [B_matrix[rows - 1][j]], check=False)
              for j in range(k)]
     induced = Block(R1, [row[:] for row in B_matrix[:rows - 1]], funcs)
-    cert = matrix_reduce(induced, sr, budget=budget)
+    cert = matrix_reduce(induced, sr)
     r = [int(ring.conj[x.ring_blocks()[0]]) for x in cert.m_column]
     return r
 
 
-def reduce_keep_tail(A, n_top, l, sr, budget=SEARCH_BUDGET):
+def reduce_keep_tail(A, n_top, l, sr):
     """Structured reduction: a module column m supported on the first n_top
     rows (plus, in the mixing form, a ring matrix Q folding the middle l rows
     into the top) leaving the last l+1 rows of the block untouched while the
@@ -413,7 +413,7 @@ def reduce_keep_tail(A, n_top, l, sr, budget=SEARCH_BUDGET):
         raise BlockError("row split does not match the block")
     if k + sr > n + 1:
         raise BlockError("keep-tail reduction needs k + sr <= n_top + 1")
-    base = matrix_reduce(A, sr, budget=budget)
+    base = matrix_reduce(A, sr)
     # composed left transform (S, c) with S in GL_{n+l}, c a module column
     S = rmat_identity(ring, n + l)
     c = list(base.m_column)
@@ -421,7 +421,7 @@ def reduce_keep_tail(A, n_top, l, sr, budget=SEARCH_BUDGET):
     # peel the bottom rows one at a time with (S^k) steps
     for peel in range(l):
         rows = n + l - peel
-        r = _sk_step([row[:] for row in B_cur[:rows]], ring, sr, budget=budget)
+        r = _sk_step([row[:] for row in B_cur[:rows]], ring, sr)
         S_step = rmat_identity(ring, n + l)
         for i in range(rows - 1):
             S_step[i][rows - 1] = r[i]

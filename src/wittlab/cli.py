@@ -67,8 +67,19 @@ def _qm_from_args(args, param, field="qm"):
     return C.resolve_quadratic(param, ref)
 
 
+def _json_list(value):
+    if not isinstance(value, list):
+        raise ValueError("expected a JSON list, got %s" % json.dumps(value))
+    return value
+
+
 def _element(module, blocks):
-    return module.element([int(b) for b in blocks])
+    """A module element from a JSON list of ring indices."""
+    if not all(isinstance(b, int) and not isinstance(b, bool)
+               for b in _json_list(blocks)):
+        raise ValueError("an element is a JSON list of integer ring "
+                         "indices, got %s" % json.dumps(blocks))
+    return module.element(blocks)
 
 
 USR_NMAX = 2
@@ -140,7 +151,8 @@ def cmd_straighten(args):
     ring = _ring_from_args(args)
     param = _param_from_args(args, ring)
     Q = _qm_from_args(args, param)
-    seq = [_element(Q.module, blocks) for blocks in json.loads(args.seq)]
+    seq = [_element(Q.module, blocks)
+           for blocks in _json_list(json.loads(args.seq))]
     usr = _usr_from_args(args, ring, param)
     phi = B.hyperbolic_straighten(Q, seq, args.k, usr=usr)
     images = [[int(b) for b in phi(v).ring_blocks()] for v in seq]
@@ -282,9 +294,9 @@ def cmd_complex(args):
         X = parts["Q"]
         module = X.module
         rank = S.unitary_stable_rank(parts["ring"], parts["param"], 2).value
-    base = [tuple(_element(module, b) for b in blocks)
+    base = [tuple(_element(module, b) for b in _json_list(blocks))
             if entry.base == "pair" else _element(module, blocks)
-            for blocks in instance.get("base") or ()]
+            for blocks in _json_list(instance.get("base") or [])]
     if args.action == "build":
         # the vertices of the poset verify checks, linked at the base
         out = {"theorem": args.theorem, "instance_digest": digest}

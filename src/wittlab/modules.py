@@ -70,6 +70,11 @@ class Module:
     def element(self, blocks):
         """Element from a tuple of ring indices, one per generator."""
         ring = self.ring
+        if len(blocks) != self.ngens:
+            raise RingError("%d ring indices for %d generators"
+                            % (len(blocks), self.ngens))
+        if not all(0 <= a < ring.size for a in blocks):
+            raise RingError("ring index outside [0, %d)" % ring.size)
         vec = []
         for a in blocks:
             vec.extend(int(x) for x in ring.to_base[a])

@@ -261,7 +261,7 @@ def _onto_hook(ring, A, lead=None):
             sel = np.flatnonzero(row)
             if not len(sel):
                 continue
-            rows = A[:, prefix, :].reshape(nd, -1)
+            rows = A[:, prefix, :].reshape(nd, len(prefix) * A.shape[2])
             if lead is not None:
                 rows = np.hstack([lead, rows])
             K = whole
@@ -327,7 +327,7 @@ def gl_poset(M, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
             for rows in _row_chunks(n, len(C) * nd + len(codes)):
                 R = atom_rows[P[rows]].reshape(len(P[rows]), k * d, nd)
                 span = M.canon_columns(np.einsum("sj,njx->xns", C, R).reshape(
-                    nd, -1)).T @ powers
+                    nd, len(R) * len(C))).T @ powers
                 pos = np.searchsorted(codes, span)
                 hit = np.flatnonzero(codes[pos] == span)
                 table = np.zeros((len(R), len(codes)), dtype=bool)
@@ -343,7 +343,7 @@ def gl_poset(M, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
         nrel = len(M.relators)
         A = ring_left_rows(ring, _evaluation_matrix(M, universe)).reshape(
             nd, nrel + len(universe), d)
-        lead = A[:, :nrel, :].reshape(nd, -1) if nrel else None
+        lead = A[:, :nrel, :].reshape(nd, nrel * d) if nrel else None
         extend = _onto_hook(ring, A[:, nrel:, :], lead)
 
     return SequencePoset(name or "U(%s)" % M.name, universe, raw,

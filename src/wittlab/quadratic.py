@@ -547,17 +547,19 @@ _WITT_MEMO = {}  # (presentation, usr, cap) -> (pair vectors, complement, B)
 def witt_index(Q, usr=None, cap=GROUP_CAP):
     """Largest g with H^g a quadratic direct summand, with the decomposition.
 
-    One depth-first search over hyperbolic pairs finds it (_witt_search),
-    cut off at the cardinality bound and, given usr, by cancellation.  When
-    Q's tracked hyperbolic pairs span it they are returned as they are, so
-    the decomposition of H^g never depends on the search order.
+    A depth-first search finds it (_witt_search): one branch per isotropic
+    x, recursing through this function on each complement, cut off at the
+    cardinality bound and, given usr, by cancellation.  When Q's tracked
+    hyperbolic pairs span it they are returned as they are, so the
+    decomposition of H^g never depends on the search order.
 
     The search reads Q only through its presentation (form parameter,
     generators, relators, gram and mu), so its result is memoized on that
     presentation together with usr and cap, for the life of the process
-    (at most WITT_MEMO_SIZE entries, the oldest dropped first).  A memo
-    entry holds the pairs as coordinate vectors, the complement and the
-    inclusion matrix; every call wraps them onto Q's own module.
+    (at most WITT_MEMO_SIZE entries, the oldest dropped first); the
+    search's own nodes share that one memo.  An entry holds the pairs as
+    coordinate vectors, the complement and the inclusion matrix; every call
+    wraps them onto Q's own module.
     """
     if Q.module.size > cap:
         raise CapExceeded("module too large for Witt search")
@@ -591,39 +593,36 @@ def _presentation(Q):
 
 
 def _witt_search(Q, usr, cap):
-    """The search behind witt_index, uncached: depth first over the pairs
-    (x, y) in candidate and then partner order, each splitting off the
-    orthogonal complement of [x, y].  A node keeps the first branch of
-    largest g; it stops at its cardinality bound, or by cancellation once a
-    complement's index reaches usr, since no later branch can do better.
-    Nodes are memoized on their presentation for the length of the search,
-    and each returns its pairs and inclusion on its own module."""
-    memo = {}
+    """The search behind witt_index, uncached at Q itself: for each
+    candidate x in order, split off x and its first partner y and take the
+    complement's decomposition from witt_index.  Q keeps the first branch
+    of largest g; it stops at its cardinality bound, or by cancellation once
+    a complement's index reaches usr.  Pairs and inclusion are on Q's module.
 
-    def search(P):
-        key = _presentation(P)
-        if key not in memo:
-            memo[key] = split(P)
-        return memo[key]
-
-    def split(P):
-        best = WittDecomposition(P, [], P, identity_map(P.module))
-        ub = _cardinality_bound(P)
-        if ub == 0:
-            return best
-        for x in _hyperbolic_pair_candidates(P, cap):
-            for y in _partners(P, x, cap):
-                comp, incl = orthogonal_complement(P, [x, y])
-                sub = search(comp)
-                if sub.g >= best.g:
-                    best = WittDecomposition(
-                        P, [(x, y)] + [(incl(u), incl(v)) for u, v in sub.pairs],
-                        sub.complement, incl.compose(sub.complement_incl))
-                if best.g == ub or (usr is not None and sub.g >= usr):
-                    return best
+    One partner per x is enough: for another partner y' = y + x a + w with
+    w orthogonal to <x, y>, some tau(x, u, .) with u in <x, y>^perp followed
+    by some tau(x, 0, c) with c in Lambda is an isometry of Q fixing x and
+    sending y to y'.  The two complements are isometric, so they have one
+    Witt index, and the branch kept and the cuts depend only on that index.
+    This holds whenever usr is None or at least the ring's usr (so the
+    cancellation cut returns the true index), as at every call site."""
+    best = WittDecomposition(Q, [], Q, identity_map(Q.module))
+    ub = _cardinality_bound(Q)
+    if ub == 0:
         return best
-
-    return search(Q)
+    for x in _hyperbolic_pair_candidates(Q, cap):
+        y = next(_partners(Q, x, cap), None)
+        if y is None:
+            continue
+        comp, incl = orthogonal_complement(Q, [x, y])
+        sub = witt_index(comp, usr, cap)
+        if sub.g >= best.g:
+            best = WittDecomposition(
+                Q, [(x, y)] + [(incl(u), incl(v)) for u, v in sub.pairs],
+                sub.complement, incl.compose(sub.complement_incl))
+        if best.g == ub or (usr is not None and sub.g >= usr):
+            return best
+    return best
 
 
 def stable_witt_index(Q, k_max, usr=None, cap=GROUP_CAP):

@@ -87,6 +87,51 @@ def test_malformed_ring_spec_is_an_error(capsys, spec):
     assert json.loads(out)["error"]
 
 
+MALFORMED_ELEMENTS = ["[1,0,0]", "[1,0,0,0,1]", "[7,0,0,0]", "[-1,0,0,0]",
+                      "[1.5,0,0,0]", "[true,0,0,0]", "5"]
+
+
+@pytest.mark.parametrize("v", MALFORMED_ELEMENTS)
+def test_malformed_element_is_an_error(capsys, v):
+    # too few or many blocks, an index outside the ring, a non-integer
+    for argv in (["transitive-move", "--ring", "gf2", "--qm", "H^2",
+                  "--v", v],
+                 ["straighten", "--ring", "gf2", "--qm", "H^2",
+                  "--seq", "[%s]" % v, "--k", "1"],
+                 ["complex", "verify", "--no-cache", "--theorem", "iu-link",
+                  "--instance", '{"ring": "gf2", "quadratic": "H^2", '
+                  '"base": [%s]}' % v]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert set(json.loads(out)) == {"error"}
+
+
+def test_malformed_element_list_is_an_error(capsys):
+    for argv in (["straighten", "--ring", "gf2", "--qm", "H^2", "--seq", "5",
+                  "--k", "1"],
+                 ["complex", "verify", "--no-cache", "--theorem", "iu-link",
+                  "--instance", '{"ring": "gf2", "quadratic": "H^2", '
+                  '"base": 5}'],
+                 ["complex", "verify", "--no-cache", "--theorem", "hu-link",
+                  "--instance", '{"ring": "gf2", "quadratic": "H^2", '
+                  '"base": [5]}']):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert set(json.loads(out)) == {"error"}
+
+
+@pytest.mark.parametrize("ring", ["gf2", "z4"])
+def test_complex_zero_module_is_vacuous(capsys, ring):
+    instance = json.dumps({"ring": ring, "module": "free:0"})
+    code, out = run_cli(capsys, "complex", "verify", "--no-cache",
+                        "--theorem", "gl", "--instance", instance)
+    assert code == 0
+    assert json.loads(out)["verdict"]["result"] == "vacuous"
+    code, out = run_cli(capsys, "complex", "build", "--theorem", "gl",
+                        "--instance", instance)
+    assert code == 0 and json.loads(out)["vertices"] == 0
+
+
 def test_cap_exits_outside_complex_are_inconclusive(capsys, monkeypatch):
     # H^6 + H over GF(2) has 16384 elements, past the module cap
     code, out = run_cli(capsys, "cancel", "--ring", "gf2",

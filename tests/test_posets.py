@@ -320,6 +320,27 @@ def test_hu_theorem_small_tiers():
     assert rep2.bound == -1 and rep2.verdict.result == "nonempty-verified"
 
 
+@pytest.mark.parametrize("rname", ["gf2", "z4"])
+def test_zero_module_theorems_hold(rname):
+    # rank 0 and g = 0: gl, iu and mu-poset are vacuous, every other
+    # base-less theorem holds on the empty or one-vertex poset
+    from wittlab import catalog as C
+    from wittlab.quadratic import zero_quadratic
+    from wittlab.verify import PROVED, THEOREMS
+
+    ring, param = C.catalog_ring(rname), C.default_parameter(rname)
+    for name, entry in THEOREMS.items():
+        if entry.needs_base:
+            continue
+        zeros = [free_module(ring, 0)] if entry.rank == "sr" else [
+            hyperbolic(param, 0), zero_quadratic(param)]
+        for X in zeros:
+            rep = verify(name, X, 1)
+            assert not rep.critical and rep.verdict.result in PROVED, name
+            if name in ("gl", "iu", "mu-poset") or rep.bound <= -2:
+                assert rep.verdict.result == "vacuous", name
+
+
 def test_iu_theorem_small_tiers():
     rep = verify_iu_connectivity(hyperbolic(P2, 2), usr=1)
     # bound floor((2-1-2)/2) = -1
