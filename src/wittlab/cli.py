@@ -274,6 +274,11 @@ def _exit_code(verdict):
 
 def cmd_complex(args):
     instance = json.loads(args.instance)
+    _name, entry = V.lookup(args.theorem)
+    key = "module" if entry.rank == "sr" else "quadratic"
+    if not isinstance(instance, dict) or key not in instance:
+        raise ValueError("%s needs an instance with a %r key"
+                         % (args.theorem, key))
     digest = _instance_digest(args.theorem, instance)
     cache_dir = os.environ.get("WITTLAB_CACHE_DIR")
     cache_path = None
@@ -286,7 +291,6 @@ def cmd_complex(args):
             print(json.dumps(data, indent=2, sort_keys=True))
             return _exit_code(data["verdict"])
     parts = _resolve_instance(instance)
-    _name, entry = V.lookup(args.theorem)
     if entry.rank == "sr":
         X = module = parts["M"]
         rank = S.stable_rank(parts["ring"], 2).value

@@ -26,6 +26,11 @@ from wittlab.quadratic import (
 
 DEFAULT_BUDGET = 1 << 22
 CHUNK = 1 << 18  # array cells a chunked sweep or BFS step computes at once
+# an orbit walk over at most BITMAP_STATES states keeps one byte per state
+# as its visited set, a walk over more keeps sorted codes
+BITMAP_STATES = 1 << 22
+GROUP_VALUES = 256  # entries of one digit group's image table, at most
+RUN_BITS = 12  # packed bits one reduction lookup reads, at most
 
 
 class BudgetExceeded(RuntimeError):
@@ -151,10 +156,10 @@ def stable_rank(ring, n_max, budget=DEFAULT_BUDGET):
 
 
 # -- the EU-orbit engine and (T_n) -------------------------------------------
-# The generators of each (H, u_mode) and their stacked matrices are cached in
+# The generators of each (H, u_mode) and their image tables are cached in
 # H.eu_cache, so each distinct transvection is verified unitary once per H
-# and the cache lives exactly as long as H.  The BFS keeps only its frontier,
-# so what it holds does not grow with |H|.
+# and the cache lives exactly as long as H.  The BFS keeps its frontier and
+# its visited set, a byte per state only while the states are few.
 
 
 def _u_blocks(ring, ngens, support, u_mode):
@@ -281,18 +286,100 @@ def element_codes(H, rows):
     return _codes(_canon_rows(H.module, rows), H.ring.base_mod)
 
 
-def _gen_permutations(H, gens):
-    """The generators' actions on coordinate rows, as one nd x (G * nd)
-    matrix: row block x @ M holds the images of x under each generator."""
-    return np.hstack([t.f.B.T for t in gens])
+class _ImageTables:
+    """Digit-group image tables of a stack of generators of a module.
+
+    A vector code's nd base-m digits (element_codes) split into t groups of
+    at most w digits, m^w <= GROUP_VALUES.  Entry [v, j, g] of a group's
+    table is word j of generator g's image of the group's part v: its nd
+    coordinates reduced mod m, packed as fields of b = bit_length(t (m - 1))
+    bits into words of at most 63 bits, so the t entries a code gathers add
+    up with no carry between fields.  A run of fields of at most RUN_BITS
+    bits is then reduced mod m and re-encoded by one lookup, and the image
+    code is the sum of those lookups.  On a presented module the fields are
+    read off as coordinates instead and put in canonical form."""
+
+    def __init__(self, module, BT):
+        m, nd = module.ring.base_mod, module.nd
+        BT = np.asarray(BT, dtype=np.int64).reshape(-1, nd, nd) % m
+        self.module, self.ngens = module, len(BT)
+        w = 1
+        while m ** (w + 1) <= GROUP_VALUES:
+            w += 1
+        bounds = list(range(0, nd, w)) + [nd]
+        bits = ((len(bounds) - 1) * (m - 1)).bit_length()
+        per_run = max(1, RUN_BITS // bits)
+        per_word = max(1, 63 // (per_run * bits))  # runs in one word
+        run = np.arange(nd) // per_run
+        word = run // per_word
+        offset = bits * (run % per_word * per_run + np.arange(nd) % per_run)
+        nwords = int(word[-1]) + 1
+        self.groups = []  # (divisor, table) per digit group
+        for lo, hi in zip(bounds, bounds[1:]):
+            # the images of the group's parts, one digit at a time, in
+            # int16 (m <= SIZE_CAP = 256): a sum of two images is < 2m
+            Y = np.zeros((1, self.ngens, nd), dtype=np.int16)
+            for i in range(lo, hi):
+                step = (np.arange(m)[:, None, None] * BT[:, i]) % m
+                Y = (Y[:, None] + step.astype(np.int16)).reshape(
+                    -1, self.ngens, nd)
+                Y = np.where(Y >= m, Y - m, Y)
+            table = np.zeros((len(Y), nwords, self.ngens), dtype=np.int64)
+            for c in range(nd):
+                table[:, word[c]] += Y[:, :, c].astype(np.int64) << int(
+                    offset[c])
+            self.groups.append((m ** (nd - hi), table))
+        self.fmask = (1 << bits) - 1
+        self.fields = list(zip(word.tolist(), offset.tolist()))  # per coord
+        self.runs = []  # (word, shift, mask, lookup) per run of fields
+        for r in range(int(run[-1]) + 1):
+            cs = np.flatnonzero(run == r)
+            keys = np.arange(1 << (bits * len(cs)), dtype=np.int64)
+            lookup = sum((keys >> (bits * i) & self.fmask) % m
+                         * m ** (nd - 1 - c)
+                         for i, c in enumerate(cs.tolist()))
+            self.runs.append((int(word[cs[0]]), int(offset[cs[0]]),
+                              (1 << bits * len(cs)) - 1, lookup))
+
+    def images(self, codes):
+        """The (N, G) canonical image codes of the N vector codes."""
+        module = self.module
+        codes = np.asarray(codes, dtype=np.int64)
+        packed = np.zeros((len(codes),) + self.groups[0][1].shape[1:],
+                          dtype=np.int64)
+        for div, table in self.groups:
+            packed += table.take(codes // div % len(table), axis=0)
+        if module.relators:
+            # the fields are the images' coordinates up to multiples of m,
+            # which canon_columns reduces with the relations
+            A = np.stack([packed[:, j] >> shift & self.fmask
+                          for j, shift in self.fields])
+            A = module.canon_columns(A.reshape(module.nd, -1))
+            return _codes(A.T, module.ring.base_mod).reshape(
+                len(codes), self.ngens)
+        out = np.zeros((len(codes), self.ngens), dtype=np.int64)
+        field = np.empty_like(out)
+        for j, shift, mask, lookup in self.runs:
+            np.right_shift(packed[:, j], shift, out=field)
+            field &= mask
+            out += lookup.take(field)
+        return out
 
 
-def _bfs(mats, module, start, target, budget, spent):
-    """Level-synchronous BFS from `start`, a k x nd array of coordinate rows
-    of `module` moved entrywise by the generators stacked in `mats` (as
-    _gen_permutations stacks them) and put in canonical form.  Only the
-    frontier is kept as coordinates; a state is one mixed-radix int over
-    its k * nd canonical coordinates.
+def _gen_permutations(module, BT):
+    """The image tables of the generators stacked in BT (G x nd x nd; row i
+    of BT[g] holds the coordinates of generator g's image of basis vector
+    i)."""
+    return _ImageTables(module, BT)
+
+
+def _bfs(tables, start, target, budget, spent):
+    """Level-synchronous BFS from `start`, the k canonical vector codes of a
+    tuple of elements of tables.module, moved entrywise by the generators
+    of `tables`.  A state is one mixed-radix int, the concatenation of its
+    vector codes; only the frontier is kept.  The states seen are a byte
+    per state while there are at most BITMAP_STATES of them, else a sorted
+    code array.
 
     With a `target` (coordinate rows -> bool mask) it stops at the first
     state whose entries all satisfy it, in the (state, generator) order of
@@ -301,14 +388,22 @@ def _bfs(mats, module, start, target, budget, spent):
     generator, counted with `spent` against `budget`.
     Returns (path or None, sorted codes of the reached states, spent).
     """
-    k, nd = start.shape
-    m = module.ring.base_mod
-    ngens = mats.shape[1] // nd
+    k = len(start)
+    m, nd, ngens = tables.module.ring.base_mod, tables.module.nd, tables.ngens
     if m ** (k * nd) >= 1 << 62:
         raise BudgetExceeded("state space of %d-tuples too large" % k)
-    radix = m ** np.arange(k * nd - 1, -1, -1, dtype=np.int64)
-    frontier = _canon_rows(module, start).reshape(1, k * nd)
-    seen = frontier @ radix
+    radix = (m ** nd) ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    frontier = np.array([np.asarray(start, dtype=np.int64) @ radix])
+    if m ** (k * nd) <= BITMAP_STATES:
+        visited, seen = np.zeros(m ** (k * nd), dtype=np.uint8), None
+        visited[frontier] = 1
+    else:
+        visited, seen = None, frontier
+
+    def hits(codes):
+        return target(_digits(codes, m, k * nd).reshape(-1, nd)).reshape(
+            -1, k).all(axis=1)
+
     levels = []  # per level: (parent position, generator) of each new state
     hit = None
     cap = max(1, CHUNK // (ngens * k * nd))
@@ -317,43 +412,47 @@ def _bfs(mats, module, start, target, budget, spent):
         # level ends the level early, and a long level still takes few
         # numpy calls; without one, every chunk is full
         lo, step = 0, cap if target is None else 1
-        found = []  # per chunk: (position, code, coordinates) of unseen images
+        found = []  # per chunk: (position, code) of unseen images
         while lo < len(frontier):
-            rows = frontier[lo:lo + step]
-            spent += len(rows) * ngens
+            states = frontier[lo:lo + step]
+            spent += len(states) * ngens
             if spent > budget:
                 raise BudgetExceeded("EU orbit BFS budget")
-            imgs = _canon_rows(module, (rows.reshape(-1, nd) @ mats).reshape(
-                -1, nd))  # the (F*k) x (G*nd) images, one per row
-            imgs = imgs.reshape(len(rows), k, ngens, nd).transpose(0, 2, 1, 3)
-            imgs = imgs.reshape(len(rows) * ngens, k * nd)
-            codes = imgs @ radix
-            at = np.minimum(np.searchsorted(seen, codes), len(seen) - 1)
-            fresh = np.flatnonzero(seen[at] != codes)
-            found.append((fresh + lo * ngens, codes[fresh], imgs[fresh]))
-            if target is not None and target(
-                    imgs[fresh].reshape(-1, nd)).reshape(-1, k).all(1).any():
+            codes = tables.images(_digits(states, m ** nd, k).reshape(-1))
+            if k > 1:
+                codes = np.einsum("skg,k->sg", codes.reshape(
+                    len(states), k, ngens), radix)
+            codes = codes.reshape(-1)  # in (state, generator) order
+            if seen is None:
+                fresh = np.flatnonzero(visited[codes] == 0)
+                visited[codes[fresh]] = 1
+            else:
+                at = np.minimum(np.searchsorted(seen, codes), len(seen) - 1)
+                fresh = np.flatnonzero(seen[at] != codes)
+            found.append((fresh + lo * ngens, codes[fresh]))
+            if target is not None and hits(codes[fresh]).any():
                 break  # the level's first hit lies in this chunk
-            lo, step = lo + len(rows), min(2 * step, cap)
-        pos, codes, imgs = (np.concatenate(a) for a in zip(*found))
+            lo, step = lo + len(states), min(2 * step, cap)
+        pos, codes = (np.concatenate(a) for a in zip(*found))
         codes, first = np.unique(codes, return_index=True)
         order = np.argsort(first)
-        frontier = imgs[first[order]]
-        pos = pos[first[order]]
-        levels.append((pos // ngens, pos % ngens))
-        # codes are unique and none is in seen, so this is their union
-        seen = np.sort(np.concatenate([seen, codes]))
+        frontier = codes[order]
+        if seen is not None:
+            # codes are unique and none is in seen, so this is their union
+            seen = np.sort(np.concatenate([seen, codes]))
         if target is not None:
-            hits = np.flatnonzero(
-                target(frontier.reshape(-1, nd)).reshape(-1, k).all(1))
-            hit = hits[0] if len(hits) else None
+            pos = pos[first[order]]
+            levels.append((pos // ngens, pos % ngens))
+            at = np.flatnonzero(hits(frontier))
+            hit = at[0] if len(at) else None
+    reached = np.flatnonzero(visited) if seen is None else seen
     if hit is None:
-        return None, seen, spent
+        return None, reached, spent
     path = []
     for parent, gen in reversed(levels):
         path.append(int(gen[hit]))
         hit = parent[hit]
-    return path[::-1], seen, spent
+    return path[::-1], reached, spent
 
 
 def eu_search(H, xs, target=None, want=None, budget=DEFAULT_BUDGET, spent=0):
@@ -375,10 +474,12 @@ def eu_search(H, xs, target=None, want=None, budget=DEFAULT_BUDGET, spent=0):
     for u_mode in ("basis", "all"):
         _, gens = elementary_unitary_generators(
             H.ring, H.param, len(H.hyperbolic_pairs), u_mode=u_mode, H=H)
-        if ("mats", u_mode) not in H.eu_cache:
-            H.eu_cache[("mats", u_mode)] = _gen_permutations(H, gens)
-        path, reached, spent = _bfs(H.eu_cache[("mats", u_mode)], H.module,
-                                    start, target, budget, spent)
+        if ("tables", u_mode) not in H.eu_cache:
+            H.eu_cache[("tables", u_mode)] = _gen_permutations(
+                H.module, [t.f.B.T for t in gens])
+        path, reached, spent = _bfs(H.eu_cache[("tables", u_mode)],
+                                    element_codes(H, start), target, budget,
+                                    spent)
         if path is not None or (target is None
                                 and np.array_equal(reached, want)):
             break
@@ -399,7 +500,7 @@ def check_Tn(ring, param, n, budget=DEFAULT_BUDGET, mode="transvection"):
     elif mode == "full-u":
         H = hyperbolic(param, n)
         gens = unitary_group(H, cap=budget)
-        mats = _gen_permutations(H, gens)
+        tables = _gen_permutations(H.module, [t.f.B.T for t in gens])
     else:
         raise ValueError("unknown mode %r" % mode)
     classes = _mu_class_partition(H, budget)
@@ -415,7 +516,7 @@ def check_Tn(ring, param, n, budget=DEFAULT_BUDGET, mode="transvection"):
             visits += len(gens)
             if visits > budget:
                 raise BudgetExceeded("full-U orbit budget")
-            seen = np.unique(element_codes(H, seed @ mats),
+            seen = np.unique(tables.images(member_idx[:1]),
                              return_index=True)[0]
         else:
             _, seen, u_mode, visits = eu_search(
@@ -440,8 +541,8 @@ def check_Tn(ring, param, n, budget=DEFAULT_BUDGET, mode="transvection"):
 
 
 def _gl_generators(M):
-    """The elementary automorphisms of M, stacked as by _gen_permutations,
-    each in canonical form and once: x -> x + v phi(x) for v = +-g_i and
+    """The image tables (_gen_permutations) of the elementary automorphisms
+    of M, each in canonical form and once: x -> x + v phi(x) for v = +-g_i and
     phi(v) = 0 (phi over every functional if there are at most 512, else
     over the Z/m generators of their space), and x -> x u for the central
     units u != 1."""
@@ -463,7 +564,7 @@ def _gl_generators(M):
     BT = _canon_rows(M, Bs.transpose(0, 2, 1).reshape(-1, nd)).reshape(
         Bs.shape)  # BT[g, i] = the canonical image of basis vector i
     _, keep = np.unique(BT.reshape(len(BT), -1), axis=0, return_index=True)
-    return BT[np.sort(keep)].transpose(1, 0, 2).reshape(nd, -1)
+    return _gen_permutations(M, BT[np.sort(keep)])
 
 
 def gl_transitive_check(M, sr=None, cap=ENUM_CAP):
@@ -485,10 +586,9 @@ def gl_transitive_check(M, sr=None, cap=ENUM_CAP):
         return dict(report, orbits=0, single_orbit=True)
     m = M.ring.base_mod
     left = np.sort(_codes([F.atoms[i].vec for i in F.vertex_ids], m))
-    mats, classes, spent = _gl_generators(M), [], 0
+    tables, classes, spent = _gl_generators(M), [], 0
     while len(left):
-        _, orbit, spent = _bfs(mats, M, _digits(left[:1], m, M.nd), None,
-                               DEFAULT_BUDGET, spent)
+        _, orbit, spent = _bfs(tables, left[:1], None, DEFAULT_BUDGET, spent)
         classes.append(orbit)
         left = np.setdiff1d(left, orbit, assume_unique=True)
 

@@ -526,6 +526,22 @@ def test_complex_unknown_theorem_is_rejected(capsys):
         assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theorem,instance,key", [
+    ("iu", {"ring": "gf2", "module": "free:2"}, "quadratic"),
+    ("hu-link", {"ring": "gf2", "module": "free:2"}, "quadratic"),
+    ("gl", H2, "module"),
+    ("gl-link", H2, "module"),
+])
+def test_complex_theorem_needs_its_instance_kind(capsys, theorem, instance,
+                                                 key):
+    for action in ("build", "verify"):
+        code, out = run_cli(capsys, "complex", action, "--theorem", theorem,
+                            "--instance", json.dumps(instance))
+        assert code == 2
+        assert json.loads(out) == {
+            "error": "%s needs an instance with a '%s' key" % (theorem, key)}
+
+
 def test_complex_link_needs_a_base(capsys):
     for theorem, instance in (("gl-link", {"ring": "gf2", "module": "free:3"}),
                               ("iu-link", H2), ("perp-link", H2)):
