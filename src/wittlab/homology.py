@@ -4,11 +4,12 @@ Chains are the free groups on length-(p+1) members; faces delete one entry.
 build_chain_complex finds the faces of a whole level at once: it deletes
 one column of the level's int array at a time and looks the rows up by
 searchsorted in the sorted row keys of the level below, so each boundary
-is three COO arrays.  Homology runs a cross-degree unit-pivot reduction
-(Schur complement on one boundary matrix, row/column deletions on its
-neighbours, homology-preserving) before the Smith-normal-form endgame on
-the small remainders.  The complex is augmented, so all reported numbers
-are reduced homology.
+is three COO arrays.  Homology reduces those arrays by unit pivots
+(Kaczynski-Mrozek-Slusarek), degree by degree in ascending order: each
+round takes a diagonal block of +-1 pivots at once and its Schur complement
+as one sparse join, and the pivots' cells leave the neighbouring
+boundaries.  The Smith-normal-form endgame runs on the small remainders.
+The complex is augmented, so all reported numbers are reduced homology.
 """
 
 import numpy as np
@@ -82,86 +83,95 @@ def build_chain_complex(poset, up_to_degree):
     return ChainComplexData(counts, boundaries)
 
 
-def _grouped(keys, inner, vals, pool):
-    """{key: {inner: val}} over COO entries, keys in order of first
-    appearance, inner dicts in entry order, indices the int objects of pool."""
-    order = np.argsort(keys, kind="stable")
-    k = keys[order]
-    starts = np.flatnonzero(np.diff(k, prepend=-1))  # keys are >= 0
-    ends = np.r_[starts[1:], len(k)]
-    seq = np.argsort(order[starts], kind="stable")
-    inner, vals = pool[inner[order]].tolist(), vals[order].tolist()
-    return {key: dict(zip(inner[s:e], vals[s:e])) for key, s, e in zip(
-        pool[k[starts][seq]].tolist(), starts[seq].tolist(),
-        ends[seq].tolist())}
+# values stay int64 while a round's bound on its new entries stays below
+# this; past it the degree's values become exact Python ints (dtype object)
+INT64_BOUND = 2 ** 62
 
 
-def _columns(rows, vals, pool, width):
-    """{col: {row: val}} of a column-major COO whose column c holds the
-    `width` entries c * width ..., read in constant-size groups; indices
-    the int objects of pool."""
-    keys = pool[:len(rows) // width].tolist()
-    rows, vals = iter(pool[rows].tolist()), iter(vals.tolist())
-    return {c: dict(zip(r, v)) for c, r, v in zip(
-        keys, zip(*[rows] * width), zip(*[vals] * width))}
+def _pivots(rows, cols, vals, shape):
+    """Entry positions of one round's pivots in a COO matrix sorted by
+    column, then row.  Candidates: the +-1 entry of least Markowitz cost in
+    each column (least row on ties), then the least of those per row by
+    priority (cost, col).  A candidate is kept when its priority is below
+    every other one's whose column its row meets or whose row meets its
+    column: the pivot block is diagonal, and the least candidate stays."""
+    unit = np.flatnonzero(np.abs(vals) == 1)
+    r, c = rows[unit], cols[unit]
+    cost = (np.bincount(rows, minlength=shape[0])[r] - 1) \
+        * (np.bincount(cols, minlength=shape[1])[c] - 1)
+    start = np.flatnonzero(np.diff(c, prepend=-1))
+    least = np.repeat(np.minimum.reduceat(cost, start),
+                      np.diff(start, append=len(c)))
+    best = np.flatnonzero(cost == least)
+    best = best[np.diff(c[best], prepend=-1) != 0]
+    k = len(best)
+    rank = np.empty(k, dtype=np.intp)
+    rank[np.argsort(cost[best], kind="stable")] = np.arange(k)
+    o = np.argsort(r[best] * k + rank)
+    o = o[np.diff(r[best][o], prepend=-1) != 0]
+    cand, rank = unit[best[o]], rank[o]
+    i, j = _pivot_ids(rows, cols, cand, shape)
+    meet = (i >= 0) & (j >= 0) & (i != j)
+    low = np.full(len(cand), k)
+    np.minimum.at(low, i[meet], rank[j[meet]])
+    np.minimum.at(low, j[meet], rank[i[meet]])
+    return cand[rank < low]
 
 
-class _Sparse:
-    """Row/column indexed sparse integer matrix with unit-pivot reduction.
-    d_p comes column-major with p + 1 entries per column (`width`)."""
+def _pivot_ids(rows, cols, piv, shape):
+    """Per entry, the pivot whose row (i) and whose column (j) it lies in,
+    -1 for none."""
+    at_row = np.full(shape[0], -1, dtype=np.intp)
+    at_col = np.full(shape[1], -1, dtype=np.intp)
+    at_row[rows[piv]] = at_col[cols[piv]] = np.arange(len(piv))
+    return at_row[rows], at_col[cols]
 
-    def __init__(self, coo, pool, width):
-        rows, cols, vals = coo  # no zero entries
-        self.rows = _grouped(rows, cols, vals, pool)
-        self.cols = _columns(rows, vals, pool, width)
 
-    def delete_row(self, r):
-        for c in self.rows.pop(r, ()):
-            col = self.cols[c]
-            del col[r]
-            if not col:
-                del self.cols[c]
-
-    def delete_col(self, c):
-        for r in self.cols.pop(c, ()):
-            row = self.rows[r]
-            del row[c]
-            if not row:
-                del self.rows[r]
-
-    def best_pivot_in_row(self, r):
-        row = self.rows.get(r)
-        if not row:
-            return None
-        best = None
-        lr = len(row)
-        for c, v in row.items():
-            if v == 1 or v == -1:
-                cost = (lr - 1) * (len(self.cols[c]) - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, c, v)
-                    if cost == 0:
-                        break
-        return best
-
-    def eliminate(self, r, c, v):
-        """Schur complement step at a +-1 pivot; removes row r and col c.
-        Writes go straight to the row and column dicts: row rr keeps its
-        entry at c and column cc its entry at r until the deletions at the
-        end, so none of them empties on the way."""
-        rows, cols = self.rows, self.cols
-        row_entries = [(cc, b) for cc, b in rows[r].items() if cc != c]
-        for rr, a in [(rr, a) for rr, a in cols[c].items() if rr != r]:
-            factor = a * v  # v in {1,-1}: a / v
-            target = rows[rr]
-            for cc, b in row_entries:
-                x = target.get(cc, 0) - factor * b
-                if x:
-                    target[cc] = cols[cc][rr] = x
-                else:
-                    del target[cc], cols[cc][rr]
-        self.delete_row(r)
-        self.delete_col(c)
+def _reduce(rows, cols, vals, shape):
+    """Unit-pivot reduction of one COO matrix, in rounds of _pivots: each
+    takes the Schur complement A[~R,~C] - A[~R,C] diag(v) A[R,~C] of its
+    diagonal +-1 block as one join over the pivots.  Returns the remainder
+    (no +-1 entry left), and the pivot rows and columns."""
+    pivot_rows = pivot_cols = np.zeros(0, dtype=np.intp)
+    while True:
+        # sort by column, then row, and sum equal positions; after a round
+        # the kept entries and the sorted products are two sorted runs,
+        # which the stable sort merges
+        key = cols * shape[0] + rows
+        o = np.argsort(key, kind="stable")
+        first = np.flatnonzero(np.diff(key[o], prepend=-1))
+        o, vals = o[first], np.add.reduceat(vals[o], first)
+        nz = vals != 0
+        rows, cols, vals = rows[o[nz]], cols[o[nz]], vals[nz]
+        piv = _pivots(rows, cols, vals, shape)
+        if not len(piv):
+            return (rows, cols, vals), pivot_rows, pivot_cols
+        pivot_rows = np.concatenate((pivot_rows, rows[piv]))
+        pivot_cols = np.concatenate((pivot_cols, cols[piv]))
+        i, j = _pivot_ids(rows, cols, piv, shape)
+        a = np.flatnonzero((i < 0) & (j >= 0))  # A[~R,C]
+        b = np.flatnonzero((i >= 0) & (j < 0))  # A[R,~C]
+        # a pivot whose column has no other entry makes no products
+        b = b[np.bincount(j[a], minlength=len(piv))[i[b]] > 0]
+        b = b[np.argsort(i[b], kind="stable")]
+        per = np.bincount(i[b], minlength=len(piv))
+        reps = per[j[a]]
+        total = int(reps.sum())
+        if vals.dtype != object and int(np.abs(vals[a]).max(initial=0)) \
+                * int(np.abs(vals[b]).max(initial=0)) * (total + 1) \
+                + int(np.abs(vals).max(initial=0)) >= INT64_BOUND:
+            vals = vals.astype(object)
+        # product t: entry ia[t] of a pivot's column times ib[t] of its row
+        ia = np.repeat(a, reps)
+        ib = b[np.arange(total) + np.repeat(
+            np.cumsum(per)[j[a]] - per[j[a]] - np.cumsum(reps) + reps, reps)]
+        o = np.argsort(cols[ib] * shape[0] + rows[ia])
+        ia, ib = ia[o], ib[o]
+        keep = np.flatnonzero((i < 0) & (j < 0))
+        rows = np.concatenate((rows[keep], rows[ia]))
+        cols = np.concatenate((cols[keep], cols[ib]))
+        vals = np.concatenate((vals[keep],
+                               -vals[ia] * vals[piv][j[ia]] * vals[ib]))
 
 
 def _summary(chain, up_to_degree, cells, divisors):
@@ -191,43 +201,32 @@ def homology_plain(chain, up_to_degree):
 
 def homology(chain, up_to_degree):
     """Reduced Betti numbers and torsion through the requested degree."""
-    live = {p: set(range(n)) for p, n in chain.counts.items()}
+    alive = {p: np.ones(chain.counts.get(p, 0), dtype=bool)
+             for p in range(-1, up_to_degree + 2)}
     empty = (np.zeros(0, dtype=np.intp),) * 3
-    pool = np.arange(max(chain.counts.values()) + 1).astype(object)
-    mats = {p: _Sparse(chain.boundaries.get(p, empty), pool, p + 1)
-            for p in range(0, up_to_degree + 2)}
-    # cross-degree unit-pivot reduction, ascending: eliminations only change
-    # values within their own degree, so one pass of per-degree fixpoints is
-    # a complete reduction
-    for p in sorted(mats):
-        sp = mats[p]
-        pending = list(set(sp.rows))
-        in_queue = set(pending)
-        while pending:
-            r = pending.pop()
-            in_queue.discard(r)
-            piv = sp.best_pivot_in_row(r)
-            if piv is None:
-                continue
-            _, c, v = piv
-            affected = [rr for rr in sp.cols[c] if rr != r]
-            sp.eliminate(r, c, v)
-            live[p - 1].discard(r)
-            live[p].discard(c)
-            if p + 1 in mats:
-                mats[p + 1].delete_row(c)
-            if p - 1 in mats:
-                mats[p - 1].delete_col(r)
-            for rr in affected:
-                if rr not in in_queue:
-                    pending.append(rr)
-                    in_queue.add(rr)
+    rest = {}
+    # cross-degree unit-pivot reduction, ascending: a pivot of d_p takes its
+    # row's cell and its column's cell out, so d_p loses the rows that were
+    # pivot columns of d_{p-1}, and d_{p-1}'s remainder (at the end) the
+    # columns that are pivot rows of d_p
+    for p in range(0, up_to_degree + 2):
+        rows, cols, vals = chain.boundaries.get(p, empty)
+        live = alive[p - 1][rows]
+        vals = vals[live] if vals.dtype == object else \
+            vals[live].astype(np.int64)
+        rest[p], pivot_rows, pivot_cols = _reduce(
+            rows[live], cols[live], vals, (len(alive[p - 1]), len(alive[p])))
+        alive[p - 1][pivot_rows] = alive[p][pivot_cols] = False
     # SNF endgame on the remainders
     divisors = {}
-    for p in sorted(mats):
-        sp = mats[p]
-        cols = sorted(sp.cols)
-        dense = [[sp.rows[r].get(c, 0) for c in cols] for r in sorted(sp.rows)]
-        divisors[p] = kernels.snf_divisors(dense) if dense and cols else []
-    return _summary(chain, up_to_degree, lambda p: len(live.get(p, ())),
+    for p, (rows, cols, vals) in rest.items():
+        live = alive[p][cols]
+        divisors[p] = []
+        if live.any():
+            rows, ri = np.unique(rows[live], return_inverse=True)
+            cols, ci = np.unique(cols[live], return_inverse=True)
+            dense = np.zeros((len(rows), len(cols)), dtype=vals.dtype)
+            dense[ri, ci] = vals[live]
+            divisors[p] = kernels.snf_divisors(dense.tolist())
+    return _summary(chain, up_to_degree, lambda p: int(alive[p].sum()),
                     divisors)

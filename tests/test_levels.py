@@ -8,7 +8,7 @@ import pytest
 
 from wittlab import catalog as C
 from wittlab import posets
-from wittlab.homology import _grouped, _Sparse, build_chain_complex, face_rows
+from wittlab.homology import build_chain_complex, face_rows
 from wittlab.modules import cyclic_module, direct_sum_modules, free_module
 from wittlab.posets import (
     PosetCapExceeded,
@@ -110,14 +110,6 @@ def test_levels_and_boundaries_match_tuple_oracle(kind, ring, variant):
                                       if p == 0 or want[p - 1]}}
     for p, triples in dict_boundaries(want).items():
         assert coo_triples(chain, p) == triples, p
-    # the reduction's column dicts, read in groups of p + 1, are the ones
-    # the general COO grouping builds, in the same order
-    pool = np.arange(max(chain.counts.values()) + 1).astype(object)
-    for p, (rows, cols, vals) in chain.boundaries.items():
-        got = _Sparse((rows, cols, vals), pool, p + 1).cols
-        want_cols = _grouped(cols, rows, vals, pool)
-        assert [(c, list(d.items())) for c, d in got.items()] \
-            == [(c, list(d.items())) for c, d in want_cols.items()], p
 
 
 @pytest.mark.parametrize("kind,ring", BASES)

@@ -1,11 +1,21 @@
 """Posets, chain complexes, homology and connectivity verdicts."""
 
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from wittlab.homology import build_chain_complex, homology, homology_plain
+import wittlab
+from wittlab import kernels
+from wittlab.homology import (
+    ChainComplexData,
+    build_chain_complex,
+    homology,
+    homology_plain,
+)
 from wittlab.modules import free_module
 from wittlab.posets import (
     PosetCapExceeded,
@@ -515,6 +525,181 @@ def test_reduced_vs_plain_on_real_posets():
         slow = homology_plain(chain, d)
         assert fast["betti"] == slow["betti"], (poset.name, fast, slow)
         assert fast["torsion"] == slow["torsion"]
+
+
+def _chain_of(mats):
+    """ChainComplexData of dense boundary matrices {p: d_p}, p = 0, 1, ..."""
+    counts = {-1: len(mats[0]), **{p: d.shape[1] for p, d in mats.items()}}
+    boundaries = {}
+    for p, d in mats.items():
+        cols, rows = np.nonzero(d.T)  # column-major
+        boundaries[p] = (rows, cols, d[rows, cols])
+    return ChainComplexData(counts, boundaries)
+
+
+def _unimodular(rng, n):
+    """A random unimodular n x n integer matrix and its inverse."""
+    U, V = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        U[i] += c * U[j]  # U <- E U, E = 1 + c e_ij
+        V[:, j] -= c * V[:, i]  # V <- V E^-1
+    if n:
+        k = rng.randrange(n)
+        U[k], V[:, k] = -U[k], -V[:, k]
+    return U, V
+
+
+def _planted_complex(rng, top):
+    """d_p = U_{p-1} D_p U_p^-1 for p = 0..top, U random unimodular and D_p
+    diagonal from C_p's first k_p cells onto the k_p cells of C_{p-1} after
+    its own first k_{p-1}, so D_p D_{p+1} = 0.  The divisors come from
+    (1, 2, 4, 6, 0).  Returns the chain and the divisors of each D_p."""
+    k = [0] + [rng.randrange(0, 4) for _ in range(top + 1)] + [0]
+    n = [k[p] + k[p + 1] + rng.randrange(0, 3) for p in range(top + 2)]
+    divisors, mats = {}, {}
+    U = [_unimodular(rng, m) for m in n]  # U[p + 1] acts on C_p
+    for p in range(top + 1):
+        divisors[p] = [rng.choice((1, 2, 4, 6, 0)) for _ in range(k[p + 1])]
+        D = np.zeros((n[p], n[p + 1]), dtype=np.int64)
+        for t, e in enumerate(divisors[p]):
+            D[k[p] + t, t] = e
+        mats[p] = U[p][0] @ D @ U[p + 1][1]
+    return _chain_of(mats), divisors
+
+
+def _prime_powers(divisors):
+    """The finite abelian group of Z/d, d in divisors, as sorted prime
+    powers."""
+    out = []
+    for d in divisors:
+        q = 2
+        while d > 1:
+            e = 1
+            while d % q == 0:
+                d, e = d // q, e * q
+            if e > 1:
+                out.append(e)
+            q += 1
+    return sorted(out)
+
+
+def _snf_calls(monkeypatch):
+    calls = []
+    snf = kernels.snf_divisors
+
+    def spy(A):
+        calls.append(A)
+        return snf(A)
+
+    monkeypatch.setattr(kernels, "snf_divisors", spy)
+    return calls
+
+
+def test_one_cell_z2_attachment(monkeypatch):
+    # a vertex, a loop on it and a 2-cell attached by degree 2 (the cells of
+    # the projective plane): reduced H_1 = Z/2, H_0 = H_2 = 0
+    chain = _chain_of({0: np.array([[1]]), 1: np.array([[0]]),
+                       2: np.array([[2]])})
+    calls = _snf_calls(monkeypatch)
+    hom = homology(chain, 2)
+    assert calls == [[[2]]]
+    assert hom == homology_plain(chain, 2)
+    assert hom["betti"] == {0: 0, 1: 0, 2: 0}
+    assert hom["torsion"] == {0: [], 1: [2], 2: []}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_planted_torsion_matches_plain(seed, monkeypatch):
+    # the unimodular changes of basis hide the unit pivots; the reduction
+    # still finds the planted Betti numbers and torsion, and every non-unit
+    # divisor goes through the SNF endgame
+    chain, divisors = _planted_complex(random.Random(seed), 3)
+    calls = _snf_calls(monkeypatch)
+    hom = homology(chain, 2)
+    assert bool(calls) == any(e not in (0, 1) for divs in divisors.values()
+                              for e in divs)
+    assert hom == homology_plain(chain, 2)
+    rank = {p: sum(1 for e in divs if e) for p, divs in divisors.items()}
+    assert hom["betti"] == {p: chain.counts[p] - rank[p] - rank[p + 1]
+                            for p in range(3)}
+    assert {p: _prime_powers(t) for p, t in hom["torsion"].items()} \
+        == {p: _prime_powers(divisors[p + 1]) for p in range(3)}
+
+
+def test_exact_ints_past_the_int64_bound(monkeypatch):
+    # with the bound at 1, every degree's values turn into Python ints at its
+    # first round, and the reports stay those of the int64 path
+    import wittlab.homology as H
+
+    cases = [(build_chain_complex(gl_poset(free_module(GF2, 4)), 2), 2)] + [
+        (_planted_complex(random.Random(seed), 3)[0], 2) for seed in (3, 5)]
+    want = [homology(chain, d) for chain, d in cases]
+    remainders = []
+    reduce = H._reduce
+
+    def spy(*args):
+        out = reduce(*args)
+        remainders.append((len(out[1]), out[0][2].dtype))
+        return out
+
+    monkeypatch.setattr(H, "INT64_BOUND", 1)
+    monkeypatch.setattr(H, "_reduce", spy)
+    assert [homology(chain, d) for chain, d in cases] == want
+    assert all(dtype == object for npiv, dtype in remainders if npiv)
+    assert any(t for rep in want for t in rep["torsion"].values())
+
+
+def test_pivot_rounds_are_diagonal_blocks(monkeypatch):
+    # on GL(GF(2)^4)'s d_3, each round's pivots are +-1 entries in distinct
+    # rows and columns, and no pivot row has an entry in another pivot's
+    # column; every round but the last, which finds no +-1 entry, pivots
+    import wittlab.homology as H
+
+    chain = build_chain_complex(gl_poset(free_module(GF2, 4)), 2)
+    rounds = []
+    pivots = H._pivots
+
+    def spy(rows, cols, vals, shape):
+        piv = pivots(rows, cols, vals, shape)
+        if shape == (chain.counts[2], chain.counts[3]):
+            rounds.append((rows, cols, vals, piv))
+        return piv
+
+    monkeypatch.setattr(H, "_pivots", spy)
+    homology(chain, 2)
+    *work, (_rows, _cols, vals, last) = rounds
+    assert len(work) >= 2
+    assert not len(last) and not (np.abs(vals) == 1).any()
+    for rows, cols, vals, piv in work:
+        assert len(piv) and (np.abs(vals[piv]) == 1).all()
+        in_rows = np.zeros(chain.counts[2], dtype=bool)
+        in_cols = np.zeros(chain.counts[3], dtype=bool)
+        in_rows[rows[piv]] = in_cols[cols[piv]] = True
+        assert in_rows.sum() == in_cols.sum() == len(piv)
+        block = np.flatnonzero(in_rows[rows] & in_cols[cols])
+        assert block.tolist() == sorted(piv.tolist())
+
+
+def test_homology_does_not_import_numpy_ma():
+    # a bare np.unique imports numpy.ma (12-19 ms), which would land inside
+    # every GL verdict
+    code = ("import sys\n"
+            "from wittlab.modules import free_module\n"
+            "from wittlab.rings import make_ring\n"
+            "from wittlab.verify import verify_gl_connectivity\n"
+            "M = free_module(make_ring({'kind': 'gf', 'q': 2}), 4)\n"
+            "rep = verify_gl_connectivity(M, sr=1)\n"
+            "assert rep.verdict.result == 'fully-verified'\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(wittlab.__file__))
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 HOOK_CASES = [
