@@ -1,11 +1,16 @@
-"""Arithmetic kernels in pure Python: Howell form over Z/m with its
-transform and kernel, reduction against it, and Smith normal form divisors.
+"""Arithmetic kernels: Howell form over Z/m with its transform and kernel,
+reduction against it, and Smith normal form divisors, in pure Python; and
+howell_batch, the Howell form of a whole stack of systems in numpy.
 
-All matrices are lists of lists of Python ints.  Entries of mod-m matrices
-are kept in ``[0, m)``.
+The pure-Python kernels take lists of lists of Python ints; howell_batch
+takes a (B, r, c) int array.  Entries of mod-m matrices are kept in
+``[0, m)``.
 """
 
+import functools
 from math import gcd
+
+import numpy as np
 
 # the backend name a benchmark run records
 IMPLEMENTATION = "pure"
@@ -119,6 +124,26 @@ def howell_aug(A, m):
     return H, pivots, T, K
 
 
+def full_rank_mod_p(A, p):
+    """Is the square matrix A (list of lists) invertible over the field
+    Z/p?  Gaussian elimination, stopping at the first column with no
+    pivot."""
+    rows = [[x % p for x in row] for row in A]
+    n = len(rows)
+    for j in range(n):
+        piv = next((row for row in rows if row[j]), None)
+        if piv is None:
+            return False
+        rows.remove(piv)
+        inv = pow(piv[j], -1, p)
+        for row in rows:
+            c = row[j] * inv % p
+            if c:
+                for t in range(j + 1, n):
+                    row[t] = (row[t] - c * piv[t]) % p
+    return True
+
+
 def reduce_vec(H, pivots, v, m):
     """Greedy Howell reduction of v; returns (rep, coeffs).
 
@@ -222,3 +247,149 @@ def snf_divisors(A):
             break
     divs.sort()
     return divs
+
+
+# -- batched Howell elimination over Z/m -------------------------------------
+# A stack of B systems is one (B, r, c) int64 array.  Z/m splits by CRT
+# into its prime-power factors Z/p^k, a chain ring: every nonzero a is
+# p^v * u with u a unit, so each column pivots on an entry of least
+# valuation, every other entry of the column is an exact multiple of it,
+# and the annihilator of the pivot row is its p^(k-v) multiple.
+
+
+def prime_powers(m):
+    """The (p, k) with m = prod p^k, p ascending."""
+    out, p = [], 2
+    while p * p <= m:
+        k = 0
+        while m % p == 0:
+            m //= p
+            k += 1
+        if k:
+            out.append((p, k))
+        p += 1
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_tables(p, k):
+    """Over Z/p^k: gcd(a, p^k) = p^v for each a (p^k for a = 0) and the
+    inverse of the unit part a / p^v (0 for a = 0)."""
+    q = p ** k
+    pv = np.full(q, q, dtype=np.int64)
+    inv = np.zeros(q, dtype=np.int64)
+    for a in range(1, q):
+        pv[a] = gcd(a, q)
+        inv[a] = pow(a // gcd(a, q), -1, q)
+    return pv, inv
+
+
+def _mod(X, q):
+    """X mod q in place (a mask when q is a power of two)."""
+    if q & (q - 1):
+        return np.remainder(X, q, out=X)
+    return np.bitwise_and(X, q - 1, out=X)
+
+
+def _eliminate(W, p, k, c):
+    """Howell rows of a stack W over Z/p^k, pivoting on the first c of
+    its columns.  Returns (P, W): P (B, c, w) holds the pivot row of
+    column j at j (its entry there p^v, zero when the column has no
+    pivot), and the pool W has zeros in the first c columns.  A pivot row
+    leaves the pool as its p^(k-v) multiple, so P's rows with the pool's
+    generate the row module and have the Howell property."""
+    q = p ** k
+    # entries stay in (-q^2, q^2): the narrowest integer type that holds
+    # them keeps the passes over the stack short
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if q * q <= np.iinfo(t).max)
+    pv, inv = (t.astype(dtype) for t in _chain_tables(p, k))
+    B = len(W)
+    W = _mod(np.array(W, dtype=dtype), q)
+    P = np.zeros((B, c, W.shape[2]), dtype=dtype)
+    at = np.arange(B)
+    for j in range(c if W.shape[1] else 0):
+        col = W[:, :, j]
+        i = pv[col].argmin(axis=1)  # least valuation
+        a = col[at, i]
+        piv = _mod(W[at, i] * inv[a][:, None], q)  # zero when a = 0
+        g = pv[a]
+        # entries of column j are p^v * (exact quotient); the pivot row
+        # itself is cleared, then replaced by its annihilator multiple
+        W -= (col // g[:, None])[:, :, None] * piv[:, None, :]
+        W[at, i] += piv * (q // g)[:, None]
+        _mod(W, q)
+        P[:, j] = piv
+    return P.astype(np.int64), W.astype(np.int64)
+
+
+def _reduce_above(P, c, m):
+    """Clear each pivot's column above it mod the pivot, in pivot order."""
+    for j in range(1, c):
+        pv = P[:, j, j]
+        coef = P[:, :j, j] // np.where(pv > 0, pv, m)[:, None]
+        P[:, :j] -= coef[:, :, None] * P[:, None, j]
+        P[:, :j] %= m
+    return P
+
+
+def howell_batch(A, m, transform=False):
+    """Howell forms of a stack of row modules over Z/m.
+
+    A: (B, r, c) int array.  Returns H (B, c, c): row j of H[b] is the
+    Howell row of A[b]'s row module with pivot column j, or zero when
+    there is none; its pivot divides m and the entries above it are
+    reduced below it, so the nonzero rows are howell_aug's H.  With
+    transform=True returns (H, T, K): T (B, c, r) with T[b] A[b] = H[b]
+    and K (B, q, r), whose rows generate {x : x A[b] = 0 mod m}
+    (zero rows included).  Composite m splits by CRT into prime powers,
+    each eliminated by _eliminate; a single system goes through
+    howell_aug, whose pure-Python loop beats numpy's per-call overhead on
+    one small matrix."""
+    A = np.asarray(A, dtype=np.int64)
+    B, r, c = A.shape
+    if B == 1 and r:
+        return _howell_one(A[0], m, transform)
+    W = A
+    if transform:
+        W = np.concatenate([A, np.broadcast_to(np.eye(r, dtype=np.int64),
+                                               (B, r, r))], axis=2)
+    parts = prime_powers(m)
+    if len(parts) == 1:
+        P, pool = _eliminate(W, parts[0][0], parts[0][1], c)
+        pools = [pool[:, :, c:]]
+    else:
+        # scale each factor's row j so its pivot becomes g_j, the product
+        # over the factors of gcd(pivot, p^k), then glue the rows with the
+        # CRT idempotents
+        comps, gs, pools = [], [], []
+        for p, k in parts:
+            Pi, pool = _eliminate(W, p, k, c)
+            q = p ** k
+            idem = m // q * pow(m // q, -1, q) % m
+            comps.append((Pi, q, idem))
+            gs.append(_chain_tables(p, k)[0][Pi[:, np.arange(c),
+                                                np.arange(c)]])
+            pools.append(pool[:, :, c:] * idem % m)
+        g = np.prod(gs, axis=0)
+        P = sum(Pi * (g // gi % q)[:, :, None] % q * idem
+                for (Pi, q, idem), gi in zip(comps, gs)) % m
+    H = _reduce_above(P, c, m)
+    if not transform:
+        return H[:, :, :c]
+    return H[:, :, :c], H[:, :, c:], np.concatenate(pools, axis=1)
+
+
+def _howell_one(A, m, transform):
+    """howell_batch's result for the one system A, from howell_aug."""
+    Hs, pivots, Ts, Ks = howell_aug(A.tolist(), m)
+    r, c = A.shape
+    H = np.zeros((1, c, c), dtype=np.int64)
+    T = np.zeros((1, c, r), dtype=np.int64)
+    H[0, pivots] = np.array(Hs, dtype=np.int64).reshape(len(pivots), c)
+    if not transform:
+        return H
+    T[0, pivots] = np.array(Ts, dtype=np.int64).reshape(len(pivots), r)
+    return H, T, np.array(Ks, dtype=np.int64).reshape(1, len(Ks), r)

@@ -3,8 +3,10 @@
 Everything downstream (unimodularity, splittings, unitary groups, posets)
 reduces to row-oriented problems  x * A = b  over Z/m; this module wraps the
 kernel calls with solving, kernels, membership, element enumeration and
-size bookkeeping, and turns ring matrices into such systems.  It keeps no
-cache: callers that repeat a system keep their LinearSolver.
+size bookkeeping, and turns ring matrices into such systems.  A
+LinearSolver factors one system; a SolverStack factors a (B, r, c) stack of
+them through kernels.howell_batch and answers each query for all B at
+once.  It keeps no cache: callers that repeat a system keep their solver.
 """
 
 import itertools
@@ -103,6 +105,58 @@ class LinearSolver:
             yield v
 
 
+class SolverStack:
+    """LinearSolver for a stack of systems x A[b] = y over Z/m: the Howell
+    rows H (B, c, c), transform T (B, c, r) and kernel rows K (B, q, r) of
+    kernels.howell_batch, and queries on a (B, s, c) stack of targets."""
+
+    def __init__(self, A, m):
+        self.m = m
+        self.H, self.T, self.K = kernels.howell_batch(A, m, transform=True)
+
+    def reduce(self, Y):
+        """(R, C): R[b, i] = Y[b, i] - C[b, i] H[b], the canonical
+        representative of Y[b, i] modulo A[b]'s row module (reduce_vec's
+        greedy pass, pivot column by pivot column)."""
+        m, H = self.m, self.H
+        R = np.asarray(Y, dtype=np.int64) % m
+        C = np.zeros(R.shape[:2] + (H.shape[1],), dtype=np.int64)
+        for j in range(H.shape[1]):
+            pv = H[:, j, j]
+            C[:, :, j] = R[:, :, j] // np.where(pv > 0, pv, m)[:, None]
+            R -= C[:, :, j, None] * H[:, None, j]
+            R %= m
+        return R, C
+
+    def contains(self, Y):
+        """(B, s) bool: does Y[b, i] lie in A[b]'s row module?"""
+        return ~self.reduce(Y)[0].any(axis=2)
+
+    def solve(self, Y):
+        """(X, ok): X[b, i] A[b] = Y[b, i] wherever ok[b, i]."""
+        R, C = self.reduce(Y)
+        return C @ self.T % self.m, ~R.any(axis=2)
+
+
+def invertible(A, m):
+    """(B,) bool: is each square A[b] invertible over Z/m?  Over Z/p^k a
+    matrix is invertible iff it is mod p, so this asks, for each prime p
+    dividing m, whether the Howell form of A mod p has a pivot in every
+    column: one kernels.howell_batch over the stack, or for a single
+    system kernels.full_rank_mod_p, whose pure-Python loop is the faster
+    of the two on one small matrix."""
+    A = np.asarray(A, dtype=np.int64)
+    n = A.shape[1]
+    ok = np.ones(len(A), dtype=bool)
+    for p, _k in kernels.prime_powers(m):
+        if len(A) == 1:
+            ok &= kernels.full_rank_mod_p(A[0].tolist(), p)
+        else:
+            H = kernels.howell_batch(A % p, p)
+            ok &= (H[:, np.arange(n), np.arange(n)] == 1).all(axis=1)
+    return ok
+
+
 # -- ring matrices ---------------------------------------------------------
 # A ring matrix is a list of rows of ring indices; over the base Z/m of the
 # ring each entry is a d x d block (Rmat for x -> x*c, Lmat for x -> c*x).
@@ -134,9 +188,41 @@ def ring_left_inverse(ring, C, extra_rows=None):
             [sol[n * d:] for sol in sols])
 
 
+def rows_unimodular(ring, R):
+    """(S,) bool for an (S, k) array of ring indices: is row s of R^k
+    left-unimodular (some c with sum c_i R[s, i] = 1)?  One SolverStack
+    over the (k*d, d) systems x -> sum_i x_i R[s, i] asks whether the
+    unit's coordinates lie in each row module."""
+    R = np.asarray(R, dtype=np.int64)
+    d = ring.base_dim
+    S = ring.Rmat[R].transpose(0, 1, 3, 2).reshape(len(R), R.shape[1] * d, d)
+    one = np.broadcast_to(ring.to_base[ring.one], (len(R), 1, d))
+    return SolverStack(S, ring.base_mod).contains(one)[:, 0]
+
+
 def row_unimodular(ring, row):
     """Is a row of R^k left-unimodular (some c with sum c_i r_i = 1)?"""
-    return ring_left_inverse(ring, [[r] for r in row]) is not None
+    return bool(rows_unimodular(ring, [list(row)])[0])
+
+
+def unimodular_rows(ring, entries, memo):
+    """Left-unimodularity of each row of an (N, k) array of ring indices.
+    A unit among the entries settles a row; the others depend only on
+    their set of entries, and the sets not yet in `memo` are settled by
+    one rows_unimodular call and kept there."""
+    ok = (ring.inv[entries] >= 0).any(axis=1)
+    rest = np.flatnonzero(~ok)
+    if len(rest):
+        sets, inverse = np.unique(np.sort(entries[rest], axis=1), axis=0,
+                                  return_inverse=True)
+        keys = [frozenset(row) for row in sets.tolist()]
+        new = [i for i, key in enumerate(keys) if key not in memo]
+        if new:
+            memo.update(zip([keys[i] for i in new],
+                            rows_unimodular(ring, sets[new]).tolist()))
+        ok[rest] = np.array([memo[key] for key in keys],
+                            dtype=bool)[inverse.reshape(-1)]
+    return ok
 
 
 def ring_matmul(ring, A, B):

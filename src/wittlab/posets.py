@@ -33,22 +33,27 @@ import itertools
 
 import numpy as np
 
-from wittlab.linalg import LinearSolver, ring_left_rows, row_unimodular
+from wittlab.kernels import howell_batch
+from wittlab.linalg import LinearSolver, ring_left_rows, unimodular_rows
 from wittlab.modules import _evaluation_matrix, act_columns, is_unimodular
 from wittlab.quadratic import is_lambda_unimodular
 
 SIMPLEX_ENTRY_CAP = 5_000_000
 # cells of the largest mask or span array one hook call builds
 CHUNK = 1 << 21
+# cells of the temporaries one pass of a hook's value loop builds, few
+# enough to stay in cache
+CACHE_CELLS = 1 << 16
 
 
 class PosetCapExceeded(RuntimeError):
     pass
 
 
-def _row_chunks(n, width):
-    """Slices of range(n), CHUNK // width rows each (one at least)."""
-    step = max(1, CHUNK // max(width, 1))
+def _row_chunks(n, width, cells=None):
+    """Slices of range(n), cells (CHUNK by default) // width rows each
+    (one at least)."""
+    step = max(1, (CHUNK if cells is None else cells) // max(width, 1))
     return [slice(s, s + step) for s in range(0, n, step)]
 
 
@@ -126,16 +131,25 @@ class SequencePoset:
             level = self._varr[:, None]
         else:
             lower, budget = self.simplices(p - 1), self.entry_cap // (p + 2)
-            parts, count = [np.zeros((0, p + 1), dtype=np.int32)], 0
-            for rows in _row_chunks(len(lower), len(self._varr)):
-                P = lower[rows]
-                i, j = np.nonzero(self._mask(P, self._varr))
-                count += len(i)
+            width, hits, count = len(self._varr), [], 0
+            for rows in _row_chunks(len(lower), width):
+                mask = self._mask(lower[rows], self._varr)
+                per_row = mask.sum(axis=1)
+                count += int(per_row.sum())
                 if count > budget:
                     raise PosetCapExceeded(
                         "%s has > %d %d-simplices" % (self.name, budget, p))
-                parts.append(np.hstack([P[i], self._varr[j, None]]))
-            level = np.concatenate(parts)
+                hits.append((rows, per_row, np.flatnonzero(mask)))
+            # the row-major nonzeros of each mask: row i of the chunk
+            # repeated per_row[i] times, each followed by its column's vertex
+            level = np.empty((count, p + 1), dtype=np.int32)
+            end = 0
+            for rows, per_row, flat in hits:
+                P = lower[rows]
+                start, end = end, end + len(flat)
+                level[start:end, :p] = np.repeat(P, per_row, axis=0)
+                level[start:end, p] = self._varr[flat - np.repeat(
+                    np.arange(len(P)) * width, per_row)]
         self._levels[p] = level
         return level
 
@@ -242,39 +256,67 @@ def _onto_hook(ring, A, lead=None):
 
     f(y, a) is semilinear in y, so f(K, a) is a left ideal for the kernel K
     of a member prefix's map, and the prefix extends by a iff it is R.  One
-    solver per prefix row gives the Z/m generators of K and one product the
-    values on its candidates (the cells where the optional mask `where`
-    holds); a unit among them settles it (over a field every nonzero value
-    is one), and otherwise the left ideal test runs once per value set."""
-    m, nd = ring.base_mod, A.shape[0]
-    whole = np.eye(nd, dtype=np.int64)
-    unit = ring.inv >= 0
-
-    @functools.lru_cache(maxsize=None)
-    def ideal_is_ring(values):
-        return row_unimodular(ring, values)
+    kernels.howell_batch over a call's prefix rows gives the Z/m generators
+    of every K, and one product per cache-sized slice of rows their values
+    on every candidate; a candidate (where the optional mask `where`
+    holds) is accepted when a unit is among them.  Values without a unit
+    never generate R over a local ring (its non-units are closed under +,
+    so they form its one maximal left ideal; every field is one); over any
+    other ring they go to the left ideal test, once per value set
+    (linalg.unimodular_rows)."""
+    m, nd, d = ring.base_mod, A.shape[0], A.shape[2]
+    # a value's d coordinates, before reduction mod m, lie in [0, R): one
+    # value packs into a code below V = R^d, the values of g kernel rows
+    # into one code below V^g <= 2^16 (g >= 1), exact in float32
+    R = nd * (m - 1) ** 2 + 1
+    V = R ** d
+    g = 1
+    while g < nd and V ** (g + 1) <= 1 << 16:
+        g += 1
+    dtype = np.float32 if V ** g < 1 << 24 else np.float64
+    C = (A * R ** np.arange(d)).sum(axis=2).astype(dtype)  # (nd, N)
+    shift = V ** np.arange(g)
+    # index[c]: the ring index of the value with code c; unit[code]: a
+    # unit among the g values packed into code
+    index = ring.indices(np.arange(V)[:, None] // R ** np.arange(d) % R)
+    unit = one = ring.inv[index] >= 0
+    for _ in range(g - 1):
+        unit = np.logical_or.outer(one, unit).ravel()
+    nonunit = np.flatnonzero(ring.inv < 0)
+    local = np.isin(ring.add[np.ix_(nonunit, nonunit)], nonunit).all()
+    memo = {}
 
     def extend(P, cols, where=None):
-        out = np.ones((len(P), len(cols)), dtype=bool) if where is None \
+        n, k = P.shape
+        out = np.ones((n, len(cols)), dtype=bool) if where is None \
             else where.copy()
-        for prefix, row in zip(P, out):
-            sel = np.flatnonzero(row)
-            if not len(sel):
-                continue
-            rows = A[:, prefix, :].reshape(nd, len(prefix) * A.shape[2])
-            if lead is not None:
-                rows = np.hstack([lead, rows])
-            K = whole
-            if rows.shape[1]:
-                K = np.array(LinearSolver(rows.tolist(), m).kernel_rows(),
-                             dtype=np.int64).reshape(-1, nd)
-            vals = ring.indices(np.tensordot(K, A[:, cols[sel], :], axes=1))
-            ok = unit[vals].any(axis=0)  # vals[j, c]: f(k_j, a_c)
-            rest = np.flatnonzero(~ok & vals.any(axis=0))
-            if len(rest):
-                ok[rest] = [ideal_is_ring(frozenset(col))
-                            for col in vals[:, rest].T.tolist()]
-            row[sel] = ok
+        S = A[:, P, :].reshape(nd, n, k * d).transpose(1, 0, 2)
+        if lead is not None:
+            S = np.concatenate([np.broadcast_to(lead, (n,) + lead.shape), S],
+                               axis=2)
+        K = howell_batch(S, m, transform=True)[2]
+        # pack each system's nonzero kernel rows, g to a row of K: the r-th
+        # nonzero row goes to row r // g with weight V^(r % g)
+        live = K.any(axis=2)
+        rank = np.cumsum(live, axis=1) - 1
+        q = -(-int(rank.max(initial=-1) + 1) // g)
+        pack = np.where(live[:, None] & (rank[:, None] // g
+                                         == np.arange(q)[:, None]),
+                        shift[rank % g][:, None], 0)
+        K = np.einsum("iqr,irn->iqn", pack, K).astype(dtype)
+        Cc = C[:, cols]
+        for rows in _row_chunks(n, q * len(cols), CACHE_CELLS):
+            # code[i, j, c]: the values f(k, a_c) of the j-th g rows
+            Kr = K[rows]
+            code = (Kr.reshape(len(Kr) * q, nd) @ Cc).astype(
+                np.intp).reshape(len(Kr), q, len(cols))
+            ok = unit[code].any(axis=1)
+            rest = ((),) if local else np.nonzero(out[rows] & ~ok)
+            if len(rest[0]):
+                vals = index[code[rest[0], :, rest[1], None] // shift
+                             % V].reshape(len(rest[0]), q * g)
+                ok[rest] = unimodular_rows(ring, vals, memo)
+            out[rows] &= ok
         return out
 
     return extend
@@ -366,10 +408,10 @@ def lambda_poset(Q_ambient, universe, name=None, cap=SIMPLEX_ENTRY_CAP):
 def mu_poset(Q_ambient, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
     """U(N, lambda, mu) = O(I(N, mu)) cap U(N, lambda): the lambda-poset on
     the mu-vanishing part of the universe (defaults to all of N)."""
-    if universe is None:
-        universe = Q_ambient.module.elements()
-    return lambda_poset(Q_ambient, [x for x in universe
-                                    if Q_ambient.mu_zero(x)],
+    universe = list(Q_ambient.module.elements() if universe is None
+                    else universe)
+    keep = Q_ambient.mu_zero_rows(_coord_rows(universe, Q_ambient.module.nd))
+    return lambda_poset(Q_ambient, [x for x, k in zip(universe, keep) if k],
                         name=name or "U(%s,lam,mu)" % Q_ambient.name, cap=cap)
 
 
@@ -393,7 +435,7 @@ class _PairTables:
                           dtype=np.int64)
         self.lam = np.tensordot(powers, coords, axes=1)
         self.lam_zero = self.lam == ring.zero
-        self.mu0 = np.array([Q.mu_zero(x) for x in self.elems], dtype=bool)
+        self.mu0 = Q.mu_zero_rows(self.X)
 
     def indices(self, elems):
         return np.array([self.index[x.vec] for x in elems], dtype=np.intp)
@@ -415,15 +457,14 @@ def iu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
     keep = np.flatnonzero(tables.mu0)
     universe = [tables.elems[i] for i in keep]
     Z = tables.lam_zero
+    Zk = Z[np.ix_(keep, keep)]
     onto = _lam_hook(Q, tables.X[keep])
 
     def extend(P, cols):
-        # lambda(u, a) = 0 for every u in the prefix, then
-        # lambda-unimodularity on the candidates left
-        mask = np.ones((len(P), len(cols)), dtype=bool)
-        for u in keep[P].T:
-            mask &= Z[u[:, None], keep[cols]]
-        return onto(P, cols, mask)
+        # lambda(u, a) = 0 for every u in the prefix (the AND of the
+        # prefix entries' rows of Zk), then lambda-unimodularity on the
+        # candidates left
+        return onto(P, cols, Zk[P].all(axis=1)[:, cols])
 
     def raw(seq):
         idx = tables.indices(seq)

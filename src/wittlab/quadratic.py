@@ -25,7 +25,7 @@ classes) come from lam_table and mu_reps, one product each.
 
 import numpy as np
 
-from wittlab.linalg import LinearSolver
+from wittlab.linalg import LinearSolver, invertible
 from wittlab.modules import (
     CapExceeded,
     Module,
@@ -42,6 +42,10 @@ from wittlab.modules import (
 from wittlab.rings import RingError
 
 GROUP_CAP = 4096
+# integers below this are exact in float64
+FLOAT_EXACT = 1 << 53
+# entries of an array past which a float64 BLAS product beats int64
+BLAS_CELLS = 1 << 12
 
 
 class QuadraticModule:
@@ -128,12 +132,13 @@ class QuadraticModule:
 
     def lam_table(self, X, Y):
         """Ring indices of lambda(x_i, y_j) for the rows of the raw
-        coordinate arrays X and Y: one product per base coordinate, summed
-        in place so a large table is held about twice, not four times."""
+        coordinate arrays X and Y, or of each pair of a stack of them: one
+        product per base coordinate, summed in place so a large table is
+        held about twice, not four times."""
         m = self.ring.base_mod
-        out = np.zeros((len(X), len(Y)), dtype=np.int64)
+        out = np.zeros(X.shape[:-1] + Y.shape[-2:-1], dtype=np.int64)
         for t, T in enumerate(self.lam_coeffs):
-            P = X @ T @ Y.T
+            P = X @ T @ np.swapaxes(Y, -1, -2)
             P %= m
             P *= m ** t
             out += P
@@ -151,6 +156,11 @@ class QuadraticModule:
 
     def mu_zero(self, x):
         return self.mu_rep(x) == self.param.coset_rep(self.ring.zero)
+
+    def mu_zero_rows(self, X):
+        """mu_zero of each row of the raw coordinate array X, from one
+        mu_reps product."""
+        return self.mu_reps(X) == self.param.coset_rep(self.ring.zero)
 
     def __repr__(self):
         return self.name
@@ -196,7 +206,18 @@ def _eval_pair(Q, tables, u, v):
 
 def _diagonal(Q, coeffs, X):
     """Ring indices of form(x_i, x_i) for the rows of X, the form given by
-    its coefficient array (lam_coeffs or q_coeffs)."""
+    its coefficient array (lam_coeffs or q_coeffs).  Each coordinate is a
+    sum of nd^2 products of two entries of x and one of coeffs, at most
+    nd^2 v^2 (m - 1) for entries of size at most v: below FLOAT_EXACT a
+    large X runs in float64 (numpy hands the product to BLAS, which it
+    does not do for int64), exact, and otherwise in int64."""
+    X = np.asarray(X)
+    nd, m = X.shape[-1], Q.ring.base_mod
+    v = int(np.abs(X).max(initial=0)) if X.size >= BLAS_CELLS else 0
+    if v and nd * nd * v * v * (m - 1) < FLOAT_EXACT:
+        Xf = X.astype(np.float64)
+        diag = np.einsum("tiu,iu->it", Xf @ coeffs.astype(np.float64), Xf)
+        return Q.ring.indices(diag.astype(np.int64))
     return Q.ring.indices(np.einsum("tiu,iu->it", X @ coeffs, X))
 
 
@@ -385,20 +406,42 @@ class UnitaryMap:
 def is_isometry(Q1, Q2, f):
     """Does the module map f: Q1 -> Q2 preserve lambda and mu on the
     generators (sufficient by sesquilinearity and axiom (3)), and is it
-    bijective?  lambda and mu of all generator images come from one product
-    each."""
+    bijective?  Between free modules this is isometry_mask on f's matrix;
+    a presented module keeps the solver's bijectivity test."""
     if f.domain is not Q1.module or f.codomain is not Q2.module:
         return False
+    if not (Q1.module.relators or Q2.module.relators):
+        return bool(isometry_mask(Q1, Q2, f.B[None])[0])
     if not f.well_defined():
         return False
-    n = Q1.module.ngens
-    X = f.generator_images()
-    if not np.array_equal(Q2.mu_reps(X), Q1.mu):
-        return False
+    return bool(_preserves_forms(Q1, Q2, f.generator_images()[None])[0]
+                and f.is_bijective())
+
+
+def _preserves_forms(Q1, Q2, X):
+    """(k,) bool: for the (k, n, nd2) stack X of generator images, is mu
+    of each image Q1's mu of its generator and lambda among the images
+    Q1's gram?  One product each for the whole stack."""
+    k, n = X.shape[:2]
+    mu = Q2.mu_reps(X.reshape(k * n, X.shape[2])).reshape(k, n)
     gram = np.array(Q1.gram, dtype=np.int64).reshape(n, n)
-    if not np.array_equal(Q2.lam_table(X, X), gram):
-        return False
-    return f.is_bijective()
+    return ((mu == np.array(Q1.mu, dtype=np.int64)).all(axis=1)
+            & (Q2.lam_table(X, X) == gram).all(axis=(1, 2)))
+
+
+def isometry_mask(Q1, Q2, Bs):
+    """(k,) bool: which maps x -> Bs[i] x mod m of Q1's free module to
+    Q2's (a (k, nd2, nd1) stack) preserve lambda and mu and are
+    bijective: one product each for lambda and mu, and one invertibility
+    query for the maps that pass them."""
+    m = Q1.ring.base_mod
+    Bs = np.asarray(Bs, dtype=np.int64)
+    X = np.swapaxes(Bs @ Q1.module.gen_columns % m, 1, 2)
+    ok = _preserves_forms(Q1, Q2, X)
+    if Q1.module.nd != Q2.module.nd:
+        return ok & False
+    ok[ok] = invertible(Bs[ok], m)
+    return ok
 
 
 def is_unitary(Q, f):

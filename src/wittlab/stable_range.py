@@ -12,7 +12,8 @@ import functools
 
 import numpy as np
 
-from wittlab.linalg import row_unimodular
+from wittlab.linalg import row_unimodular  # noqa: F401  (re-exported)
+from wittlab.linalg import unimodular_rows
 from wittlab.modules import (ENUM_CAP, ModuleMap, act_columns,
                              functional_space, is_isomorphic, rank,
                              split_summand)
@@ -20,9 +21,11 @@ from wittlab.posets import gl_poset
 from wittlab.quadratic import (
     UnitaryMap,
     hyperbolic,
+    isometry_mask,
     transvection_matrices,
     unitary_group,
 )
+from wittlab.rings import RingError
 
 DEFAULT_BUDGET = 1 << 22
 CHUNK = 1 << 18  # array cells a chunked sweep or BFS step computes at once
@@ -70,25 +73,6 @@ class RangeReport:
             self.ring.name, self.prop, self.n, self.verdict)
 
 
-def _unimodular_rows(ring, entries, memo):
-    """Left-unimodularity of each row of an (N, k) array of ring indices.
-    A unit among the entries settles a row; the others depend only on
-    their set of entries, solved once per set and kept in `memo`."""
-    ok = (ring.inv[entries] >= 0).any(axis=1)
-    rest = np.flatnonzero(~ok)
-    if len(rest):
-        sets, inverse = np.unique(np.sort(entries[rest], axis=1), axis=0,
-                                  return_inverse=True)
-        verdict = []
-        for row in sets.tolist():
-            key = frozenset(row)
-            if key not in memo:
-                memo[key] = row_unimodular(ring, key)
-            verdict.append(memo[key])
-        ok[rest] = np.array(verdict, dtype=bool)[inverse.reshape(-1)]
-    return ok
-
-
 def check_Sn(ring, n, budget=DEFAULT_BUDGET):
     """(S_n): every unimodular row of R^(n+1) shortens to R^n.
 
@@ -110,12 +94,12 @@ def check_Sn(ring, n, budget=DEFAULT_BUDGET):
     checked = 0
     for lo in range(0, size, step):
         rows = _digits(np.arange(lo, min(lo + step, size)), ring.size, n + 1)
-        rows = rows[_unimodular_rows(ring, rows, memo)]
+        rows = rows[unimodular_rows(ring, rows, memo)]
         if not len(rows):
             continue
         short = ring.add[rows[:, None, :n],
                          ring.mul[ts[None], rows[:, None, n:]]]
-        hit = _unimodular_rows(ring, short.reshape(-1, n), memo).reshape(
+        hit = unimodular_rows(ring, short.reshape(-1, n), memo).reshape(
             len(rows), len(ts))
         found = hit.any(axis=1)
         spent = visits + np.cumsum(np.where(found, hit.argmax(axis=1) + 1,
@@ -193,8 +177,8 @@ def elementary_unitary_generators(ring, param, n, u_mode="all", H=None):
 
     Each b's matrices come from transvection_matrices a chunk of (u, x)
     rows at a time, in the order (b, u, x in mu(u) + Lambda); a matrix
-    equal to an earlier one (the same map) is dropped before it is
-    verified unitary.
+    equal to an earlier one (the same map) is dropped, and the kept
+    matrices are verified unitary together by one isometry_mask call.
     """
     if H is None:
         H = hyperbolic(param, n)
@@ -221,8 +205,11 @@ def elementary_unitary_generators(ring, param, n, u_mode="all", H=None):
                     continue
                 seen.add(key)
                 f = ModuleMap.from_matrix(module, module, B, check=False)
-                out.append(UnitaryMap(H, f, check=True,
+                out.append(UnitaryMap(H, f, check=False,
                                       tag=("tau", b, tuple(u), x)))
+    mats = np.array([t.f.B for t in out], dtype=np.int64)
+    if not isometry_mask(H, H, mats.reshape(-1, module.nd, module.nd)).all():
+        raise RingError("map is not unitary")
     H.eu_cache[("gens", u_mode)] = out
     return H, list(out)
 
@@ -232,7 +219,7 @@ def _mu_class_partition(H, budget):
     (codes as element_codes gives them).  H is free, so the element with
     code c has the base-m digits of c as coordinates; they are read off a
     chunk of codes at a time, mu from one product over q_coeffs and
-    unimodularity from _unimodular_rows."""
+    unimodularity from unimodular_rows."""
     ring = H.ring
     module = H.module
     if module.size > budget:
@@ -247,7 +234,7 @@ def _mu_class_partition(H, budget):
         V = _digits(code, ring.base_mod, module.nd)
         entries = ring.indices(V.reshape(len(V), module.ngens,
                                          ring.base_dim))
-        ok = _unimodular_rows(ring, entries, memo) & (code != 0)
+        ok = unimodular_rows(ring, entries, memo) & (code != 0)
         mus.append(H.mu_reps(V[ok]))
         codes.append(code[ok])
     mu, code = np.concatenate(mus), np.concatenate(codes)

@@ -293,7 +293,10 @@ def _lambda_universe(Q, base, dec):
                 for p in dec.complement.module.elements()]
     for e, _f in dec.pairs:
         universe = _plus(universe, [lift(e) * c for c in range(Q.ring.size)])
-    return (N, [v for v in universe if N.mu_zero(v)],
+    keep = N.mu_zero_rows(np.array([v.vec for v in universe],
+                                   dtype=np.int64).reshape(len(universe),
+                                                           N.module.nd))
+    return (N, [v for v, k in zip(universe, keep) if k],
             [lift(v) if v.module is Q.module else v for v in base])
 
 
