@@ -307,7 +307,9 @@ def _eliminate(W, p, k, c):
                  if q * q <= np.iinfo(t).max)
     pv, inv = (t.astype(dtype) for t in _chain_tables(p, k))
     B = len(W)
-    W = _mod(np.array(W, dtype=dtype), q)
+    # reduce before narrowing: a cast of an entry past the narrow type's
+    # range wraps modulo 2^bits, which keeps its residue only when q | 2^bits
+    W = _mod(np.array(W, dtype=np.int64), q).astype(dtype)
     P = np.zeros((B, c, W.shape[2]), dtype=dtype)
     at = np.arange(B)
     for j in range(c if W.shape[1] else 0):
@@ -380,6 +382,23 @@ def howell_batch(A, m, transform=False):
     if not transform:
         return H[:, :, :c]
     return H[:, :, :c], H[:, :, c:], np.concatenate(pools, axis=1)
+
+
+def howell_reduce(H, Y, m):
+    """(R, C) for Howell rows H (B, c, c) of howell_batch and targets Y
+    (B, s, c): R[b, i] = Y[b, i] - C[b, i] H[b] is the canonical
+    representative of Y[b, i] modulo H[b]'s row module (reduce_vec's
+    greedy pass, pivot column by pivot column), zero iff Y[b, i] lies in
+    it; then C[b, i] T[b], T howell_batch's transform, solves x A[b] =
+    Y[b, i]."""
+    R = np.asarray(Y, dtype=np.int64) % m
+    C = np.zeros(R.shape[:2] + (H.shape[1],), dtype=np.int64)
+    for j in range(H.shape[1]):
+        pv = H[:, j, j]
+        C[:, :, j] = R[:, :, j] // np.where(pv > 0, pv, m)[:, None]
+        R -= C[:, :, j, None] * H[:, None, j]
+        R %= m
+    return R, C
 
 
 def _howell_one(A, m, transform):

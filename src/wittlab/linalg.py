@@ -4,9 +4,10 @@ Everything downstream (unimodularity, splittings, unitary groups, posets)
 reduces to row-oriented problems  x * A = b  over Z/m; this module wraps the
 kernel calls with solving, kernels, membership, element enumeration and
 size bookkeeping, and turns ring matrices into such systems.  A
-LinearSolver factors one system; a SolverStack factors a (B, r, c) stack of
-them through kernels.howell_batch and answers each query for all B at
-once.  It keeps no cache: callers that repeat a system keep their solver.
+LinearSolver factors one system; a (B, r, c) stack of them goes through
+kernels.howell_batch and kernels.howell_reduce, which answer each query for
+all B at once.  It keeps no cache: callers that repeat a system keep their
+solver.
 """
 
 import itertools
@@ -105,39 +106,6 @@ class LinearSolver:
             yield v
 
 
-class SolverStack:
-    """LinearSolver for a stack of systems x A[b] = y over Z/m: the Howell
-    rows H (B, c, c), transform T (B, c, r) and kernel rows K (B, q, r) of
-    kernels.howell_batch, and queries on a (B, s, c) stack of targets."""
-
-    def __init__(self, A, m):
-        self.m = m
-        self.H, self.T, self.K = kernels.howell_batch(A, m, transform=True)
-
-    def reduce(self, Y):
-        """(R, C): R[b, i] = Y[b, i] - C[b, i] H[b], the canonical
-        representative of Y[b, i] modulo A[b]'s row module (reduce_vec's
-        greedy pass, pivot column by pivot column)."""
-        m, H = self.m, self.H
-        R = np.asarray(Y, dtype=np.int64) % m
-        C = np.zeros(R.shape[:2] + (H.shape[1],), dtype=np.int64)
-        for j in range(H.shape[1]):
-            pv = H[:, j, j]
-            C[:, :, j] = R[:, :, j] // np.where(pv > 0, pv, m)[:, None]
-            R -= C[:, :, j, None] * H[:, None, j]
-            R %= m
-        return R, C
-
-    def contains(self, Y):
-        """(B, s) bool: does Y[b, i] lie in A[b]'s row module?"""
-        return ~self.reduce(Y)[0].any(axis=2)
-
-    def solve(self, Y):
-        """(X, ok): X[b, i] A[b] = Y[b, i] wherever ok[b, i]."""
-        R, C = self.reduce(Y)
-        return C @ self.T % self.m, ~R.any(axis=2)
-
-
 def invertible(A, m):
     """(B,) bool: is each square A[b] invertible over Z/m?  Over Z/p^k a
     matrix is invertible iff it is mod p, so this asks, for each prime p
@@ -190,14 +158,16 @@ def ring_left_inverse(ring, C, extra_rows=None):
 
 def rows_unimodular(ring, R):
     """(S,) bool for an (S, k) array of ring indices: is row s of R^k
-    left-unimodular (some c with sum c_i R[s, i] = 1)?  One SolverStack
-    over the (k*d, d) systems x -> sum_i x_i R[s, i] asks whether the
-    unit's coordinates lie in each row module."""
+    left-unimodular (some c with sum c_i R[s, i] = 1)?  One
+    kernels.howell_batch over the (k*d, d) systems x -> sum_i x_i R[s, i]
+    and one kernels.howell_reduce ask whether the unit's coordinates lie
+    in each row module."""
     R = np.asarray(R, dtype=np.int64)
-    d = ring.base_dim
+    d, m = ring.base_dim, ring.base_mod
     S = ring.Rmat[R].transpose(0, 1, 3, 2).reshape(len(R), R.shape[1] * d, d)
     one = np.broadcast_to(ring.to_base[ring.one], (len(R), 1, d))
-    return SolverStack(S, ring.base_mod).contains(one)[:, 0]
+    rest = kernels.howell_reduce(kernels.howell_batch(S, m), one, m)[0]
+    return ~rest[:, 0].any(axis=1)
 
 
 def row_unimodular(ring, row):

@@ -267,23 +267,27 @@ def _onto_hook(ring, A, lead=None):
     m, nd, d = ring.base_mod, A.shape[0], A.shape[2]
     # a value's d coordinates, before reduction mod m, lie in [0, R): one
     # value packs into a code below V = R^d, the values of g kernel rows
-    # into one code below V^g <= 2^16 (g >= 1), exact in float32
+    # into one code below V^g <= CACHE_CELLS, exact in float32, and tables
+    # indexed by code settle them.  Past that size (a ring of large
+    # base_dim) there are no tables and the values are read coordinate-wise
     R = nd * (m - 1) ** 2 + 1
     V = R ** d
+    table = V <= CACHE_CELLS
     g = 1
-    while g < nd and V ** (g + 1) <= 1 << 16:
+    while table and g < nd and V ** (g + 1) <= CACHE_CELLS:
         g += 1
-    dtype = np.float32 if V ** g < 1 << 24 else np.float64
-    C = (A * R ** np.arange(d)).sum(axis=2).astype(dtype)  # (nd, N)
-    shift = V ** np.arange(g)
-    # index[c]: the ring index of the value with code c; unit[code]: a
-    # unit among the g values packed into code
-    index = ring.indices(np.arange(V)[:, None] // R ** np.arange(d) % R)
-    unit = one = ring.inv[index] >= 0
-    for _ in range(g - 1):
-        unit = np.logical_or.outer(one, unit).ravel()
+    dtype = np.float32 if table else np.float64
+    shift = V ** np.arange(g) if table else np.ones(1, dtype=np.int64)
+    if table:
+        C = (A @ R ** np.arange(d)).astype(dtype)  # (nd, N)
+        # index[c]: the ring index of the value with code c; unit[code]: a
+        # unit among the g values packed into code
+        index = ring.indices(np.arange(V)[:, None] // R ** np.arange(d) % R)
+        unit = one = ring.inv[index] >= 0
+        for _ in range(g - 1):
+            unit = np.logical_or.outer(one, unit).ravel()
     nonunit = np.flatnonzero(ring.inv < 0)
-    local = np.isin(ring.add[np.ix_(nonunit, nonunit)], nonunit).all()
+    local = (ring.inv[ring.add[np.ix_(nonunit, nonunit)]] < 0).all()
     memo = {}
 
     def extend(P, cols, where=None):
@@ -304,18 +308,29 @@ def _onto_hook(ring, A, lead=None):
                                          == np.arange(q)[:, None]),
                         shift[rank % g][:, None], 0)
         K = np.einsum("iqr,irn->iqn", pack, K).astype(dtype)
-        Cc = C[:, cols]
-        for rows in _row_chunks(n, q * len(cols), CACHE_CELLS):
-            # code[i, j, c]: the values f(k, a_c) of the j-th g rows
+        Ac = C[:, cols] if table else \
+            A[:, cols].reshape(nd, -1).astype(dtype)
+        for rows in _row_chunks(n, q * len(cols) * (1 if table else d),
+                                CACHE_CELLS):
             Kr = K[rows]
-            code = (Kr.reshape(len(Kr) * q, nd) @ Cc).astype(
-                np.intp).reshape(len(Kr), q, len(cols))
-            ok = unit[code].any(axis=1)
+            prod = (Kr.reshape(len(Kr) * q, nd) @ Ac).astype(np.intp)
+            if table:
+                # code[i, j, c]: the values f(k, a_c) of the j-th g rows
+                code = prod.reshape(len(Kr), q, len(cols))
+                ok = unit[code].any(axis=1)
+            else:
+                # vals[i, j, c]: the ring index of f(k_j, a_c), whose
+                # coordinates (below R) are exact in float64
+                vals = ring.indices(prod.reshape(len(Kr), q, len(cols), d))
+                ok = (ring.inv[vals] >= 0).any(axis=1)
             rest = ((),) if local else np.nonzero(out[rows] & ~ok)
             if len(rest[0]):
-                vals = index[code[rest[0], :, rest[1], None] // shift
-                             % V].reshape(len(rest[0]), q * g)
-                ok[rest] = unimodular_rows(ring, vals, memo)
+                if table:
+                    sel = index[code[rest[0], :, rest[1], None] // shift
+                                % V].reshape(len(rest[0]), q * g)
+                else:
+                    sel = vals[rest[0], :, rest[1]]
+                ok[rest] = unimodular_rows(ring, sel, memo)
             out[rows] &= ok
         return out
 

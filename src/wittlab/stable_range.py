@@ -12,7 +12,6 @@ import functools
 
 import numpy as np
 
-from wittlab.linalg import row_unimodular  # noqa: F401  (re-exported)
 from wittlab.linalg import unimodular_rows
 from wittlab.modules import (ENUM_CAP, ModuleMap, act_columns,
                              functional_space, is_isomorphic, rank,

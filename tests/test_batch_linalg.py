@@ -1,6 +1,6 @@
 """Batched linear algebra over Z/m against the per-system kernels.
 
-kernels.howell_batch, linalg.SolverStack, linalg.invertible and
+kernels.howell_batch, kernels.howell_reduce, linalg.invertible and
 linalg.rows_unimodular are checked system by system against howell_aug,
 LinearSolver and ring_left_inverse; the callers that use them (the EU
 generator check, is_isometry, the mu masks, _diagonal) against the scalar
@@ -16,7 +16,6 @@ from wittlab import quadratic
 from wittlab import stable_range as S
 from wittlab.linalg import (
     LinearSolver,
-    SolverStack,
     invertible,
     ring_left_inverse,
     rows_unimodular,
@@ -29,9 +28,11 @@ from wittlab.quadratic import (
     isometry_mask,
     unitary_group,
 )
-from wittlab.rings import RingError
+from wittlab.rings import RingError, make_ring
 
-MODULI = [2, 3, 4, 8, 9, 6, 12]
+# 150 and 225: composite moduli past int8 whose small factors (2, 3; 9)
+# are eliminated in int8
+MODULI = [2, 3, 4, 8, 9, 6, 12, 150, 225]
 SHAPES = [(1, 3, 5), (6, 5, 3), (5, 4, 4), (1, 1, 1), (4, 6, 2), (3, 2, 6)]
 
 
@@ -79,19 +80,18 @@ def test_howell_batch_matches_howell_aug(m, B, r, c):
 
 
 @pytest.mark.parametrize("m", MODULI)
-def test_solver_stack_matches_linear_solver(m):
+def test_howell_reduce_matches_linear_solver(m):
     B, r, c = 5, 4, 5
     rng = np.random.default_rng(m)
     A = stack(m, B, r, c, m)
     # targets: random vectors and combinations of each system's rows
     Y = np.concatenate([rng.integers(0, m, size=(B, 3, c)),
                         rng.integers(0, m, size=(B, 3, r)) @ A % m], axis=1)
-    st = SolverStack(A, m)
-    inside = st.contains(Y)
-    X, ok = st.solve(Y)
-    assert np.array_equal(inside, ok)
+    H, T, _K = kernels.howell_batch(A, m, transform=True)
+    R, Cf = kernels.howell_reduce(H, Y, m)
+    ok = ~R.any(axis=2)
+    X = Cf @ T % m
     assert ok[:, 3:].all()
-    R, _C = st.reduce(Y)
     for b in range(B):
         sol = LinearSolver(A[b].tolist(), m)
         for i, y in enumerate(Y[b].tolist()):
@@ -100,8 +100,6 @@ def test_solver_stack_matches_linear_solver(m):
             assert bool(ok[b, i]) == sol.contains(y)
             if ok[b, i]:
                 assert np.array_equal(X[b, i] @ A[b] % m, np.array(y) % m)
-        assert module_size(st.K[b].tolist(), m, r) == \
-            module_size(sol.kernel_rows(), m, r)
 
 
 @pytest.mark.parametrize("m", MODULI)
@@ -128,6 +126,25 @@ def test_rows_unimodular_matches_left_inverse(name):
         want = [ring_left_inverse(ring, [[x] for x in row]) is not None
                 for row in R.tolist()]
         assert rows_unimodular(ring, R).tolist() == want
+
+
+@pytest.mark.parametrize("n", [150, 225])
+def test_rows_unimodular_past_int8(n):
+    # entries of 128 and more keep their residues mod the small factors:
+    # (130, 3) is unimodular over Z/150 (130 is 1 mod 3, 3 is 1 mod 2 and
+    # 3 mod 25), though 130 wraps to -126 = 0 mod 3 in int8
+    ring = make_ring({"kind": "zmod", "n": n})
+    rng = np.random.default_rng(n)
+    R = rng.integers(0, n, size=(60, 2))
+    R[0] = (130, 3)
+    R[1] = (130, 5)
+    R[2] = (140, 15)
+    want = [ring_left_inverse(ring, [[x] for x in row]) is not None
+            for row in R.tolist()]
+    assert want[0] and not want[1]
+    assert rows_unimodular(ring, R).tolist() == want
+    assert [bool(rows_unimodular(ring, R[i:i + 1])[0])
+            for i in range(len(R))] == want
 
 
 @pytest.mark.parametrize("name", ["z4", "z8", "gf4", "z3c2"])
@@ -267,14 +284,18 @@ def _hook_posets():
                 C.catalog_parameters("z2c2")[0][1], 2)))]
 
 
+@pytest.mark.parametrize("table", [True, False])
 @pytest.mark.parametrize("index", range(4))
-def test_onto_hook_on_whole_levels_matches_raw(monkeypatch, index):
+def test_onto_hook_on_whole_levels_matches_raw(monkeypatch, index, table):
     # every member prefix of levels 0 and 1 in one hook call, against the
     # raw test on all of level 0 and 40 seeded rows of level 1; on z3c2
     # (not local) some extensions are settled by the left-ideal test alone,
-    # with no unit among their values
+    # with no unit among their values.  table=False shrinks CACHE_CELLS
+    # below every code range, so the values are read coordinate-wise
     from wittlab import posets
 
+    if not table:
+        monkeypatch.setattr(posets, "CACHE_CELLS", 1)
     name, F = _hook_posets()[index]
     settled = []
     real = posets.unimodular_rows
@@ -287,6 +308,8 @@ def test_onto_hook_on_whole_levels_matches_raw(monkeypatch, index):
     monkeypatch.setattr(posets, "unimodular_rows", counted)
     ids = np.arange(len(F.atoms))
     rng = np.random.default_rng(index)
+    assert sorted(F.simplices(0)[:, 0].tolist()) == [
+        a for a in ids.tolist() if F.member_atoms([F.atoms[a]])]
     for p in (0, 1):
         level = F.simplices(p)
         mask = F.extend(level, ids)
@@ -299,3 +322,22 @@ def test_onto_hook_on_whole_levels_matches_raw(monkeypatch, index):
             assert mask[i].tolist() == want, (name, level[i])
     if name.startswith(("gl z3c2", "mu z3c2")):
         assert True in settled
+
+
+def test_onto_hook_without_code_tables_stays_small():
+    # GF(2)[C8]: values of 8 coordinates in [0, 9) would need code tables
+    # of 9^8 entries; GL of the free module of rank 1 is built under 32 MB
+    import tracemalloc
+
+    from wittlab.posets import gl_poset
+
+    ring = make_ring({"kind": "group_ring", "m": 2, "group": "C8"})
+    tracemalloc.start()
+    try:
+        F = gl_poset(free_module(ring, 1))
+        sizes = [len(F.simplices(p)) for p in (0, 1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [128, 0]  # the units; no unimodular pair in R^1
+    assert peak < 32 << 20

@@ -18,6 +18,7 @@ import pytest
 
 from wittlab import catalog as C
 from wittlab import stable_range as S
+from wittlab.linalg import row_unimodular
 from wittlab.modules import ModuleElement, ModuleMap
 from wittlab.quadratic import (
     hyperbolic,
@@ -421,12 +422,12 @@ def test_check_Sn_matches_row_by_row_search():
     def oracle(ring, n):
         visits = checked = 0
         for row in itertools.product(range(ring.size), repeat=n + 1):
-            if not S.row_unimodular(ring, row):
+            if not row_unimodular(ring, row):
                 continue
             checked += 1
             for t in itertools.product(range(ring.size), repeat=n):
                 visits += 1
-                if S.row_unimodular(ring, [int(ring.add[row[i], ring.mul[
+                if row_unimodular(ring, [int(ring.add[row[i], ring.mul[
                         t[i], row[n]]]) for i in range(n)]):
                     break
             else:

@@ -20,6 +20,7 @@ from wittlab.blocks import (
     is_isometry as blocks_is_isometry,
     transitive_move,
 )
+from wittlab.linalg import row_unimodular
 from wittlab.modules import (
     Module,
     ModuleMap,
@@ -365,7 +366,7 @@ def partition_oracle(H):
     """The per-element route: mu_rep and ring_blocks of every element."""
     classes = {}
     for x in H.module.elements(cap=H.module.size):
-        if x.is_zero() or not S.row_unimodular(H.ring, frozenset(x.ring_blocks())):
+        if x.is_zero() or not row_unimodular(H.ring, frozenset(x.ring_blocks())):
             continue
         classes.setdefault(H.mu_rep(x), []).append(x.vec)
     return classes

@@ -3,12 +3,12 @@
 import pytest
 
 from wittlab import catalog as C
+from wittlab.linalg import row_unimodular
 from wittlab.rings import make_form_parameter, make_ring
 from wittlab.stable_range import (
     check_Sn,
     check_Tn,
     elementary_unitary_generators,
-    row_unimodular,
     stable_rank,
     unitary_stable_rank,
 )
