@@ -12,16 +12,22 @@ import itertools
 
 import numpy as np
 
-from wittlab.linalg import LinearSolver, ring_left_inverse, ring_matmul
+from wittlab.linalg import (
+    LinearSolver,
+    invertible,
+    ring_left_inverse,
+    ring_matmul,
+)
 from wittlab.modules import Module, ModuleMap, act_columns
 from wittlab.quadratic import (
+    QuadraticModule,
     UnitaryMap,
     hyperbolic,
     identity_unitary,
     is_isometry,
     is_lambda_unimodular,
+    is_unitary,
     orthogonal_complement,
-    sub_quadratic,
     tracked_decomposition,
     transvection,
     witt_index,
@@ -124,14 +130,16 @@ def gl_column_to_e1(ring, col):
         c = int(ring.mul[factor, coeffs[i]])
         if c != ring.zero:
             row_op(n - 1, i, c)
-    assert work[n - 1] == ring.one
+    if work[n - 1] != ring.one:
+        raise BlockError("column reduction did not reach a unit (internal)")
     for i in range(n - 1):
         if work[i] != ring.zero:
             row_op(i, n - 1, int(ring.neg[work[i]]))
     # swap rows 0 and n-1
     work[0], work[n - 1] = work[n - 1], work[0]
     C[0], C[n - 1] = C[n - 1], C[0]
-    assert work[0] == ring.one and all(w == ring.zero for w in work[1:])
+    if work[0] != ring.one or any(w != ring.zero for w in work[1:]):
+        raise BlockError("column reduction did not reach e_1 (internal)")
     return C
 
 
@@ -509,8 +517,10 @@ def adjoint_inverse(phi):
     """phi^-1 for a unitary phi of a hyperbolic H^g on its standard basis,
     read off the lambda-adjoint: phi sends (e_l, f_l) to (u_l, v_l), so the
     coordinates of phi^-1(x) are A_l = eps^-1 lambda(v_l, x) and
-    B_l = lambda(u_l, x), one product.  phi must already be verified
-    unitary; that proof is what makes this map its inverse."""
+    B_l = lambda(u_l, x), one product.  The adjoint is the inverse only
+    when phi is unitary, and neither map is checked here: the result is
+    unitary iff phi is, so it stands verified once a map composed from it
+    passes the isometry test (straightening verifies the map it returns)."""
     H = phi.Q
     Z = pair_coordinates(H, phi.f.generator_images())
     f = ModuleMap.from_matrix(H.module, H.module, Z, check=False)
@@ -585,7 +595,8 @@ class HyperbolicFrame:
     def extend_h_unitary(self, psi_std):
         """1_P + psi: extend a unitary of the abstract H^g to Q.  On the
         generator rows (P-parts P, H-coordinates Z_g) the images are
-        P + (E Psi Z_g)^T mod m."""
+        P + (E Psi Z_g)^T mod m.  Not checked here: the callers verify
+        the map they compose from this one."""
         Q = self.Q
         m = Q.ring.base_mod
         if self._gen_rows is None:
@@ -594,11 +605,11 @@ class HyperbolicFrame:
                          dtype=np.int64).reshape(len(gens), Q.module.nd)
             self._gen_rows = (P, (self._Z @ Q.module.gen_columns) % m)
         P, Zg = self._gen_rows
-        X = (P + ((self._E @ psi_std.f.B) % m @ Zg).T) % m
-        imgs = [Q.module.from_vec(row) for row in X.tolist()]
-        f = ModuleMap(Q.module, Q.module, imgs, check=False)
-        return UnitaryMap(Q, f, check=True,
-                          tag=("map", tuple(x.vec for x in imgs)))
+        X = Q.module.canon_columns(P.T + (self._E @ psi_std.f.B) % m @ Zg)
+        f = ModuleMap.from_matrix(Q.module, Q.module,
+                                  act_columns(Q.ring, X.T), check=False)
+        return UnitaryMap(Q, f, check=False,
+                          tag=("map", tuple(map(tuple, X.T.tolist()))))
 
 
 def frame_for(Q, usr=None, cap=1 << 12):
@@ -640,34 +651,46 @@ def _dual_completion(H_std, zs, base, usr, cap, sweep=300, budget=1 << 22):
     the complement: the searched substitute for the hyperbolic-basis step.
     base holds the z's lambda-unimodularity witnesses.
 
+    A try takes duals ys and presents U = span(z's, ys) on the basis
+    B = (z's, ys), its gram from one lam_table and its mu from one mu_reps.
+    U is a free nonsingular summand (so H_std = U + U^perp, and both have
+    the sizes of hyperbolic modules) iff the Gram matrix of B on base
+    coordinates, act_columns(B)^T lam_rows(B), is invertible; the try then
+    asks the Witt search for k pairs in U and the rest in U^perp.
+
     Strategy: the witnesses as duals first; then a seeded sweep of
     alternate duals (offsets from the witness kernel); finally an
     elementary-unitary orbit word moving the z's into H^k, whose inverse
     pulls the standard pairs back to an envelope.  The Witt searches on U
     and its complement go through witt_index's memo, so each presentation
-    is searched once per process.  Every output is verified by the caller.
+    is searched once per process.  The pairs are not checked here: the
+    caller verifies the map it builds from them.
     """
     import random
 
     k = len(zs)
     ring = H_std.ring
+    m = ring.base_mod
+    module = H_std.module
+    free = Module(ring, 2 * k, ())
 
     def try_duals(ys):
         gens = list(zs) + list(ys)
-        U, incl = sub_quadratic(H_std, gens)
-        if U.size != ring.size ** (2 * k):
+        B = np.array([x.vec for x in gens], dtype=np.int64).reshape(
+            2 * k, module.nd)
+        gram = act_columns(ring, B).T @ np.array(H_std.lam_rows(B)) % m
+        if not invertible(gram[None], m)[0]:
             return None
+        U = QuadraticModule(free, H_std.lam_table(B, B).tolist(),
+                            H_std.mu_reps(B).tolist(), H_std.param)
         dec = witt_index(U, usr=usr, cap=cap)
         if dec.g != k:
             return None
+        incl = ModuleMap(free, module, gens, check=False)
         u_pairs = [(incl(x), incl(y)) for x, y in dec.pairs]
-        V, vincl = orthogonal_complement(H_std, [incl(g) for g in U.module.gens()])
-        if V.size * U.size != H_std.size:
-            return None
+        V, vincl = orthogonal_complement(H_std, gens)
         vdec = witt_index(V, usr=usr, cap=cap)
         if vdec.g != len(H_std.hyperbolic_pairs) - k:
-            return None
-        if V.size != ring.size ** (2 * vdec.g):
             return None
         v_pairs = [(vincl(x), vincl(y)) for x, y in vdec.pairs]
         return u_pairs, v_pairs
@@ -676,8 +699,6 @@ def _dual_completion(H_std, zs, base, usr, cap, sweep=300, budget=1 << 22):
     if got is not None:
         return got
     # seeded sweep of alternate dual tuples: offsets from the witness kernel
-    m = ring.base_mod
-    module = H_std.module
     solver = LinearSolver(H_std.lam_rows([z.vec for z in zs]), m,
                           width=ring.base_dim * k)
     kernel = LinearSolver(solver.kernel_rows(), m, width=module.nd)
@@ -731,14 +752,24 @@ def _eu_word(H_std, xs, target, budget, what):
     return word
 
 
-def hyperbolic_straighten(Q, seq, k=None, frame=None, usr=1, cap=1 << 12):
+def _verified(phi):
+    """phi, once one isometry test of its matrix passes."""
+    if not is_unitary(phi.Q, phi.f):
+        raise BlockError("the composed map is not unitary")
+    return phi
+
+
+def hyperbolic_straighten(Q, seq, k=None, frame=None, usr=1, cap=1 << 12,
+                          verify=True):
     """phi in U(P + H^g) with phi(seq) inside P + H^k and lambda-unimodular
     projection to H^k.  Needs g >= usr + k and a lambda-unimodular sequence.
 
     Pipeline: associated block, keep-tail reduction giving p-tilde, the
     transvection composition, then rectification of the enveloping
-    hyperbolic basis (searched, verified).  Both post-conditions are
-    re-verified before returning.
+    hyperbolic basis (searched).  The maps in between are built unchecked.
+    Both post-conditions are re-verified before returning, and phi passes
+    one isometry test; verify=False leaves that test to a caller that
+    verifies a map composed from phi, as transitive_move does.
     """
     seq = list(seq)
     if k is None:
@@ -755,13 +786,11 @@ def hyperbolic_straighten(Q, seq, k=None, frame=None, usr=1, cap=1 << 12):
     ring = Q.ring
     param = Q.param
 
-    A_seq, ps = sequence_block(frame, seq)
-    if is_unimodular_block(A_seq) is None:
-        raise BlockError("associated block is not unimodular (internal)")
     if frame.P.module.ngens == 0:
-        p_tilde = [frame.P.module.zero()] * g
         phi1 = identity_unitary(Q)
     else:
+        # the associated block is unimodular (matrix_reduce checks it)
+        A_seq, _ = sequence_block(frame, seq)
         cert = reduce_keep_tail(A_seq, g, g, usr)  # usr >= sr: a valid bound
         p_tilde = cert.m_column[:g]
         # transvection composition tau(e_g, -eps_bar p_g, ...) ... tau(e_1, ...)
@@ -772,7 +801,7 @@ def hyperbolic_straighten(Q, seq, k=None, frame=None, usr=1, cap=1 << 12):
             e_l = frame.pairs[l][0]
             u = frame.P_incl(p_tilde[l]) * int(ring.neg[param.eps_bar])
             y = Q.mu_rep(u)
-            t = transvection(Q, e_l, u, y)
+            t = transvection(Q, e_l, u, y, check=False)
             phi1 = t.compose(phi1)
     moved = [phi1(v) for v in seq]
     zs = [frame.project_std(v) for v in moved]
@@ -782,12 +811,9 @@ def hyperbolic_straighten(Q, seq, k=None, frame=None, usr=1, cap=1 << 12):
                          "lambda-unimodular (internal)")
     # rectify: hyperbolic envelope of the projections
     u_pairs, v_pairs = _dual_completion(frame.H_std, zs, witnesses, usr, cap)
-    all_pairs = list(u_pairs) + list(v_pairs)
-    imgs = []
-    for x, y in all_pairs:
-        imgs.extend([x, y])
+    imgs = [x for pair in list(u_pairs) + list(v_pairs) for x in pair]
     F = ModuleMap(frame.H_std.module, frame.H_std.module, imgs, check=False)
-    psi_std = adjoint_inverse(UnitaryMap(frame.H_std, F, check=True))
+    psi_std = adjoint_inverse(UnitaryMap(frame.H_std, F, check=False))
     phi = frame.extend_h_unitary(psi_std).compose(phi1)
     # post-conditions, re-verified independently
     out = [phi(v) for v in seq]
@@ -799,12 +825,15 @@ def hyperbolic_straighten(Q, seq, k=None, frame=None, usr=1, cap=1 << 12):
     proj = [frame.project_std(w) for w in out]
     if is_lambda_unimodular(frame.H_std, proj) is None:
         raise BlockError("projection to H^k is not lambda-unimodular")
-    return phi
+    return _verified(phi) if verify else phi
 
 
-def transitive_move(Q, v, r, frame=None, usr=1, cap=1 << 12, budget=1 << 22):
+def transitive_move(Q, v, r, frame=None, usr=1, cap=1 << 12, budget=1 << 22,
+                    verify=True):
     """phi in U(M) with phi(v) = e_1 + f_1 r, for lambda-unimodular v with
-    mu(v) = r + Lambda; needs witt index >= usr + 1."""
+    mu(v) = r + Lambda; needs witt index >= usr + 1.  The straightening,
+    its extension and the transvections are built unchecked, and phi
+    passes one isometry test (verify=False: see hyperbolic_straighten)."""
     ring = Q.ring
     param = Q.param
     if frame is None:
@@ -813,7 +842,8 @@ def transitive_move(Q, v, r, frame=None, usr=1, cap=1 << 12, budget=1 << 22):
         raise BlockError("needs witt index >= usr + 1")
     if param.coset_rep(int(r)) != Q.mu_rep(v):
         raise BlockError("r does not represent mu(v)")
-    phi1 = hyperbolic_straighten(Q, [v], 1, frame=frame, usr=usr, cap=cap)
+    phi1 = hyperbolic_straighten(Q, [v], 1, frame=frame, usr=usr, cap=cap,
+                                 verify=False)
     w1 = phi1(v)
     z = frame.project_std(w1)
     # EU-orbit step on the hyperbolic part: move z to e_1 + f_1 * b
@@ -828,7 +858,7 @@ def transitive_move(Q, v, r, frame=None, usr=1, cap=1 << 12, budget=1 << 22):
     # tau(f_1, -p eps_bar, x): clears the P-part
     if not p.is_zero():
         u = frame.P_incl(p) * int(ring.neg[param.eps_bar])
-        t3 = transvection(Q, f1, u, Q.mu_rep(u))
+        t3 = transvection(Q, f1, u, Q.mu_rep(u), check=False)
         phi3 = t3.compose(phi2)
     else:
         phi3 = phi2
@@ -842,7 +872,7 @@ def transitive_move(Q, v, r, frame=None, usr=1, cap=1 << 12, budget=1 << 22):
     if diff != ring.zero:
         if diff not in param.lam:
             raise BlockError("mu mismatch: b - r escaped Lambda (internal)")
-        t4 = transvection(Q, f1, Q.module.zero(), diff)
+        t4 = transvection(Q, f1, Q.module.zero(), diff, check=False)
         # tau(f_1, 0, b-r) sends e_1 + f_1 b to e_1 + f_1 r
         phi4 = t4.compose(phi3)
     else:
@@ -850,7 +880,7 @@ def transitive_move(Q, v, r, frame=None, usr=1, cap=1 << 12, budget=1 << 22):
     target = e1 + f1 * int(r)
     if phi4(v) != target:
         raise BlockError("transitive move failed to reach e_1 + f_1 r")
-    return phi4, target
+    return (_verified(phi4) if verify else phi4), target
 
 
 def _eu_reach_first_pair(H_std, z, budget):
@@ -879,7 +909,8 @@ def cancel_H(Qm, Qn, iso, sums, usr=1, cap=1 << 12, budget=1 << 22):
     """From an isometry M + H = N + H (the sums, with H appended last) with
     g(M) >= usr, produce an explicit isometry M = N: move the image of the
     appended hyperbolic pair onto the standard one by a transitive move plus
-    two transvections, then restrict.
+    two transvections, then restrict.  The move and the transvections are
+    built unchecked; the restriction passes one isometry test.
     """
     param = Qm.param
     ring = Qm.ring
@@ -911,8 +942,9 @@ def cancel_H(Qm, Qn, iso, sums, usr=1, cap=1 << 12, budget=1 << 22):
                        check=False)
     frame = HyperbolicFrame(NH, pairs, P, P_incl)
     phi_a, target = transitive_move(NH, x, ring.zero, frame=frame, usr=usr,
-                                    cap=cap, budget=budget)
-    assert target == e_n
+                                    cap=cap, budget=budget, verify=False)
+    if target != e_n:
+        raise BlockError("transitive move missed the appended e (internal)")
     y1 = phi_a(y)
     if NH.lam(e_n, y1) != ring.one:
         raise BlockError("pairing broke during the move (internal)")
@@ -921,7 +953,7 @@ def cancel_H(Qm, Qn, iso, sums, usr=1, cap=1 << 12, budget=1 << 22):
     w = y1 - e_n * a - f_n
     alpha = phi_a
     if not w.is_zero():
-        t_b = transvection(NH, e_n, -w, NH.mu_rep(w))
+        t_b = transvection(NH, e_n, -w, NH.mu_rep(w), check=False)
         alpha = t_b.compose(alpha)
         y2 = t_b(y1)
     else:
@@ -936,7 +968,7 @@ def cancel_H(Qm, Qn, iso, sums, usr=1, cap=1 << 12, budget=1 << 22):
         xc = int(ring.mul[param.epsilon, c])
         if param.coset_rep(xc) != param.coset_rep(ring.zero):
             raise BlockError("eps*c escaped Lambda (internal)")
-        t_c = transvection(NH, e_n, NH.module.zero(), xc)
+        t_c = transvection(NH, e_n, NH.module.zero(), xc, check=False)
         alpha = t_c.compose(alpha)
     gamma = alpha.f.compose(iso)
     if gamma(e_m) != e_n or gamma(f_m) != f_n:

@@ -125,15 +125,17 @@ def howell_aug(A, m):
 
 
 def full_rank_mod_p(A, p):
-    """Is the square matrix A (list of lists) invertible over the field
-    Z/p?  Gaussian elimination, stopping at the first column with no
-    pivot."""
+    """Are the rows of A (list of lists) independent over the field Z/p?
+    For a square A: is it invertible?  Gaussian elimination, stopping as
+    soon as fewer columns than rows remain."""
     rows = [[x % p for x in row] for row in A]
-    n = len(rows)
+    n = len(rows[0]) if rows else 0
     for j in range(n):
+        if len(rows) > n - j:
+            return False
         piv = next((row for row in rows if row[j]), None)
         if piv is None:
-            return False
+            continue
         rows.remove(piv)
         inv = pow(piv[j], -1, p)
         for row in rows:
@@ -141,7 +143,7 @@ def full_rank_mod_p(A, p):
             if c:
                 for t in range(j + 1, n):
                     row[t] = (row[t] - c * piv[t]) % p
-    return True
+    return not rows
 
 
 def reduce_vec(H, pivots, v, m):

@@ -96,14 +96,25 @@ class LinearSolver:
         """All elements of the row module, as tuples (use only when small)."""
         return map(tuple, self.module_rows().tolist())
 
-    def enumerate_canonical_reps(self):
-        """All canonical representatives modulo the row module."""
-        m = self.m
+    def _rep_ranges(self):
+        """Per coordinate, the number of values a canonical representative
+        takes there: its pivot, or m off the pivots."""
         n = self.width if not self.H else len(self.H[0])
         pivset = {j: self.H[i][j] for i, j in enumerate(self.pivots)}
-        ranges = [range(pivset.get(k, m)) for k in range(n)]
-        for v in itertools.product(*ranges):
-            yield v
+        return [pivset.get(k, self.m) for k in range(n)]
+
+    def enumerate_canonical_reps(self):
+        """All canonical representatives modulo the row module."""
+        yield from itertools.product(*map(range, self._rep_ranges()))
+
+    def canonical_rep(self, i):
+        """The i-th of enumerate_canonical_reps, by mixed-radix decoding
+        (the last coordinate runs fastest)."""
+        out = []
+        for r in reversed(self._rep_ranges()):
+            i, c = divmod(i, r)
+            out.append(c)
+        return tuple(reversed(out))
 
 
 def invertible(A, m):

@@ -11,6 +11,7 @@ import itertools
 
 import numpy as np
 
+from wittlab import kernels
 from wittlab.linalg import LinearSolver, ring_left_rows
 from wittlab.rings import RingError
 
@@ -62,9 +63,11 @@ class Module:
     def gen_columns(self):
         """The (nd x ngens) array of the generators' coordinates."""
         if self._gen_columns is None:
-            self._gen_columns = np.array(
-                [g.vec for g in self.gens()], dtype=np.int64).reshape(
-                    self.ngens, self.nd).T
+            n = self.ngens
+            cols = np.zeros((n, self.ring.base_dim, n), dtype=np.int64)
+            cols[np.arange(n), :, np.arange(n)] = \
+                self.ring.to_base[self.ring.one]
+            self._gen_columns = self.canon_columns(cols.reshape(self.nd, n))
         return self._gen_columns
 
     def element(self, blocks):
@@ -99,6 +102,11 @@ class Module:
             raise CapExceeded("module has %d elements, cap %d" % (self.size, cap))
         for vec in self.rel.enumerate_canonical_reps():
             yield ModuleElement(self, vec)
+
+    def element_at(self, i):
+        """The i-th element in the order of elements(), for 0 <= i < size,
+        without enumerating the others."""
+        return ModuleElement(self, self.rel.canonical_rep(i))
 
     def element_rows(self, cap=ENUM_CAP):
         """The elements, and their coordinates as one (size, nd) array."""
@@ -497,29 +505,36 @@ def identity_map(M):
 def submodule(M, gens):
     """Present the R-span of `gens` inside M; returns (K, inclusion).
 
-    Generators lying in the span of the others are dropped first.
+    Generators lying in the span of the others are dropped first.  When M
+    has no relators and the rows g_i * b_t are independent mod every prime
+    of m, the span is free on the g_i: nothing is dropped and the
+    presentation has no relators, so K is R^s at once.
     """
     ring = M.ring
     d, m = ring.base_dim, ring.base_mod
     gens = [g for g in gens if not g.is_zero()]
-    # spans[i]: the d rows g_i * b_t, canonical
+    # rows (i, t): the canonical g_i * b_t
     V = np.array([g.vec for g in gens], dtype=np.int64).reshape(
         len(gens), M.nd)
-    spans = M.canon_columns(act_columns(ring, V)).T.reshape(
-        len(gens), d, M.nd).tolist()
-    # greedy minimization
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(gens)):
-            rows = [list(r) for r in M.rel.H]
-            rows += [row for j, span in enumerate(spans) if j != idx
-                     for row in span]
-            if LinearSolver(rows, m, width=M.nd).contains(gens[idx].vec):
-                gens.pop(idx)
-                spans.pop(idx)
-                changed = True
-                break
+    A = M.canon_columns(act_columns(ring, V)).T
+    if gens and not M.relators and _independent(A, m):
+        K = Module(ring, len(gens), ())
+        return K, ModuleMap(K, M, gens, check=False)
+    # spans[i]: the d rows g_i * b_t
+    spans = A.reshape(len(gens), d, M.nd).tolist()
+    # greedy minimization, first generator first: one pass drops what a
+    # rescan after each drop would, since a generator outside the span of
+    # the others stays outside it as they shrink
+    idx = 0
+    while idx < len(gens):
+        rows = [list(r) for r in M.rel.H]
+        rows += [row for j, span in enumerate(spans) if j != idx
+                 for row in span]
+        if LinearSolver(rows, m, width=M.nd).contains(gens[idx].vec):
+            gens.pop(idx)
+            spans.pop(idx)
+        else:
+            idx += 1
     s = len(gens)
     if s == 0:
         K = Module(ring, 0, (), name="0")
@@ -537,6 +552,15 @@ def submodule(M, gens):
     K = Module(ring, s, relators)
     incl = ModuleMap(K, M, gens)
     return K, incl
+
+
+def _independent(rows, m):
+    """Are the rows of the int64 array independent over Z/m?  Over Z/p^k
+    rows are independent iff they are mod p, so: one rank test per prime
+    p of m."""
+    rows = rows.tolist()
+    return all(kernels.full_rank_mod_p(rows, p)
+               for p, _k in kernels.prime_powers(m))
 
 
 def split_summand(M, seq, witnesses=None):

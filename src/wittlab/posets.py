@@ -247,6 +247,38 @@ def _field_like(ring):
         n % p for p in range(2, n) if p * p <= n)
 
 
+def _hook_tables(ring, nd, d):
+    """The tables of _onto_hook that depend only on the ring and the shape
+    (nd, d) of a value matrix, built once and kept in ring.hook_tables.
+
+    A value's d coordinates, before reduction mod m, lie in [0, R): one
+    value packs into a code below V = R^d, the values of g kernel rows into
+    one code below V^g <= CACHE_CELLS, exact in float32, and tables indexed
+    by code settle them: index[c], the ring index of the value with code
+    c, and unit[code], a unit among the g values packed into code.  Past
+    that size (a ring of large base_dim) both are None and the values are
+    read coordinate-wise.  local: the non-units are closed under +."""
+    got = ring.hook_tables.get((nd, d))
+    if got is None:
+        m = ring.base_mod
+        R = nd * (m - 1) ** 2 + 1
+        V = R ** d
+        g = 1
+        index = unit = None
+        if V <= CACHE_CELLS:
+            while g < nd and V ** (g + 1) <= CACHE_CELLS:
+                g += 1
+            index = ring.indices(np.arange(V)[:, None] // R ** np.arange(d)
+                                 % R)
+            unit = one = ring.inv[index] >= 0
+            for _ in range(g - 1):
+                unit = np.logical_or.outer(one, unit).ravel()
+        nonunit = np.flatnonzero(ring.inv < 0)
+        local = bool((ring.inv[ring.add[np.ix_(nonunit, nonunit)]] < 0).all())
+        got = ring.hook_tables[(nd, d)] = (R, V, g, index, unit, local)
+    return got
+
+
 def _onto_hook(ring, A, lead=None):
     """The hook of a kind whose members x_1..x_k are the sequences on which
     y -> (f(y, x_i))_i maps onto R^k, y running over the Z/m coordinates on
@@ -265,29 +297,12 @@ def _onto_hook(ring, A, lead=None):
     other ring they go to the left ideal test, once per value set
     (linalg.unimodular_rows)."""
     m, nd, d = ring.base_mod, A.shape[0], A.shape[2]
-    # a value's d coordinates, before reduction mod m, lie in [0, R): one
-    # value packs into a code below V = R^d, the values of g kernel rows
-    # into one code below V^g <= CACHE_CELLS, exact in float32, and tables
-    # indexed by code settle them.  Past that size (a ring of large
-    # base_dim) there are no tables and the values are read coordinate-wise
-    R = nd * (m - 1) ** 2 + 1
-    V = R ** d
-    table = V <= CACHE_CELLS
-    g = 1
-    while table and g < nd and V ** (g + 1) <= CACHE_CELLS:
-        g += 1
+    R, V, g, index, unit, local = _hook_tables(ring, nd, d)
+    table = unit is not None
     dtype = np.float32 if table else np.float64
     shift = V ** np.arange(g) if table else np.ones(1, dtype=np.int64)
     if table:
         C = (A @ R ** np.arange(d)).astype(dtype)  # (nd, N)
-        # index[c]: the ring index of the value with code c; unit[code]: a
-        # unit among the g values packed into code
-        index = ring.indices(np.arange(V)[:, None] // R ** np.arange(d) % R)
-        unit = one = ring.inv[index] >= 0
-        for _ in range(g - 1):
-            unit = np.logical_or.outer(one, unit).ravel()
-    nonunit = np.flatnonzero(ring.inv < 0)
-    local = (ring.inv[ring.add[np.ix_(nonunit, nonunit)]] < 0).all()
     memo = {}
 
     def extend(P, cols, where=None):

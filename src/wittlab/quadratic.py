@@ -23,8 +23,11 @@ many vectors at once (isometry tests, sub-structures, signature pools, mu
 classes) come from lam_table and mu_reps, one product each.
 """
 
+import functools
+
 import numpy as np
 
+from wittlab import kernels
 from wittlab.linalg import LinearSolver, invertible
 from wittlab.modules import (
     CapExceeded,
@@ -85,12 +88,6 @@ class QuadraticModule:
             for j in range(i + 1, n):
                 q[i][j] = gram[i][j]
         self.q = q
-        self.lam_coeffs = _coeff_array(self, gram)
-        self.q_coeffs = _coeff_array(self, q)
-        # list views for the scalar lam_vec / q_vec, whose pure-Python loop
-        # beats a numpy product per pair at these sizes
-        self._lam_list = self.lam_coeffs.tolist()
-        self._q_list = self.q_coeffs.tolist()
         # relations: lambda(g_i, rho) = 0 and mu(rho) in Lambda
         # (evaluated on the raw relator vector, not its canonical form)
         for rho in module.relators:
@@ -106,6 +103,27 @@ class QuadraticModule:
         # elementary unitary generators and their stacked matrices, filled
         # by the EU-orbit engine in stable_range
         self.eu_cache = {}
+
+    # -- coefficient arrays, built on first use: a structure that is only
+    # looked up in witt_index's memo never needs them ---------------------
+
+    @functools.cached_property
+    def lam_coeffs(self):
+        return _coeff_array(self, self.gram)
+
+    @functools.cached_property
+    def q_coeffs(self):
+        return _coeff_array(self, self.q)
+
+    # list views for the scalar lam_vec / q_vec, whose pure-Python loop
+    # beats a numpy product per pair at these sizes
+    @functools.cached_property
+    def _lam_list(self):
+        return self.lam_coeffs.tolist()
+
+    @functools.cached_property
+    def _q_list(self):
+        return self.q_coeffs.tolist()
 
     # -- evaluation -------------------------------------------------------
 
@@ -241,8 +259,9 @@ def hyperbolic(parameter, g, name=None):
         gram[2 * l + 1][2 * l] = parameter.epsilon
     Q = QuadraticModule(module, gram, [ring.zero] * n, parameter,
                         name=name or "H^%d over %s" % (g, ring.name))
-    Q.hyperbolic_pairs = [(module.gen(2 * l), module.gen(2 * l + 1))
-                          for l in range(g)]
+    gens = [ModuleElement(module, tuple(x))
+            for x in module.gen_columns.T.tolist()]
+    Q.hyperbolic_pairs = list(zip(gens[0::2], gens[1::2]))
     return Q
 
 
@@ -489,14 +508,15 @@ def transvection_matrices(Q, e, U, X):
     return B % m
 
 
-def transvection(Q, e, u, x):
+def transvection(Q, e, u, x, check=True):
     """tau(e, u, x), the one-row case of transvection_matrices, verified
-    unitary and invertible.  The orthogonal-transvection designation
-    additionally asks e to be lambda-unimodular (the `orthogonal`
-    property)."""
+    unitary and invertible unless check=False (for a caller that verifies
+    the map it composes from this one).  The orthogonal-transvection
+    designation additionally asks e to be lambda-unimodular (the
+    `orthogonal` property)."""
     B = transvection_matrices(Q, e.vec, [u.vec], [int(x)])[0]
     f = ModuleMap.from_matrix(Q.module, Q.module, B, check=False)
-    return UnitaryMap(Q, f, check=True, tag=("tau", e.vec, u.vec, int(x)))
+    return UnitaryMap(Q, f, check=check, tag=("tau", e.vec, u.vec, int(x)))
 
 
 # -- sub-quadratic-structures ------------------------------------------------
@@ -512,12 +532,19 @@ def sub_quadratic(Q, gens, name=None):
 
 
 def orthogonal_complement(Q, elements):
-    """(S^perp as a quadratic module, inclusion into Q's module)."""
+    """(S^perp as a quadratic module, inclusion into Q's module), generated
+    by the Howell rows of the kernel of x -> (lambda(s, x))_s.  They come
+    from one kernels.howell_aug of (A | 1), A the lam_rows of S: by the
+    Howell property, its rows that vanish on A's columns are the Howell
+    form of {x : x A = 0}."""
     module = Q.module
     m = Q.ring.base_mod
-    solver = LinearSolver(Q.lam_rows([x.vec for x in elements], slot=1), m)
-    ker = LinearSolver(solver.kernel_rows(), m, width=module.nd)
-    gens = [module.from_vec(list(r)) for r in ker.H]
+    n = Q.ring.base_dim * len(elements)
+    A = np.array(Q.lam_rows([x.vec for x in elements], slot=1),
+                 dtype=np.int64).reshape(module.nd, n)
+    H, pivots, _, _ = kernels.howell_aug(
+        np.hstack([A, np.eye(module.nd, dtype=np.int64)]).tolist(), m)
+    gens = [module.from_vec(row[n:]) for row, j in zip(H, pivots) if j >= n]
     return sub_quadratic(Q, gens)
 
 

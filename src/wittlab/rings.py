@@ -78,6 +78,8 @@ class Ring:
         self.units = frozenset(np.flatnonzero(self.inv >= 0).tolist())
         self.central = frozenset(
             np.flatnonzero((self.mul == self.mul.T).all(axis=1)).tolist())
+        # posets._onto_hook's tables, per value-matrix shape (nd, d)
+        self.hook_tables = {}
 
     # -- basics ---------------------------------------------------------
 

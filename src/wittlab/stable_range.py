@@ -51,10 +51,10 @@ class RangeReport:
         self.witness = witness
         self.stats = stats or {}
         self.mode = mode
-        if verdict == "holds":
-            assert witness is None
-        if verdict == "fails":
-            assert witness is not None
+        if verdict == "holds" and witness is not None:
+            raise ValueError("a holding check carries no witness")
+        if verdict == "fails" and witness is None:
+            raise ValueError("a failing check needs a witness")
 
     def to_dict(self):
         return {

@@ -10,7 +10,7 @@ import random
 from wittlab import blocks as B
 from wittlab import catalog as C
 from wittlab import stable_range as S
-from wittlab.modules import free_module
+from wittlab.modules import CapExceeded, free_module
 from wittlab.posets import _PairTables
 from wittlab.quadratic import (
     direct_sum_quadratic,
@@ -234,9 +234,11 @@ def random_in_hypothesis_instance(rng, param, usr, k=1, max_g=3,
     Q = hyperbolic(param, g)
     if rng.random() < 0.5 and Q.size * ring.size <= size_cap:
         Q, _, _ = direct_sum_quadratic(Q, C.degenerate_point(param))
-    elems = list(Q.module.elements(cap=size_cap))
+    if Q.size > size_cap:
+        raise CapExceeded("module has %d elements, cap %d"
+                          % (Q.size, size_cap))
     for _ in range(400):
-        seq = [elems[rng.randrange(len(elems))] for _ in range(k)]
+        seq = [Q.module.element_at(rng.randrange(Q.size)) for _ in range(k)]
         if len({x.vec for x in seq}) < k:
             continue
         if is_lambda_unimodular(Q, seq) is not None:

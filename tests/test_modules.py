@@ -31,6 +31,15 @@ Z2C2 = make_ring({"kind": "group_ring", "m": 2, "group": "C2", "w1": [1, 1]})
 Z2S3 = make_ring({"kind": "group_ring", "m": 2, "group": "S3", "w1": [1] * 6})
 
 
+@pytest.mark.parametrize("M", [
+    free_module(Z4, 2), cyclic_module(Z4, 2), cyclic_module(Z8, 4),
+    direct_sum_modules(free_module(Z2C2, 1), cyclic_module(Z2C2, 3))[0],
+    Module(GF3, 3, [(1, 2, 0)]),
+], ids=["z4^2", "z4/2", "z8/4", "z2c2+cyclic", "gf3^3/rel"])
+def test_element_at_is_the_enumeration_order(M):
+    assert [M.element_at(i) for i in range(M.size)] == list(M.elements())
+
+
 def test_module_sizes():
     assert free_module(Z4, 2).size == 16
     assert cyclic_module(Z4, 2).size == 2
