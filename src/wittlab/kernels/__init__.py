@@ -1,6 +1,7 @@
 """Arithmetic kernels: Howell form over Z/m with its transform and kernel,
 reduction against it, and Smith normal form divisors, in pure Python; and
-howell_batch, the Howell form of a whole stack of systems in numpy.
+howell_batch, the Howell form of a whole stack of systems in numpy, with
+howell_kernel its kernel rows alone.
 
 The pure-Python kernels take lists of lists of Python ints; howell_batch
 takes a (B, r, c) int array.  Entries of mod-m matrices are kept in
@@ -335,8 +336,34 @@ def _reduce_above(P, c, m):
         pv = P[:, j, j]
         coef = P[:, :j, j] // np.where(pv > 0, pv, m)[:, None]
         P[:, :j] -= coef[:, :, None] * P[:, None, j]
-        P[:, :j] %= m
+        _mod(P[:, :j], m)
     return P
+
+
+def _eliminations(A, m, transform):
+    """_eliminate of the stack A over each prime-power factor of m, A
+    followed by an identity block when transform is set: a list of
+    (P, pool, p, k, idem), idem the factor's CRT idempotent (1 when
+    p^k = m)."""
+    B, r, c = A.shape
+    W = A
+    if transform:
+        W = np.concatenate([A, np.broadcast_to(np.eye(r, dtype=np.int64),
+                                               (B, r, r))], axis=2)
+    out = []
+    for p, k in prime_powers(m):
+        q = p ** k
+        out.append(_eliminate(W, p, k, c)
+                   + (p, k, m // q * pow(m // q, -1, q) % m))
+    return out
+
+
+def _kernel_rows(parts, c, m):
+    """The kernel rows of a transform elimination: each factor's pool past
+    column c, lifted by its idempotent."""
+    return np.concatenate([pool[:, :, c:] if idem == 1
+                           else pool[:, :, c:] * idem % m
+                           for _P, pool, _p, _k, idem in parts], axis=1)
 
 
 def howell_batch(A, m, transform=False):
@@ -356,34 +383,35 @@ def howell_batch(A, m, transform=False):
     B, r, c = A.shape
     if B == 1 and r:
         return _howell_one(A[0], m, transform)
-    W = A
-    if transform:
-        W = np.concatenate([A, np.broadcast_to(np.eye(r, dtype=np.int64),
-                                               (B, r, r))], axis=2)
-    parts = prime_powers(m)
+    parts = _eliminations(A, m, transform)
     if len(parts) == 1:
-        P, pool = _eliminate(W, parts[0][0], parts[0][1], c)
-        pools = [pool[:, :, c:]]
+        P = parts[0][0]
     else:
         # scale each factor's row j so its pivot becomes g_j, the product
         # over the factors of gcd(pivot, p^k), then glue the rows with the
         # CRT idempotents
-        comps, gs, pools = [], [], []
-        for p, k in parts:
-            Pi, pool = _eliminate(W, p, k, c)
-            q = p ** k
-            idem = m // q * pow(m // q, -1, q) % m
-            comps.append((Pi, q, idem))
-            gs.append(_chain_tables(p, k)[0][Pi[:, np.arange(c),
-                                                np.arange(c)]])
-            pools.append(pool[:, :, c:] * idem % m)
+        gs = [_chain_tables(p, k)[0][Pi[:, np.arange(c), np.arange(c)]]
+              for Pi, _pool, p, k, _idem in parts]
         g = np.prod(gs, axis=0)
-        P = sum(Pi * (g // gi % q)[:, :, None] % q * idem
-                for (Pi, q, idem), gi in zip(comps, gs)) % m
+        P = sum(Pi * (g // gi % p ** k)[:, :, None] % p ** k * idem
+                for (Pi, _pool, p, k, idem), gi in zip(parts, gs)) % m
     H = _reduce_above(P, c, m)
     if not transform:
         return H[:, :, :c]
-    return H[:, :, :c], H[:, :, c:], np.concatenate(pools, axis=1)
+    return H[:, :, :c], H[:, :, c:], _kernel_rows(parts, c, m)
+
+
+def howell_kernel(A, m):
+    """howell_batch(A, m, transform=True)'s K alone: rows generating each
+    {x : x A[b] = 0 mod m}, zero rows included.  The kernel is complete
+    once every column has pivoted, so neither the CRT glue of the pivot
+    rows nor the pass that reduces them runs."""
+    A = np.asarray(A, dtype=np.int64)
+    B, r, c = A.shape
+    if B == 1 and r:
+        K = howell_aug(A[0].tolist(), m)[3]
+        return np.array(K, dtype=np.int64).reshape(1, len(K), r)
+    return _kernel_rows(_eliminations(A, m, True), c, m)
 
 
 def howell_reduce(H, Y, m):
@@ -393,13 +421,13 @@ def howell_reduce(H, Y, m):
     greedy pass, pivot column by pivot column), zero iff Y[b, i] lies in
     it; then C[b, i] T[b], T howell_batch's transform, solves x A[b] =
     Y[b, i]."""
-    R = np.asarray(Y, dtype=np.int64) % m
+    R = _mod(np.array(Y, dtype=np.int64), m)
     C = np.zeros(R.shape[:2] + (H.shape[1],), dtype=np.int64)
     for j in range(H.shape[1]):
         pv = H[:, j, j]
         C[:, :, j] = R[:, :, j] // np.where(pv > 0, pv, m)[:, None]
         R -= C[:, :, j, None] * H[:, None, j]
-        R %= m
+        _mod(R, m)
     return R, C
 
 

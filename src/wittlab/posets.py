@@ -10,37 +10,39 @@ A kind finds extensions through one batched hook, `extend(P, cols)`: for an
 returns the (n, len(cols)) bool mask of exactly the (i, j) with P[i]
 followed by cols[j] a member (never a prefix id), so no raw test runs.  A
 level is the row-major nonzeros of the masks of the level below, one chunk
-of prefix rows at a time (no mask or span array past CHUNK cells); the
-vertices are the extensions of the empty prefix.  Membership must not
+of prefix rows at a time (no mask past CHUNK cells); the vertices are the
+extensions of the empty prefix.  Membership must not
 depend on the order of the entries (unimodularity and pairwise lambda
 conditions do not): neighbors reads (v, w) and (w, v) off one mask, and a
 link puts its base after the prefix.  Links and decorations map P and cols
 into the parent's hook and test membership through the parent's memo.
 
-The unimodular kinds (GL over a general ring, the lambda- and mu-posets,
-IU) share one hook: x_1..x_k is a member iff y -> (f(y, x_i))_i is onto
-R^k, and then x_1..x_k, a is one iff f(K, a) = R for the kernel K of that
-map, so each prefix row costs one solver and its candidates one product.
-GL over a field tests a against the element codes of each prefix's span,
-and IU and HU AND the rows of `_PairTables.lam_zero` over the prefixes; no
+The unimodular kinds (GL over every ring, a field or not, the lambda- and
+mu-posets, IU) share one hook: x_1..x_k is a member iff y -> (f(y, x_i))_i
+is onto R^k, and then x_1..x_k, a is one iff f(K, a) = R for the kernel K
+of that map, so one kernel query per slice of prefix rows gives every K
+and one product per cache-sized slice their values on the candidates.
+IU and HU AND the rows of `_PairTables.lam_zero` over the prefixes; no
 atom x atom matrix is ever built.  Each kind's raw predicate stays as the
 oracle: it decides member_atoms, the link's check that its base is a
 simplex, and every membership of a poset built without a hook.
 """
 
 import functools
-import itertools
 
 import numpy as np
 
-from wittlab.kernels import howell_batch
-from wittlab.linalg import LinearSolver, ring_left_rows, unimodular_rows
-from wittlab.modules import _evaluation_matrix, act_columns, is_unimodular
+from wittlab.kernels import howell_kernel
+from wittlab.linalg import ring_left_rows, unimodular_rows
+from wittlab.modules import _evaluation_matrix, is_unimodular
 from wittlab.quadratic import is_lambda_unimodular
 
 SIMPLEX_ENTRY_CAP = 5_000_000
-# cells of the largest mask or span array one hook call builds
+# cells of the largest mask, or table slice, one hook call builds
 CHUNK = 1 << 21
+# cells of the stacked systems of one kernel query of _onto_hook: its
+# elimination peaks at about 8x its input, so that stays near CHUNK
+KERNEL_CELLS = CHUNK >> 3
 # cells of the temporaries one pass of a hook's value loop builds, few
 # enough to stay in cache
 CACHE_CELLS = 1 << 16
@@ -241,12 +243,6 @@ def decorate(F, decorations, name=None):
 # -- concrete kinds ------------------------------------------------------------
 
 
-def _field_like(ring):
-    n = ring.size
-    return ring.kind == "gf" or ring.kind == "zmod" and n > 1 and all(
-        n % p for p in range(2, n) if p * p <= n)
-
-
 def _hook_tables(ring, nd, d):
     """The tables of _onto_hook that depend only on the ring and the shape
     (nd, d) of a value matrix, built once and kept in ring.hook_tables.
@@ -288,14 +284,14 @@ def _onto_hook(ring, A, lead=None):
 
     f(y, a) is semilinear in y, so f(K, a) is a left ideal for the kernel K
     of a member prefix's map, and the prefix extends by a iff it is R.  One
-    kernels.howell_batch over a call's prefix rows gives the Z/m generators
-    of every K, and one product per cache-sized slice of rows their values
-    on every candidate; a candidate (where the optional mask `where`
-    holds) is accepted when a unit is among them.  Values without a unit
-    never generate R over a local ring (its non-units are closed under +,
-    so they form its one maximal left ideal; every field is one); over any
-    other ring they go to the left ideal test, once per value set
-    (linalg.unimodular_rows)."""
+    kernels.howell_kernel per slice of prefix rows (at most KERNEL_CELLS
+    cells of stacked systems) gives the Z/m generators of every K, and one
+    product per cache-sized slice of rows their values on every candidate;
+    a candidate (where the optional mask `where` holds) is accepted when a
+    unit is among them.  Values without a unit never generate R over a
+    local ring (its non-units are closed under +, so they form its one
+    maximal left ideal; every field is one); over any other ring they go
+    to the left ideal test, once per value set (linalg.unimodular_rows)."""
     m, nd, d = ring.base_mod, A.shape[0], A.shape[2]
     R, V, g, index, unit, local = _hook_tables(ring, nd, d)
     table = unit is not None
@@ -303,31 +299,42 @@ def _onto_hook(ring, A, lead=None):
     shift = V ** np.arange(g) if table else np.ones(1, dtype=np.int64)
     if table:
         C = (A @ R ** np.arange(d)).astype(dtype)  # (nd, N)
+    nlead = 0 if lead is None else lead.shape[1]
     memo = {}
 
-    def extend(P, cols, where=None):
+    def kernel_slices(P, ncols):
+        """(rows, Kr) over slices of the prefix rows P: Kr holds the
+        nonzero kernel rows of each prefix, g to a row (the r-th goes to
+        row r // g with weight V^(r % g)).  One kernel query per at most
+        KERNEL_CELLS cells of stacked systems, each cut into slices whose
+        values on ncols candidates stay under CACHE_CELLS."""
         n, k = P.shape
-        out = np.ones((n, len(cols)), dtype=bool) if where is None \
+        for part in _row_chunks(n, nd * (nlead + k * d + nd), KERNEL_CELLS):
+            Ps = P[part]
+            S = A[:, Ps, :].reshape(nd, len(Ps), k * d).transpose(1, 0, 2)
+            if lead is not None:
+                S = np.concatenate([np.broadcast_to(
+                    lead, (len(Ps),) + lead.shape), S], axis=2)
+            K = howell_kernel(S, m)
+            live = K.any(axis=2)
+            rank = np.cumsum(live, axis=1) - 1
+            q = -(-int(rank.max(initial=-1) + 1) // g)
+            pack = np.where(live[:, None] & (rank[:, None] // g
+                                             == np.arange(q)[:, None]),
+                            shift[rank % g][:, None], 0)
+            K = np.einsum("iqr,irn->iqn", pack, K).astype(dtype)
+            for rows in _row_chunks(len(K), q * ncols * (1 if table else d),
+                                    CACHE_CELLS):
+                span = range(n)[part][rows]
+                yield slice(span.start, span.stop), K[rows]
+
+    def extend(P, cols, where=None):
+        out = np.ones((len(P), len(cols)), dtype=bool) if where is None \
             else where.copy()
-        S = A[:, P, :].reshape(nd, n, k * d).transpose(1, 0, 2)
-        if lead is not None:
-            S = np.concatenate([np.broadcast_to(lead, (n,) + lead.shape), S],
-                               axis=2)
-        K = howell_batch(S, m, transform=True)[2]
-        # pack each system's nonzero kernel rows, g to a row of K: the r-th
-        # nonzero row goes to row r // g with weight V^(r % g)
-        live = K.any(axis=2)
-        rank = np.cumsum(live, axis=1) - 1
-        q = -(-int(rank.max(initial=-1) + 1) // g)
-        pack = np.where(live[:, None] & (rank[:, None] // g
-                                         == np.arange(q)[:, None]),
-                        shift[rank % g][:, None], 0)
-        K = np.einsum("iqr,irn->iqn", pack, K).astype(dtype)
         Ac = C[:, cols] if table else \
             A[:, cols].reshape(nd, -1).astype(dtype)
-        for rows in _row_chunks(n, q * len(cols) * (1 if table else d),
-                                CACHE_CELLS):
-            Kr = K[rows]
+        for rows, Kr in kernel_slices(P, len(cols)):
+            q = Kr.shape[1]
             prod = (Kr.reshape(len(Kr) * q, nd) @ Ac).astype(np.intp)
             if table:
                 # code[i, j, c]: the values f(k, a_c) of the j-th g rows
@@ -368,58 +375,19 @@ def gl_poset(M, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
     """O(X) cap U(M): sequences from X (all of M by default) unimodular in
     M."""
     universe = list(M.elements()) if universe is None else list(universe)
-    ring = M.ring
-    m, d, nd = ring.base_mod, ring.base_dim, M.nd
+    ring, nrel = M.ring, len(M.relators)
 
-    if _field_like(ring) and m ** nd < 2 ** 62:
-        def span_rows(V):
-            """Rows (i, t): the canonical v_i * b_t, as one int64 array."""
-            return M.canon_columns(act_columns(ring, V)).T
+    def raw(seq):
+        return is_unimodular(M, seq) is not None
 
-        def raw(seq):
-            rows = span_rows(_coord_rows(seq, nd)).tolist()
-            sol = LinearSolver(rows, m, width=nd)
-            return sol.module_size == ring.size ** len(seq)
-
-        # Over a field a prefix is unimodular iff it is independent, and it
-        # stays so after a iff a is none of the q^k Z/m combinations of its
-        # span rows, compared by canonical codes; the code m^nd ends the
-        # sorted codes, so every search lands on a code
-        coords = _coord_rows(universe, nd)
-        atom_rows = span_rows(coords).reshape(len(universe), d, nd)
-        powers = m ** np.arange(nd, dtype=np.int64)
-        codes, atom_code = np.unique(np.r_[coords @ powers, m ** nd],
-                                     return_inverse=True)
-
-        def extend(P, cols):
-            n, k = P.shape  # C: the m^(kd) coefficient rows
-            C = np.array(list(itertools.product(range(m), repeat=k * d)),
-                         dtype=np.int64).reshape(m ** (k * d), k * d)
-            out = np.empty((n, len(cols)), dtype=bool)
-            for rows in _row_chunks(n, len(C) * nd + len(codes)):
-                R = atom_rows[P[rows]].reshape(len(P[rows]), k * d, nd)
-                span = M.canon_columns(np.einsum("sj,njx->xns", C, R).reshape(
-                    nd, len(R) * len(C))).T @ powers
-                pos = np.searchsorted(codes, span)
-                hit = np.flatnonzero(codes[pos] == span)
-                table = np.zeros((len(R), len(codes)), dtype=bool)
-                table[hit // len(C), pos[hit]] = True
-                out[rows] = ~table[:, atom_code[cols]]
-            return out
-    else:
-        def raw(seq):
-            return is_unimodular(M, seq) is not None
-
-        # f(y, a) = phi_y(a), y the generator values of a functional phi_y,
-        # which must vanish on the relators
-        nrel = len(M.relators)
-        A = ring_left_rows(ring, _evaluation_matrix(M, universe)).reshape(
-            nd, nrel + len(universe), d)
-        lead = A[:, :nrel, :].reshape(nd, nrel * d) if nrel else None
-        extend = _onto_hook(ring, A[:, nrel:, :], lead)
-
+    # f(y, a) = phi_y(a), y the generator values of a functional phi_y,
+    # which must vanish on the relators
+    A = ring_left_rows(ring, _evaluation_matrix(M, universe)).reshape(
+        M.nd, nrel + len(universe), ring.base_dim)
+    lead = A[:, :nrel, :].reshape(M.nd, -1) if nrel else None
     return SequencePoset(name or "U(%s)" % M.name, universe, raw,
-                         entry_cap=cap, extend=extend)
+                         entry_cap=cap,
+                         extend=_onto_hook(ring, A[:, nrel:, :], lead))
 
 
 def lambda_poset(Q_ambient, universe, name=None, cap=SIMPLEX_ENTRY_CAP):

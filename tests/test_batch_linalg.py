@@ -67,6 +67,7 @@ def test_howell_batch_matches_howell_aug(m, B, r, c):
     A = stack(m, B, r, c, 100 * m + 10 * r + c + B)
     H, T, K = kernels.howell_batch(A, m, transform=True)
     assert np.array_equal(kernels.howell_batch(A, m), H)
+    assert np.array_equal(kernels.howell_kernel(A, m), K)
     assert H.shape == (B, c, c) and T.shape == (B, c, r)
     assert K.shape[0] == B and K.shape[2] == r
     for b in range(B):
@@ -269,6 +270,10 @@ def test_diagonal_float_and_int_paths_agree(monkeypatch, name, g):
         assert H.q_vec(row, row) == out["int"][0][X[:9].tolist().index(row)]
 
 
+# the catalog rings of _hook_posets
+HOOK_RINGS = ("z3c2", "z4", "z2c2", "gf2", "gf4", "gf3")
+
+
 def _hook_posets():
     from wittlab.modules import cyclic_module, direct_sum_modules
     from wittlab.posets import gl_poset, iu_poset, mu_poset
@@ -277,26 +282,37 @@ def _hook_posets():
     z4 = C.catalog_parameters("z4")[0][1]
     M, _, _ = direct_sum_modules(free_module(z4.ring, 2),
                                  cyclic_module(z4.ring, 2))
+    gf3 = C.catalog_ring("gf3")
+    N, _, _ = direct_sum_modules(free_module(gf3, 2), cyclic_module(gf3, 1))
     return [("gl z3c2^2", gl_poset(free_module(z3c2.ring, 2))),
             ("mu z3c2 H1", mu_poset(hyperbolic(z3c2, 1))),
             ("gl z4^2+z4/2", gl_poset(M)),
             ("iu z2c2 H2", iu_poset(hyperbolic(
-                C.catalog_parameters("z2c2")[0][1], 2)))]
+                C.catalog_parameters("z2c2")[0][1], 2))),
+            ("gl gf2^3", gl_poset(free_module(C.catalog_ring("gf2"), 3))),
+            ("gl gf4^2", gl_poset(free_module(C.catalog_ring("gf4"), 2))),
+            ("gl gf3^2+gf3/1", gl_poset(N))]
 
 
 @pytest.mark.parametrize("table", [True, False])
-@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("index", range(7))
 def test_onto_hook_on_whole_levels_matches_raw(monkeypatch, index, table):
     # every member prefix of levels 0 and 1 in one hook call, against the
     # raw test on all of level 0 and 40 seeded rows of level 1; on z3c2
     # (not local) some extensions are settled by the left-ideal test alone,
     # with no unit among their values.  table=False shrinks CACHE_CELLS
-    # below every code range, so the values are read coordinate-wise
+    # below every code range and gives the rings fresh hook tables, so the
+    # values are read coordinate-wise
     from wittlab import posets
 
     if not table:
         monkeypatch.setattr(posets, "CACHE_CELLS", 1)
+        for ring in HOOK_RINGS:
+            monkeypatch.setattr(C.catalog_ring(ring), "hook_tables", {})
     name, F = _hook_posets()[index]
+    if not table:
+        assert all(got[4] is None for ring in HOOK_RINGS
+                   for got in C.catalog_ring(ring).hook_tables.values())
     settled = []
     real = posets.unimodular_rows
 
@@ -341,3 +357,42 @@ def test_onto_hook_without_code_tables_stays_small():
         tracemalloc.stop()
     assert sizes == [128, 0]  # the units; no unimodular pair in R^1
     assert peak < 32 << 20
+
+
+def test_onto_hook_kernel_queries_stay_small():
+    # one extend over the first CHUNK of level-2 prefixes of GL((Z/2C2)^3),
+    # as a level build makes it: the kernel queries run on slices of
+    # KERNEL_CELLS cells, so the call peaks under 32 MB (one query over
+    # all 37,449 rows peaked at 93 MB)
+    import tracemalloc
+
+    from wittlab import posets
+
+    F = posets.gl_poset(free_module(C.catalog_ring("z2c2"), 3))
+    cols = np.array(F.vertex_ids, dtype=np.intp)
+    P = F.simplices(2)[:posets.CHUNK // len(cols)]
+    assert len(P) == posets.CHUNK // len(cols)
+    tracemalloc.start()
+    try:
+        mask = F.extend(P, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.shape == (len(P), len(cols))
+    assert peak < 32 << 20
+
+
+@pytest.mark.parametrize("name,n", [("z2c2", 3), ("z3c2", 2)])
+def test_onto_hook_slices_match_one_query(monkeypatch, name, n):
+    # the level n-2 prefixes of GL(R^n) in one kernel query, then in
+    # slices of a few rows each; z3c2 (not local) sends some candidates of
+    # every slice to the left-ideal test
+    from wittlab import posets
+
+    F = posets.gl_poset(free_module(C.catalog_ring(name), n))
+    P = F.simplices(n - 2)
+    cols = np.arange(len(F.atoms))
+    whole = F.extend(P, cols)
+    monkeypatch.setattr(posets, "KERNEL_CELLS", 500)
+    assert np.array_equal(F.extend(P, cols), whole)
+    assert whole.any() and not whole.all()

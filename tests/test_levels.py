@@ -151,9 +151,9 @@ def test_multi_row_extend_is_the_stack_of_single_rows(kind, ring):
 
 
 @pytest.mark.parametrize("ring", ["gf2", "gf3", "gf4"])
-def test_field_span_codes_on_a_module_with_a_relator(ring):
-    # R^n + R/(1): a generator with a relator, so the span's element codes
-    # are canonicalized before they are matched
+def test_gl_over_a_field_on_a_module_with_a_relator(ring):
+    # R^n + R/(1): a generator with a relator, on which the hook's
+    # functionals must vanish (its lead columns)
     R = C.catalog_ring(ring)
     M, _, _ = direct_sum_modules(free_module(R, 3 if ring == "gf2" else 2),
                                  cyclic_module(R, 1))

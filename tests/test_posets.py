@@ -128,7 +128,7 @@ def test_u_gf2_squared():
     assert hom["betti"][0] == 0  # connected: matches the bound rk - sr - 1 = 0
 
 
-def test_u_poset_field_fastpath_matches_generic():
+def test_u_poset_gf2_simplices_are_unimodular():
     M = free_module(GF2, 2)
     from wittlab.modules import is_unimodular
 
