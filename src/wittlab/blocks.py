@@ -646,7 +646,7 @@ def sequence_block(frame, seq):
     return Block(P.module, matrix, funcs), ps
 
 
-def _dual_completion(H_std, zs, base, usr, cap, sweep=300, budget=1 << 22):
+def _dual_completion(H_std, zs, base, usr, cap):
     """A hyperbolic summand U containing the z's, its pairs, and the pairs of
     the complement: the searched substitute for the hyperbolic-basis step.
     base holds the z's lambda-unimodularity witnesses.
@@ -658,13 +658,13 @@ def _dual_completion(H_std, zs, base, usr, cap, sweep=300, budget=1 << 22):
     coordinates, act_columns(B)^T lam_rows(B), is invertible; the try then
     asks the Witt search for k pairs in U and the rest in U^perp.
 
-    Strategy: the witnesses as duals first; then a seeded sweep of
+    Strategy: the witnesses as duals first; then a seeded sweep of 300
     alternate duals (offsets from the witness kernel); finally an
-    elementary-unitary orbit word moving the z's into H^k, whose inverse
-    pulls the standard pairs back to an envelope.  The Witt searches on U
-    and its complement go through witt_index's memo, so each presentation
-    is searched once per process.  The pairs are not checked here: the
-    caller verifies the map it builds from them.
+    elementary-unitary orbit word moving the z's into H^k (search budget
+    2^22), whose inverse pulls the standard pairs back to an envelope.
+    The Witt searches on U and its complement go through witt_index's
+    memo, so each presentation is searched once per process.  The pairs
+    are not checked here: the caller verifies the map it builds from them.
     """
     import random
 
@@ -699,10 +699,7 @@ def _dual_completion(H_std, zs, base, usr, cap, sweep=300, budget=1 << 22):
     if got is not None:
         return got
     # seeded sweep of alternate dual tuples: offsets from the witness kernel
-    solver = LinearSolver(H_std.lam_rows([z.vec for z in zs]), m,
-                          width=ring.base_dim * k)
-    kernel = LinearSolver(solver.kernel_rows(), m, width=module.nd)
-    krows = kernel.H
+    krows = LinearSolver(H_std.lam_rows([z.vec for z in zs]), m).kernel().H
     rng = random.Random(hash(tuple(z.vec for z in zs)) & 0xFFFFFFFF)
 
     def random_kernel_elem():
@@ -714,13 +711,13 @@ def _dual_completion(H_std, zs, base, usr, cap, sweep=300, budget=1 << 22):
                     vec[idx] = (vec[idx] + c * row[idx]) % m
         return module.from_vec(vec)
 
-    for _ in range(sweep):
+    for _ in range(300):
         ys = [w + random_kernel_elem() for w in base]
         got = try_duals(ys)
         if got is not None:
             return got
     # elementary-orbit pull-back: move the z's into H^k, pull pairs back
-    word = _eu_reach_span(H_std, zs, k, budget=budget)
+    word = _eu_reach_span(H_std, zs, k, budget=1 << 22)
     rho = identity_unitary(H_std)
     for t in word:
         rho = t.compose(rho)

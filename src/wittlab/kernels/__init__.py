@@ -1,7 +1,7 @@
 """Arithmetic kernels: Howell form over Z/m with its transform and kernel,
 reduction against it, and Smith normal form divisors, in pure Python; and
 howell_batch, the Howell form of a whole stack of systems in numpy, with
-howell_kernel its kernel rows alone.
+howell_kernel the kernel rows and howell_reduce the reduction against it.
 
 The pure-Python kernels take lists of lists of Python ints; howell_batch
 takes a (B, r, c) int array.  Entries of mod-m matrices are kept in
@@ -278,15 +278,18 @@ def prime_powers(m):
 
 @functools.lru_cache(maxsize=None)
 def _chain_tables(p, k):
-    """Over Z/p^k: gcd(a, p^k) = p^v for each a (p^k for a = 0) and the
-    inverse of the unit part a / p^v (0 for a = 0)."""
+    """Over Z/q, q = p^k: (pv, inv, dtype), pv[a] = gcd(a, q) = p^v (q for
+    a = 0) and inv[a] the inverse of the unit part a / p^v (0 for a = 0),
+    both in dtype, the narrowest integer type holding (-q^2, q^2)."""
     q = p ** k
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if q * q <= np.iinfo(t).max)
     pv = np.full(q, q, dtype=np.int64)
     inv = np.zeros(q, dtype=np.int64)
     for a in range(1, q):
         pv[a] = gcd(a, q)
         inv[a] = pow(a // gcd(a, q), -1, q)
-    return pv, inv
+    return pv.astype(dtype), inv.astype(dtype), dtype
 
 
 def _mod(X, q):
@@ -306,9 +309,7 @@ def _eliminate(W, p, k, c):
     q = p ** k
     # entries stay in (-q^2, q^2): the narrowest integer type that holds
     # them keeps the passes over the stack short
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                 if q * q <= np.iinfo(t).max)
-    pv, inv = (t.astype(dtype) for t in _chain_tables(p, k))
+    pv, inv, dtype = _chain_tables(p, k)
     B = len(W)
     # reduce before narrowing: a cast of an entry past the narrow type's
     # range wraps modulo 2^bits, which keeps its residue only when q | 2^bits
@@ -340,16 +341,10 @@ def _reduce_above(P, c, m):
     return P
 
 
-def _eliminations(A, m, transform):
-    """_eliminate of the stack A over each prime-power factor of m, A
-    followed by an identity block when transform is set: a list of
-    (P, pool, p, k, idem), idem the factor's CRT idempotent (1 when
-    p^k = m)."""
-    B, r, c = A.shape
-    W = A
-    if transform:
-        W = np.concatenate([A, np.broadcast_to(np.eye(r, dtype=np.int64),
-                                               (B, r, r))], axis=2)
+def _eliminations(W, m, c):
+    """_eliminate of the stack W over each prime-power factor of m,
+    pivoting on its first c columns: a list of (P, pool, p, k, idem),
+    idem the factor's CRT idempotent (1 when p^k = m)."""
     out = []
     for p, k in prime_powers(m):
         q = p ** k
@@ -358,32 +353,24 @@ def _eliminations(A, m, transform):
     return out
 
 
-def _kernel_rows(parts, c, m):
-    """The kernel rows of a transform elimination: each factor's pool past
-    column c, lifted by its idempotent."""
-    return np.concatenate([pool[:, :, c:] if idem == 1
-                           else pool[:, :, c:] * idem % m
-                           for _P, pool, _p, _k, idem in parts], axis=1)
-
-
-def howell_batch(A, m, transform=False):
+def howell_batch(A, m):
     """Howell forms of a stack of row modules over Z/m.
 
     A: (B, r, c) int array.  Returns H (B, c, c): row j of H[b] is the
     Howell row of A[b]'s row module with pivot column j, or zero when
     there is none; its pivot divides m and the entries above it are
-    reduced below it, so the nonzero rows are howell_aug's H.  With
-    transform=True returns (H, T, K): T (B, c, r) with T[b] A[b] = H[b]
-    and K (B, q, r), whose rows generate {x : x A[b] = 0 mod m}
-    (zero rows included).  Composite m splits by CRT into prime powers,
-    each eliminated by _eliminate; a single system goes through
-    howell_aug, whose pure-Python loop beats numpy's per-call overhead on
-    one small matrix."""
+    reduced below it, so the nonzero rows are howell_aug's H.  Composite
+    m splits by CRT into prime powers, each eliminated by _eliminate; a
+    single system goes through howell_aug, whose pure-Python loop beats
+    numpy's per-call overhead on one small matrix."""
     A = np.asarray(A, dtype=np.int64)
     B, r, c = A.shape
     if B == 1 and r:
-        return _howell_one(A[0], m, transform)
-    parts = _eliminations(A, m, transform)
+        Hs, pivots, _T, _K = howell_aug(A[0].tolist(), m)
+        H = np.zeros((1, c, c), dtype=np.int64)
+        H[0, pivots] = np.array(Hs, dtype=np.int64).reshape(len(pivots), c)
+        return H
+    parts = _eliminations(A, m, c)
     if len(parts) == 1:
         P = parts[0][0]
     else:
@@ -391,54 +378,41 @@ def howell_batch(A, m, transform=False):
         # over the factors of gcd(pivot, p^k), then glue the rows with the
         # CRT idempotents
         gs = [_chain_tables(p, k)[0][Pi[:, np.arange(c), np.arange(c)]]
-              for Pi, _pool, p, k, _idem in parts]
+              .astype(np.int64) for Pi, _pool, p, k, _idem in parts]
         g = np.prod(gs, axis=0)
         P = sum(Pi * (g // gi % p ** k)[:, :, None] % p ** k * idem
                 for (Pi, _pool, p, k, idem), gi in zip(parts, gs)) % m
-    H = _reduce_above(P, c, m)
-    if not transform:
-        return H[:, :, :c]
-    return H[:, :, :c], H[:, :, c:], _kernel_rows(parts, c, m)
+    return _reduce_above(P, c, m)
 
 
 def howell_kernel(A, m):
-    """howell_batch(A, m, transform=True)'s K alone: rows generating each
-    {x : x A[b] = 0 mod m}, zero rows included.  The kernel is complete
-    once every column has pivoted, so neither the CRT glue of the pivot
-    rows nor the pass that reduces them runs."""
+    """Rows generating each {x : x A[b] = 0 mod m}, zero rows included:
+    the pools of the elimination of (A | 1) past column c, each factor's
+    lifted by its CRT idempotent.  The kernel is complete once every
+    column of A has pivoted, so neither the CRT glue of the pivot rows
+    nor the pass that reduces them runs."""
     A = np.asarray(A, dtype=np.int64)
     B, r, c = A.shape
     if B == 1 and r:
         K = howell_aug(A[0].tolist(), m)[3]
         return np.array(K, dtype=np.int64).reshape(1, len(K), r)
-    return _kernel_rows(_eliminations(A, m, True), c, m)
+    W = np.concatenate([A, np.broadcast_to(np.eye(r, dtype=np.int64),
+                                           (B, r, r))], axis=2)
+    return np.concatenate([pool[:, :, c:] if idem == 1
+                           else pool[:, :, c:] * idem % m
+                           for _P, pool, _p, _k, idem
+                           in _eliminations(W, m, c)], axis=1)
 
 
 def howell_reduce(H, Y, m):
-    """(R, C) for Howell rows H (B, c, c) of howell_batch and targets Y
-    (B, s, c): R[b, i] = Y[b, i] - C[b, i] H[b] is the canonical
-    representative of Y[b, i] modulo H[b]'s row module (reduce_vec's
-    greedy pass, pivot column by pivot column), zero iff Y[b, i] lies in
-    it; then C[b, i] T[b], T howell_batch's transform, solves x A[b] =
-    Y[b, i]."""
+    """R for Howell rows H (B, c, c) of howell_batch and targets Y
+    (B, s, c): R[b, i] is the canonical representative of Y[b, i] modulo
+    H[b]'s row module (reduce_vec's greedy pass, pivot column by pivot
+    column), zero iff Y[b, i] lies in it."""
     R = _mod(np.array(Y, dtype=np.int64), m)
-    C = np.zeros(R.shape[:2] + (H.shape[1],), dtype=np.int64)
     for j in range(H.shape[1]):
         pv = H[:, j, j]
-        C[:, :, j] = R[:, :, j] // np.where(pv > 0, pv, m)[:, None]
-        R -= C[:, :, j, None] * H[:, None, j]
+        R -= (R[:, :, j] // np.where(pv > 0, pv, m)[:, None])[:, :, None] \
+            * H[:, None, j]
         _mod(R, m)
-    return R, C
-
-
-def _howell_one(A, m, transform):
-    """howell_batch's result for the one system A, from howell_aug."""
-    Hs, pivots, Ts, Ks = howell_aug(A.tolist(), m)
-    r, c = A.shape
-    H = np.zeros((1, c, c), dtype=np.int64)
-    T = np.zeros((1, c, r), dtype=np.int64)
-    H[0, pivots] = np.array(Hs, dtype=np.int64).reshape(len(pivots), c)
-    if not transform:
-        return H
-    T[0, pivots] = np.array(Ts, dtype=np.int64).reshape(len(pivots), r)
-    return H, T, np.array(Ks, dtype=np.int64).reshape(1, len(Ks), r)
+    return R

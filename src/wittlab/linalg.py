@@ -76,6 +76,14 @@ class LinearSolver:
     def kernel_rows(self):
         return self.K
 
+    def kernel(self, width=None):
+        """The solver of {x : x*A = 0}, or of its projection to the first
+        `width` coordinates when width is given."""
+        if width is None:
+            return LinearSolver(self.K, self.m, width=self.nrows)
+        return LinearSolver([row[:width] for row in self.K], self.m,
+                            width=width)
+
     @property
     def module_size(self):
         size = 1
@@ -118,21 +126,22 @@ class LinearSolver:
 
 
 def invertible(A, m):
-    """(B,) bool: is each square A[b] invertible over Z/m?  Over Z/p^k a
-    matrix is invertible iff it is mod p, so this asks, for each prime p
-    dividing m, whether the Howell form of A mod p has a pivot in every
-    column: one kernels.howell_batch over the stack, or for a single
-    system kernels.full_rank_mod_p, whose pure-Python loop is the faster
-    of the two on one small matrix."""
+    """(B,) bool: are the r rows of each A[b] of a (B, r, c) stack
+    independent over Z/m?  For a square A[b]: is it invertible?  Over
+    Z/p^k rows are independent iff they are mod p, so this asks, for each
+    prime p dividing m, whether the Howell form of A mod p has r pivots:
+    one kernels.howell_batch over the stack, or for a single system
+    kernels.full_rank_mod_p, whose pure-Python loop is the faster of the
+    two on one small matrix."""
     A = np.asarray(A, dtype=np.int64)
-    n = A.shape[1]
-    ok = np.ones(len(A), dtype=bool)
+    B, r, c = A.shape
+    ok = np.ones(B, dtype=bool)
     for p, _k in kernels.prime_powers(m):
-        if len(A) == 1:
+        if B == 1:
             ok &= kernels.full_rank_mod_p(A[0].tolist(), p)
         else:
             H = kernels.howell_batch(A % p, p)
-            ok &= (H[:, np.arange(n), np.arange(n)] == 1).all(axis=1)
+            ok &= (H[:, np.arange(c), np.arange(c)] == 1).sum(axis=1) == r
     return ok
 
 
@@ -177,7 +186,7 @@ def rows_unimodular(ring, R):
     d, m = ring.base_dim, ring.base_mod
     S = ring.Rmat[R].transpose(0, 1, 3, 2).reshape(len(R), R.shape[1] * d, d)
     one = np.broadcast_to(ring.to_base[ring.one], (len(R), 1, d))
-    rest = kernels.howell_reduce(kernels.howell_batch(S, m), one, m)[0]
+    rest = kernels.howell_reduce(kernels.howell_batch(S, m), one, m)
     return ~rest[:, 0].any(axis=1)
 
 

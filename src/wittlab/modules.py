@@ -11,8 +11,7 @@ import itertools
 
 import numpy as np
 
-from wittlab import kernels
-from wittlab.linalg import LinearSolver, ring_left_rows
+from wittlab.linalg import LinearSolver, invertible, ring_left_rows
 from wittlab.rings import RingError
 
 ENUM_CAP = 4096
@@ -268,10 +267,7 @@ def functional_space(M):
     """LinearSolver whose row module is the set of all functionals M -> R
     (as base-coordinate vectors of their generator values)."""
     rows = ring_left_rows(M.ring, _evaluation_matrix(M)).tolist()
-    if not rows:
-        return LinearSolver([], M.ring.base_mod, width=0)
-    solver = LinearSolver(rows, M.ring.base_mod)
-    return LinearSolver(solver.kernel_rows(), M.ring.base_mod, width=M.nd)
+    return LinearSolver(rows, M.ring.base_mod).kernel()
 
 
 def functional_from_coords(M, gamma):
@@ -325,18 +321,13 @@ def is_unimodular_bruteforce(M, seq, cap=ENUM_CAP):
 
 
 def ring_matrix_invertible(ring, B):
-    """Is a k x k matrix over R invertible (as a map of right modules)?"""
-    k = len(B)
-    d, m = ring.base_dim, ring.base_mod
-    rows = []
-    for j in range(k):  # unknown-column index
-        for t in ring.basis:
-            row = []
-            for i in range(k):
-                row.extend(int(v) for v in ring.to_base[ring.mul[B[i][j], t]])
-            rows.append(row)
-    solver = LinearSolver(rows, m)
-    return solver.module_size == m ** (k * d)
+    """Is a k x k matrix over R invertible (as a map of right modules)?
+    Row (j, t) of its Z/m matrix holds the coordinates of B[i][j] b_t, d
+    per i."""
+    k, d = len(B), ring.base_dim
+    L = ring.Lmat[np.asarray(B, dtype=np.int64).reshape(k, k)]
+    rows = L.transpose(1, 3, 0, 2).reshape(1, k * d, k * d)
+    return bool(invertible(rows, ring.base_mod)[0])
 
 
 def rank(M, cap=ENUM_CAP):
@@ -458,10 +449,7 @@ class ModuleMap:
 
     def kernel_preimage_size(self):
         """|{x in (Z/m)^nd : B@x lies in the codomain relation module}|."""
-        ker = self._preimage_solver().kernel_rows()
-        proj = [row[:self.domain.nd] for row in ker]
-        return LinearSolver(proj, self.domain.ring.base_mod,
-                            width=self.domain.nd).module_size
+        return self._preimage_solver().kernel(self.domain.nd).module_size
 
     def is_injective(self):
         return self.kernel_preimage_size() == self.domain.rel.module_size
@@ -542,11 +530,8 @@ def submodule(M, gens):
     # relation module of the presentation R^s ->> span
     rows = [row for span in spans for row in span]
     rows += [list(r) for r in M.rel.H]
-    pre = LinearSolver(rows, m, width=M.nd)
-    ker = [row[:s * d] for row in pre.kernel_rows()]
-    ker_sol = LinearSolver(ker, m, width=s * d)
     relators = []
-    for row in ker_sol.H:
+    for row in LinearSolver(rows, m, width=M.nd).kernel(s * d).H:
         relators.append(tuple(ring.index_of_coords(row[i * d:(i + 1) * d])
                               for i in range(s)))
     K = Module(ring, s, relators)
@@ -555,12 +540,8 @@ def submodule(M, gens):
 
 
 def _independent(rows, m):
-    """Are the rows of the int64 array independent over Z/m?  Over Z/p^k
-    rows are independent iff they are mod p, so: one rank test per prime
-    p of m."""
-    rows = rows.tolist()
-    return all(kernels.full_rank_mod_p(rows, p)
-               for p, _k in kernels.prime_powers(m))
+    """Are the rows of the int64 array independent over Z/m?"""
+    return bool(invertible(rows[None], m)[0])
 
 
 def split_summand(M, seq, witnesses=None):
@@ -577,10 +558,8 @@ def split_summand(M, seq, witnesses=None):
     m = ring.base_mod
     # kernel of x -> (phi_j(x))_j
     rows = np.hstack([phi.matrix.T for phi in witnesses])
-    solver = LinearSolver(rows.tolist(), m)
-    ker_rows = solver.kernel_rows()
-    gens = [M.from_vec(list(r)) for r in
-            LinearSolver(ker_rows, m, width=M.nd).H]
+    gens = [M.from_vec(list(r))
+            for r in LinearSolver(rows.tolist(), m).kernel().H]
     K, incl = submodule(M, gens)
     if K.size * ring.size ** len(seq) != M.size:
         raise RingError("splitting sizes inconsistent")

@@ -27,7 +27,6 @@ import functools
 
 import numpy as np
 
-from wittlab import kernels
 from wittlab.linalg import LinearSolver, invertible
 from wittlab.modules import (
     CapExceeded,
@@ -339,9 +338,8 @@ def lambda_radical_size(Q):
     module = Q.module
     m = Q.ring.base_mod
     units = np.eye(module.nd, dtype=np.int64)
-    solver = LinearSolver(Q.lam_rows(units, slot=1), m)
-    proj = LinearSolver(solver.kernel_rows(), m, width=module.nd)
-    return proj.module_size // module.rel.module_size
+    kernel = LinearSolver(Q.lam_rows(units, slot=1), m).kernel()
+    return kernel.module_size // module.rel.module_size
 
 
 def lambda_nonsingular(Q):
@@ -533,19 +531,10 @@ def sub_quadratic(Q, gens, name=None):
 
 def orthogonal_complement(Q, elements):
     """(S^perp as a quadratic module, inclusion into Q's module), generated
-    by the Howell rows of the kernel of x -> (lambda(s, x))_s.  They come
-    from one kernels.howell_aug of (A | 1), A the lam_rows of S: by the
-    Howell property, its rows that vanish on A's columns are the Howell
-    form of {x : x A = 0}."""
-    module = Q.module
-    m = Q.ring.base_mod
-    n = Q.ring.base_dim * len(elements)
-    A = np.array(Q.lam_rows([x.vec for x in elements], slot=1),
-                 dtype=np.int64).reshape(module.nd, n)
-    H, pivots, _, _ = kernels.howell_aug(
-        np.hstack([A, np.eye(module.nd, dtype=np.int64)]).tolist(), m)
-    gens = [module.from_vec(row[n:]) for row, j in zip(H, pivots) if j >= n]
-    return sub_quadratic(Q, gens)
+    by the Howell rows of the kernel of x -> (lambda(s, x))_s."""
+    A = Q.lam_rows([x.vec for x in elements], slot=1)
+    kernel = LinearSolver(A, Q.ring.base_mod).kernel()
+    return sub_quadratic(Q, [Q.module.from_vec(row) for row in kernel.H])
 
 
 # -- Witt index --------------------------------------------------------------
@@ -590,8 +579,7 @@ def _partners(Q, x, cap):
     base = solver.solve([int(v) for v in ring.to_base[ring.one]])
     if base is None:
         return
-    kernel = LinearSolver(solver.kernel_rows(), m, width=module.nd)
-    Y = module.canon_columns((kernel.module_rows() + base).T).T
+    Y = module.canon_columns((solver.kernel().module_rows() + base).T).T
     if module.relators:
         # two coset vectors may canonicalize to one element: keep the first
         _, first = np.unique(Y, axis=0, return_index=True)

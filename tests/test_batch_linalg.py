@@ -1,8 +1,9 @@
 """Batched linear algebra over Z/m against the per-system kernels.
 
-kernels.howell_batch, kernels.howell_reduce, linalg.invertible and
-linalg.rows_unimodular are checked system by system against howell_aug,
-LinearSolver and ring_left_inverse; the callers that use them (the EU
+kernels.howell_batch, kernels.howell_kernel, kernels.howell_reduce,
+LinearSolver.kernel, linalg.invertible and linalg.rows_unimodular are
+checked system by system against howell_aug, LinearSolver and
+ring_left_inverse; the callers that use them (the EU
 generator check, is_isometry, the mu masks, _diagonal) against the scalar
 routes they replaced.
 """
@@ -65,19 +66,28 @@ def test_prime_powers():
 @pytest.mark.parametrize("B,r,c", SHAPES)
 def test_howell_batch_matches_howell_aug(m, B, r, c):
     A = stack(m, B, r, c, 100 * m + 10 * r + c + B)
-    H, T, K = kernels.howell_batch(A, m, transform=True)
-    assert np.array_equal(kernels.howell_batch(A, m), H)
-    assert np.array_equal(kernels.howell_kernel(A, m), K)
-    assert H.shape == (B, c, c) and T.shape == (B, c, r)
+    H = kernels.howell_batch(A, m)
+    K = kernels.howell_kernel(A, m)
+    assert H.shape == (B, c, c)
     assert K.shape[0] == B and K.shape[2] == r
+    eye = np.eye(r, dtype=np.int64)
     for b in range(B):
         Hs, pivots, _Ts, Ks = kernels.howell_aug(A[b].tolist(), m)
         live = [j for j in range(c) if H[b, j].any()]
         assert [H[b, j].tolist() for j in live] == Hs
         assert live == pivots
-        assert not ((T[b] @ A[b] - H[b]) % m).any()
         assert not (K[b] @ A[b] % m).any()
         assert module_size(K[b].tolist(), m, r) == module_size(Ks, m, r)
+        # LinearSolver.kernel: the Howell rows of (A | 1) that vanish on
+        # A's columns, and their first w coordinates for kernel(w)
+        HI, piv_I, _T, _K = kernels.howell_aug(
+            np.hstack([A[b], eye]).tolist(), m)
+        solver = LinearSolver(A[b].tolist(), m)
+        assert solver.kernel().H == [row[c:] for row, j in zip(HI, piv_I)
+                                     if j >= c]
+        for w in range(1, r + 1):
+            assert solver.kernel(w).H == [row[c:c + w] for row, j
+                                          in zip(HI, piv_I) if c <= j < c + w]
 
 
 @pytest.mark.parametrize("m", MODULI)
@@ -88,10 +98,8 @@ def test_howell_reduce_matches_linear_solver(m):
     # targets: random vectors and combinations of each system's rows
     Y = np.concatenate([rng.integers(0, m, size=(B, 3, c)),
                         rng.integers(0, m, size=(B, 3, r)) @ A % m], axis=1)
-    H, T, _K = kernels.howell_batch(A, m, transform=True)
-    R, Cf = kernels.howell_reduce(H, Y, m)
+    R = kernels.howell_reduce(kernels.howell_batch(A, m), Y, m)
     ok = ~R.any(axis=2)
-    X = Cf @ T % m
     assert ok[:, 3:].all()
     for b in range(B):
         sol = LinearSolver(A[b].tolist(), m)
@@ -99,22 +107,25 @@ def test_howell_reduce_matches_linear_solver(m):
             rep, _ = sol.reduce(y)
             assert R[b, i].tolist() == rep
             assert bool(ok[b, i]) == sol.contains(y)
-            if ok[b, i]:
-                assert np.array_equal(X[b, i] @ A[b] % m, np.array(y) % m)
 
 
 @pytest.mark.parametrize("m", MODULI)
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_invertible_matches_module_size(m, n):
+    # r rows in c columns are independent iff they span m^r elements:
+    # square, wide (r < c) and tall (r > c) stacks
     rng = np.random.default_rng(7 * m + n)
-    A = rng.integers(0, m, size=(12, n, n))
-    A[:4] = np.eye(n, dtype=np.int64) + np.triu(A[:4], 1)  # invertible
-    A[4, 0] = 0  # a zero row
-    want = [module_size(a.tolist(), m, n) == m ** n for a in A]
-    assert invertible(A, m).tolist() == want
-    # the single-system route agrees with the batched one
-    assert [bool(invertible(a[None], m)[0]) for a in A] == want
-    assert invertible(A[:0], m).shape == (0,)
+    for r, c in ((n, n), (n, n + 2), (n + 1, n)):
+        A = rng.integers(0, m, size=(12, r, c))
+        # unit upper triangular: independent when r <= c
+        A[:4] = np.eye(r, c, dtype=np.int64) + np.triu(A[:4], 1)
+        A[4, 0] = 0  # a zero row
+        want = [module_size(a.tolist(), m, c) == m ** r for a in A]
+        assert any(want) == (r <= c)
+        assert invertible(A, m).tolist() == want
+        # the single-system route agrees with the batched one
+        assert [bool(invertible(a[None], m)[0]) for a in A] == want
+        assert invertible(A[:0], m).shape == (0,)
 
 
 @pytest.mark.parametrize("name", ["gf2", "gf4", "z4", "z8", "z2c2", "z3c2"])

@@ -7,16 +7,41 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src", "wittlab")
 
 
-def test_library_has_no_assert_statements():
-    # python -O strips assert statements: a library check must raise
-    found = []
+def _trees():
+    """(path relative to the package, parsed module) per library file."""
     for folder, _, files in os.walk(SRC):
         for name in sorted(files):
             if name.endswith(".py"):
                 path = os.path.join(folder, name)
                 with open(path) as fh:
-                    tree = ast.parse(fh.read(), filename=path)
-                found += ["%s:%d" % (os.path.relpath(path, SRC), node.lineno)
-                          for node in ast.walk(tree)
-                          if isinstance(node, ast.Assert)]
+                    yield (os.path.relpath(path, SRC),
+                           ast.parse(fh.read(), filename=path))
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements: a library check must raise
+    found = []
+    for rel, tree in _trees():
+        found += ["%s:%d" % (rel, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
     assert not found
+
+
+def test_library_uses_every_name_it_imports():
+    # the repository runs no linter; the package __init__ may import
+    # names to re-export them
+    unused = []
+    for rel, tree in _trees():
+        if rel == "__init__.py":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(bound, node.lineno)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += ["%s:%d %s" % (rel, line, bound)
+                   for bound, line in imported.items() if bound not in used]
+    assert not unused

@@ -310,7 +310,7 @@ def test_eu_pull_back(monkeypatch, rname, g, deg, zs):
     base = is_lambda_unimodular(H, zs)
     g_short(monkeypatch, lambda: True)
     pulled = spy_pull_back(monkeypatch)
-    u_pairs, v_pairs = _dual_completion(H, zs, base, 1, 1 << 12, sweep=3)
+    u_pairs, v_pairs = _dual_completion(H, zs, base, 1, 1 << 12)
     assert len(pulled) == 1
     assert_envelope(H, zs, u_pairs, v_pairs)
     phi = hyperbolic_straighten(Q, seq, len(seq), frame=frame, usr=1)
