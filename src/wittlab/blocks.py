@@ -18,7 +18,13 @@ from wittlab.linalg import (
     ring_left_inverse,
     ring_matmul,
 )
-from wittlab.modules import Module, ModuleMap, act_columns
+from wittlab.modules import (
+    Module,
+    ModuleMap,
+    act_columns,
+    direct_sum_modules,
+    free_module,
+)
 from wittlab.quadratic import (
     QuadraticModule,
     UnitaryMap,
@@ -335,9 +341,11 @@ def _conj_twist(ring, S, column):
 
 def matrix_reduce(A, sr):
     """A vector m in M^n such that the unipotent move with column m makes the
-    top n x k matrix unimodular, following the inductive proof (base case via
-    a stable-range correction, inductive step via a GL_n pivot and a right
-    move).  Requires k + sr <= n + 1 and a unimodular block."""
+    top n x k matrix unimodular, following the inductive proof: a
+    stable-range correction of the first column, then (for k > 1) a GL_n
+    pivot and a right move, whose sub-block's column is twisted back onto
+    the correction; k = 1 is the step with no sub-block.  Requires
+    k + sr <= n + 1 and a unimodular block."""
     ring = A.ring
     M = A.module
     n, k = A.n, A.k
@@ -346,74 +354,42 @@ def matrix_reduce(A, sr):
     left_inv = is_unimodular_block(A)
     if left_inv is None:
         raise BlockError("block is not unimodular")
-    rprime, mprime = left_inv
-
-    if k == 1:
-        c = A.funcs[0](mprime[0])
-        row = tuple(A.matrix[i][0] for i in range(n)) + (c,)
-        t = shorten_row(ring, row)
-        if t is None:
-            raise BlockError("stable-range shortening failed in the base case")
-        m_col = [mprime[0] * int(ring.conj[t[i]]) for i in range(n)]
-        cert = ReductionCertificate(
-            A, [("left_unipotent", m_col)], m_col,
-            block_act(A, ("left_unipotent", m_col)).matrix)
-        B = cert.top_matrix
-        if ring_matrix_left_inverse(ring, B) is None:
-            raise BlockError("base case produced a non-unimodular top")
-        return cert
-
-    # inductive step (here n >= sr + 1)
-    c = A.funcs[0](mprime[0])
-    row = tuple(A.matrix[i][0] for i in range(n)) + (c,)
+    mprime = left_inv[1][0]
+    row = tuple(A.matrix[i][0] for i in range(n)) + (A.funcs[0](mprime),)
     t = shorten_row(ring, row)
     if t is None:
         raise BlockError("stable-range shortening failed")
-    m1 = [mprime[0] * int(ring.conj[t[i]]) for i in range(n)]
-    A_a = block_act(A, ("left_unipotent", m1))
-    col1 = [A_a.matrix[i][0] for i in range(n)]
-    C = gl_column_to_e1(ring, col1)
-    A_1 = block_act(A_a, ("left_gl", C))
-    # right move clearing the first row
-    D = rmat_identity(ring, k)
-    for j in range(1, k):
-        D[0][j] = int(ring.neg[A_1.matrix[0][j]])
-    A_2 = block_act(A_1, ("right", D))
-    # sub-block on rows 2..n, columns 2..k
-    sub = Block(M, [row[1:] for row in A_2.matrix[1:]], A_2.funcs[1:])
-    sub_cert = matrix_reduce(sub, sr)
-    m4 = [M.zero()] + sub_cert.m_column
-    Cinv = ring_matrix_inverse(ring, C)
-    twisted = _conj_twist(ring, Cinv, m4)
-    m_col = [a + b for a, b in zip(m1, twisted)]
+    m_col = [mprime * int(ring.conj[t[i]]) for i in range(n)]
+    if k > 1:  # here n >= sr + 1
+        A_a = block_act(A, ("left_unipotent", m_col))
+        C = gl_column_to_e1(ring, [A_a.matrix[i][0] for i in range(n)])
+        A_1 = block_act(A_a, ("left_gl", C))
+        # right move clearing the first row
+        D = rmat_identity(ring, k)
+        for j in range(1, k):
+            D[0][j] = int(ring.neg[A_1.matrix[0][j]])
+        A_2 = block_act(A_1, ("right", D))
+        # sub-block on rows 2..n, columns 2..k
+        sub = Block(M, [row[1:] for row in A_2.matrix[1:]], A_2.funcs[1:])
+        m4 = [M.zero()] + matrix_reduce(sub, sr).m_column
+        twisted = _conj_twist(ring, ring_matrix_inverse(ring, C), m4)
+        m_col = [a + b for a, b in zip(m_col, twisted)]
     moved = block_act(A, ("left_unipotent", m_col))
     if ring_matrix_left_inverse(ring, moved.matrix) is None:
-        raise BlockError("inductive step produced a non-unimodular top")
+        raise BlockError("matrix reduction produced a non-unimodular top")
     return ReductionCertificate(A, [("left_unipotent", m_col)], m_col,
                                 moved.matrix)
 
 
-def _sk_step(B_matrix, ring, sr):
-    """Matrix stable-range step: r in R^(rows-1) such that adding r_i *
-    (last row) to the other rows leaves the top unimodular.  Realized by a
-    matrix reduction over the module R whose functional row is
-    x -> conj(x) * b_j, which specializes blocks to plain matrices."""
-    rows = len(B_matrix)
-    k = len(B_matrix[0])
-    R1 = Module(ring, 1, (), name="%s as module" % ring.name)
-    funcs = [AntiFunctional(R1, [B_matrix[rows - 1][j]], check=False)
-             for j in range(k)]
-    induced = Block(R1, [row[:] for row in B_matrix[:rows - 1]], funcs)
-    cert = matrix_reduce(induced, sr)
-    r = [int(ring.conj[x.ring_blocks()[0]]) for x in cert.m_column]
-    return r
-
-
 def reduce_keep_tail(A, n_top, l, sr):
-    """Structured reduction: a module column m supported on the first n_top
-    rows (plus, in the mixing form, a ring matrix Q folding the middle l rows
-    into the top) leaving the last l+1 rows of the block untouched while the
-    top n x k matrix becomes unimodular.  Needs k + sr <= n_top + 1, l > 0."""
+    """Structured reduction of a block whose n_top + l rows split into a top
+    T and a tail L: a module column m on the top rows and a ring matrix Q
+    (n_top x l) with T + f(m) + Q L unimodular, the tail rows and the
+    functional row left untouched; then (T + f(m); L) is unimodular too.
+    One matrix reduction over M' = M + R^l moves the tail into the
+    functional row, f'_j(x, r) = f_j(x) + sum_s conj(r_s) L_sj: its column
+    m'_i = (m_i, r_i) gives Q_is = conj(r_is).  Needs k + sr <= n_top + 1,
+    l > 0."""
     ring = A.ring
     M = A.module
     n, k = n_top, A.k
@@ -421,76 +397,35 @@ def reduce_keep_tail(A, n_top, l, sr):
         raise BlockError("row split does not match the block")
     if k + sr > n + 1:
         raise BlockError("keep-tail reduction needs k + sr <= n_top + 1")
-    base = matrix_reduce(A, sr)
-    # composed left transform (S, c) with S in GL_{n+l}, c a module column
+    tail = A.matrix[n:]
+    Ml = direct_sum_modules(M, free_module(ring, l))[0]
+    funcs = [AntiFunctional(Ml, f.values + tuple(row[j] for row in tail),
+                            check=False) for j, f in enumerate(A.funcs)]
+    inner = matrix_reduce(Block(Ml, A.matrix[:n], funcs), sr)
+    # S = [[1, Q], [0, 1]] folds the tail into the top
     S = rmat_identity(ring, n + l)
-    c = list(base.m_column)
-    B_cur = [row[:] for row in base.top_matrix]
-    # peel the bottom rows one at a time with (S^k) steps
-    for peel in range(l):
-        rows = n + l - peel
-        r = _sk_step([row[:] for row in B_cur[:rows]], ring, sr)
-        S_step = rmat_identity(ring, n + l)
-        for i in range(rows - 1):
-            S_step[i][rows - 1] = r[i]
-        S = ring_matmul(ring, S_step, S)
-        c = _conj_twist(ring, S_step, c)
-        B_cur = [[int(ring.add[B_cur[i][j], ring.mul[r[i], B_cur[rows - 1][j]]])
-                  if i < rows - 1 else B_cur[i][j] for j in range(k)]
-                 for i in range(len(B_cur))]
-    # S = [[1_n, X], [0, U]] with U upper unipotent; normalize the middle
-    U = [[S[n + a][n + b] for b in range(l)] for a in range(l)]
-    Uinv = ring_matrix_inverse(ring, U)
-    S_fix = rmat_identity(ring, n + l)
-    for a in range(l):
-        for b in range(l):
-            S_fix[n + a][n + b] = Uinv[a][b]
-    S = ring_matmul(ring, S_fix, S)
-    c = _conj_twist(ring, S_fix, c)
-    # clear the middle module entries (row ops sourced at the corner row)
-    c = [c[i] if i < n else M.zero() for i in range(n + l)]
-    Q = [[S[i][n + b] for b in range(l)] for i in range(n)]
-    m_col = c[:n]
-    # verify the canonical form of the transform
-    for i in range(n):
-        for j in range(n):
-            want = ring.one if i == j else ring.zero
-            if S[i][j] != want:
-                raise BlockError("transform top-left is not the identity")
-    for a in range(l):
-        for i in range(l):
-            want = ring.one if a == i else ring.zero
-            if S[n + a][n + i] != want:
-                raise BlockError("transform middle is not the identity")
-        for j in range(n):
-            if S[n + a][j] != ring.zero:
-                raise BlockError("transform below the diagonal")
-    # mixing-form replay: top + Q*mid + f(m) unimodular, tail untouched
-    top = [[int(ring.add[A.matrix[i][j], A.funcs[j](m_col[i])])
-            for j in range(k)] for i in range(n)]
-    for i in range(n):
-        for j in range(k):
-            acc = top[i][j]
-            for b in range(l):
-                acc = int(ring.add[acc, ring.mul[Q[i][b], A.matrix[n + b][j]]])
-            top[i][j] = acc
+    for i, x in enumerate(inner.m_column):
+        S[i][n:] = [int(ring.conj[r]) for r in x.ring_blocks()[M.ngens:]]
+    padded = [M.from_vec(x.vec[:M.nd]) for x in inner.m_column] \
+        + [M.zero()] * l
+    # mixing-form replay: top + Q*tail + f(m) unimodular, tail untouched
+    top = inner.top_matrix
     if ring_matrix_left_inverse(ring, top) is None:
         raise BlockError("keep-tail reduction failed to produce a unimodular top")
+    replayed = block_act(block_act(A, ("left_gl", S)),
+                         ("left_unipotent", padded))
+    if replayed.matrix[:n] != top or replayed.matrix[n:] != tail:
+        raise BlockError("certificate replay mismatch")
     # plain-form replay: the unipotent move alone leaves the whole matrix
     # (not just the top block) unimodular
-    padded = m_col + [M.zero()] * l
     whole = block_act(A, ("left_unipotent", padded))
     if ring_matrix_left_inverse(ring, whole.matrix) is None:
         raise BlockError("whole-matrix form is not unimodular")
-    # mixing-form moves: left_gl with S = [[1,Q],[0,1]] then the unipotent
-    replayed = block_act(block_act(A, ("left_gl", S)), ("left_unipotent", padded))
-    if replayed.matrix[:n] != top or replayed.matrix[n:] != A.matrix[n:]:
-        raise BlockError("certificate replay mismatch")
     cert = ReductionCertificate(A, [("left_gl", S), ("left_unipotent", padded)],
                                 padded, replayed.matrix)
     cert.plain_matrix = whole.matrix
     cert.top_mixed = top
-    cert.tail_rows = [row[:] for row in A.matrix[n:]]
+    cert.tail_rows = [row[:] for row in tail]
     return cert
 
 
@@ -837,6 +772,8 @@ def transitive_move(Q, v, r, frame=None, usr=1, cap=1 << 12, budget=1 << 22,
         frame = frame_for(Q, usr=usr, cap=cap)
     if frame.g < usr + 1:
         raise BlockError("needs witt index >= usr + 1")
+    if not 0 <= int(r) < ring.size:
+        raise BlockError("r is not a ring index in [0, %d)" % ring.size)
     if param.coset_rep(int(r)) != Q.mu_rep(v):
         raise BlockError("r does not represent mu(v)")
     phi1 = hyperbolic_straighten(Q, [v], 1, frame=frame, usr=usr, cap=cap,

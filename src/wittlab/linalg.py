@@ -129,10 +129,11 @@ def invertible(A, m):
     """(B,) bool: are the r rows of each A[b] of a (B, r, c) stack
     independent over Z/m?  For a square A[b]: is it invertible?  Over
     Z/p^k rows are independent iff they are mod p, so this asks, for each
-    prime p dividing m, whether the Howell form of A mod p has r pivots:
-    one kernels.howell_batch over the stack, or for a single system
-    kernels.full_rank_mod_p, whose pure-Python loop is the faster of the
-    two on one small matrix."""
+    prime p dividing m, whether the elimination of A mod p has r unit
+    pivots: one kernels._eliminate over the stack (only its pivot
+    diagonal is read, so no Howell reduction runs), or for a single
+    system kernels.full_rank_mod_p, whose pure-Python loop is the faster
+    of the two on one small matrix."""
     A = np.asarray(A, dtype=np.int64)
     B, r, c = A.shape
     ok = np.ones(B, dtype=bool)
@@ -140,8 +141,8 @@ def invertible(A, m):
         if B == 1:
             ok &= kernels.full_rank_mod_p(A[0].tolist(), p)
         else:
-            H = kernels.howell_batch(A % p, p)
-            ok &= (H[:, np.arange(c), np.arange(c)] == 1).sum(axis=1) == r
+            P = kernels._eliminate(A, p, 1, c)[0]
+            ok &= (P[:, np.arange(c), np.arange(c)] == 1).sum(axis=1) == r
     return ok
 
 

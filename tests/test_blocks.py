@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from wittlab.blocks import (
     AntiFunctional,
     Block,
@@ -21,7 +23,8 @@ from wittlab.blocks import (
     sequence_block,
     transitive_move,
 )
-from wittlab.modules import Module, ModuleMap, free_module
+from wittlab.catalog import catalog_ring
+from wittlab.modules import Module, ModuleMap, cyclic_module, free_module
 from wittlab.quadratic import (
     direct_sum_quadratic,
     hyperbolic,
@@ -217,6 +220,44 @@ def test_reduce_keep_tail_gf2():
     assert done > 10
 
 
+KEEP_TAIL_MODULES = {
+    "gf2": lambda: free_module(catalog_ring("gf2"), 1),
+    "z4/(2)": lambda: cyclic_module(Z4, 2),
+    "gf3": lambda: free_module(catalog_ring("gf3"), 1),
+    "z2c2": lambda: free_module(catalog_ring("z2c2"), 1),
+}
+
+
+@pytest.mark.parametrize("n,l,k", [(2, 1, 1), (2, 2, 1), (3, 3, 1),
+                                   (3, 3, 2)])
+@pytest.mark.parametrize("module", sorted(KEEP_TAIL_MODULES))
+def test_reduce_keep_tail_random(module, n, l, k):
+    # seeded unimodular blocks with non-zero functionals, tails of any l
+    M = KEEP_TAIL_MODULES[module]()
+    ring = M.ring
+    funcs = [f for f in all_antifunctionals(M) if any(f.values)]
+    rng = random.Random("%s-%d-%d-%d" % (module, n, l, k))
+    # the brute-force oracle's cap: every case but (3, 3, 2) off GF(2)
+    fits = (ring.size ** (n + l) * M.size) ** k <= 1 << 22
+    done = 0
+    while done < 8:
+        A = Block(M, [[rng.randrange(ring.size) for _ in range(k)]
+                      for _ in range(n + l)],
+                  [rng.choice(funcs) for _ in range(k)])
+        if is_unimodular_block(A) is None:
+            continue
+        cert = reduce_keep_tail(A, n, l, sr=1)
+        assert cert.replay_ok()
+        assert ring_matrix_left_inverse(ring, cert.top_mixed) is not None
+        assert cert.tail_rows == A.matrix[n:]
+        assert ring_matrix_left_inverse(ring, cert.plain_matrix) is not None
+        assert all(x.is_zero() for x in cert.m_column[n:])
+        if fits:
+            assert is_unimodular_block_bruteforce(
+                Block(M, cert.plain_matrix, zero_funcs(M, k)))
+        done += 1
+
+
 def test_sequence_block_matches_lambda_unimodularity():
     D = make_quadratic(free_module(GF2, 1), [[0]], [0], P2)
     Q, la, lb = direct_sum_quadratic(D, hyperbolic(P2, 2))
@@ -252,6 +293,40 @@ def test_straighten_with_p_part():
     As, Bs = frame.hyperbolic_coords(out)
     assert all(a == GF2.zero for a in As[1:])
     assert all(b == GF2.zero for b in Bs[1:])
+
+
+@pytest.mark.parametrize("ring_name", ["gf3", "z4"])
+def test_straighten_with_nondegenerate_complement(ring_name, monkeypatch):
+    # P of rank 1 with gram [[2]] and mu [1]: lambda does not vanish on P,
+    # so the keep-tail column is not always zero
+    ring = catalog_ring(ring_name)
+    param = make_form_parameter(ring, ring.one, ())
+    P = make_quadratic(free_module(ring, 1), [[2]], [1], param)
+    Q, _, _ = direct_sum_quadratic(hyperbolic(param, 2), P)
+    frame = frame_for(Q, usr=1)
+    columns = []
+
+    def spy(*args, **kwargs):
+        cert = reduce_keep_tail(*args, **kwargs)
+        columns.append(cert.m_column)
+        return cert
+
+    monkeypatch.setattr("wittlab.blocks.reduce_keep_tail", spy)
+    done = 0
+    for v in Q.module.elements():
+        if is_lambda_unimodular(Q, [v]) is None:
+            continue
+        phi = hyperbolic_straighten(Q, [v], 1, frame=frame, usr=1)
+        out = phi(v)
+        As, Bs = frame.hyperbolic_coords(out)
+        assert all(a == ring.zero for a in As[1:])
+        assert all(b == ring.zero for b in Bs[1:])
+        assert is_lambda_unimodular(frame.H_std,
+                                    [frame.project_std(out)]) is not None
+        assert is_isometry(Q, Q, phi.f)
+        done += 1
+    assert done == len(columns) > 0
+    assert any(not x.is_zero() for col in columns for x in col)
 
 
 def test_transitive_move_e2_to_e1():

@@ -106,6 +106,15 @@ def test_malformed_element_is_an_error(capsys, v):
         assert set(json.loads(out)) == {"error"}
 
 
+@pytest.mark.parametrize("r", ["-1", "-4", "4", "7"])
+def test_transitive_move_r_outside_the_ring_is_an_error(capsys, r):
+    # -4 was read as r = 0 through negative indexing, 7 raised IndexError
+    code, out = run_cli(capsys, "transitive-move", "--ring", "z4",
+                        "--qm", "H^2", "--v", "[0,0,1,0]", "--r", r)
+    assert code == 2
+    assert set(json.loads(out)) == {"error"}
+
+
 def test_malformed_element_list_is_an_error(capsys):
     for argv in (["straighten", "--ring", "gf2", "--qm", "H^2", "--seq", "5",
                   "--k", "1"],
