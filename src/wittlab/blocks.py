@@ -15,8 +15,10 @@ import numpy as np
 from wittlab.linalg import (
     LinearSolver,
     invertible,
+    left_invertible,
     ring_left_inverse,
     ring_matmul,
+    row_unimodular,
 )
 from wittlab.modules import (
     Module,
@@ -88,7 +90,7 @@ def shorten_row(ring, row):
                      for i in range(n))
 
     zero = tuple([ring.zero] * n)
-    if row_left_coefficients(ring, shortened(zero)) is not None:
+    if row_unimodular(ring, shortened(zero)):
         return list(zero)
     visits = 0
     for support in range(1, n + 1):
@@ -100,7 +102,7 @@ def shorten_row(ring, row):
                 t = [ring.zero] * n
                 for p, v in zip(positions, vals):
                     t[p] = v
-                if row_left_coefficients(ring, shortened(t)) is not None:
+                if row_unimodular(ring, shortened(t)):
                     return t
     return None
 
@@ -215,6 +217,15 @@ class Block:
             and self.key() == other.key()
 
 
+def _require_gl(ring, C, n, name):
+    """Raise unless C is an n x n ring matrix with a left inverse, which
+    over a finite ring is an inverse."""
+    if len(C) != n or any(len(row) != n for row in C):
+        raise BlockError("%s block has wrong size" % name)
+    if not left_invertible(ring, [C])[0]:
+        raise BlockError("matrix not invertible")
+
+
 def block_act(A, move):
     """Apply one legal move; returns a new block.
 
@@ -233,15 +244,11 @@ def block_act(A, move):
         return Block(A.module, matrix, A.funcs)
     if kind == "left_gl":
         C = move[1]
-        if len(C) != A.n:
-            raise BlockError("GL_n block has wrong size")
-        ring_matrix_inverse(ring, C)  # raises if singular
+        _require_gl(ring, C, A.n, "GL_n")
         return Block(A.module, ring_matmul(ring, C, A.matrix), A.funcs)
     if kind == "right":
         D = move[1]
-        if len(D) != A.k:
-            raise BlockError("GL_k block has wrong size")
-        ring_matrix_inverse(ring, D)
+        _require_gl(ring, D, A.k, "GL_k")
         # the functional row moves like a matrix row: its generator values,
         # one column per functional, times D
         values = ring_matmul(ring, [[f.values[g] for f in A.funcs]
@@ -375,7 +382,7 @@ def matrix_reduce(A, sr):
         twisted = _conj_twist(ring, ring_matrix_inverse(ring, C), m4)
         m_col = [a + b for a, b in zip(m_col, twisted)]
     moved = block_act(A, ("left_unipotent", m_col))
-    if ring_matrix_left_inverse(ring, moved.matrix) is None:
+    if not left_invertible(ring, [moved.matrix])[0]:
         raise BlockError("matrix reduction produced a non-unimodular top")
     return ReductionCertificate(A, [("left_unipotent", m_col)], m_col,
                                 moved.matrix)
@@ -408,10 +415,9 @@ def reduce_keep_tail(A, n_top, l, sr):
         S[i][n:] = [int(ring.conj[r]) for r in x.ring_blocks()[M.ngens:]]
     padded = [M.from_vec(x.vec[:M.nd]) for x in inner.m_column] \
         + [M.zero()] * l
-    # mixing-form replay: top + Q*tail + f(m) unimodular, tail untouched
+    # mixing-form replay: top + Q*tail + f(m), which matrix_reduce has
+    # checked unimodular, with the tail untouched
     top = inner.top_matrix
-    if ring_matrix_left_inverse(ring, top) is None:
-        raise BlockError("keep-tail reduction failed to produce a unimodular top")
     replayed = block_act(block_act(A, ("left_gl", S)),
                          ("left_unipotent", padded))
     if replayed.matrix[:n] != top or replayed.matrix[n:] != tail:
@@ -419,7 +425,7 @@ def reduce_keep_tail(A, n_top, l, sr):
     # plain-form replay: the unipotent move alone leaves the whole matrix
     # (not just the top block) unimodular
     whole = block_act(A, ("left_unipotent", padded))
-    if ring_matrix_left_inverse(ring, whole.matrix) is None:
+    if not left_invertible(ring, [whole.matrix])[0]:
         raise BlockError("whole-matrix form is not unimodular")
     cert = ReductionCertificate(A, [("left_gl", S), ("left_unipotent", padded)],
                                 padded, replayed.matrix)
@@ -634,17 +640,13 @@ def _dual_completion(H_std, zs, base, usr, cap):
     if got is not None:
         return got
     # seeded sweep of alternate dual tuples: offsets from the witness kernel
-    krows = LinearSolver(H_std.lam_rows([z.vec for z in zs]), m).kernel().H
+    K = np.array(LinearSolver(H_std.lam_rows([z.vec for z in zs]), m)
+                 .kernel().H, dtype=np.int64).reshape(-1, module.nd)
     rng = random.Random(hash(tuple(z.vec for z in zs)) & 0xFFFFFFFF)
 
     def random_kernel_elem():
-        vec = [0] * module.nd
-        for row in krows:
-            c = rng.randrange(m)
-            if c:
-                for idx in range(module.nd):
-                    vec[idx] = (vec[idx] + c * row[idx]) % m
-        return module.from_vec(vec)
+        c = np.array([rng.randrange(m) for _ in K], dtype=np.int64)
+        return module.from_vec((c @ K % m).tolist())
 
     for _ in range(300):
         ys = [w + random_kernel_elem() for w in base]

@@ -1,10 +1,11 @@
 """Arithmetic kernels: Howell form over Z/m with its transform and kernel,
-reduction against it, and Smith normal form divisors, in pure Python; and
-howell_batch, the Howell form of a whole stack of systems in numpy, with
-howell_kernel the kernel rows and howell_reduce the reduction against it.
+reduction against it, a rank test mod p, and Smith normal form divisors,
+in pure Python; and in numpy, _eliminate, the elimination of a whole
+stack of systems over Z/p^k, with howell_kernel the kernel rows of each
+system over Z/m.
 
-The pure-Python kernels take lists of lists of Python ints; howell_batch
-takes a (B, r, c) int array.  Entries of mod-m matrices are kept in
+The pure-Python kernels take lists of lists of Python ints; the numpy
+ones take a (B, r, c) int array.  Entries of mod-m matrices are kept in
 ``[0, m)``.
 """
 
@@ -331,66 +332,12 @@ def _eliminate(W, p, k, c):
     return P.astype(np.int64), W.astype(np.int64)
 
 
-def _reduce_above(P, c, m):
-    """Clear each pivot's column above it mod the pivot, in pivot order."""
-    for j in range(1, c):
-        pv = P[:, j, j]
-        coef = P[:, :j, j] // np.where(pv > 0, pv, m)[:, None]
-        P[:, :j] -= coef[:, :, None] * P[:, None, j]
-        _mod(P[:, :j], m)
-    return P
-
-
-def _eliminations(W, m, c):
-    """_eliminate of the stack W over each prime-power factor of m,
-    pivoting on its first c columns: a list of (P, pool, p, k, idem),
-    idem the factor's CRT idempotent (1 when p^k = m)."""
-    out = []
-    for p, k in prime_powers(m):
-        q = p ** k
-        out.append(_eliminate(W, p, k, c)
-                   + (p, k, m // q * pow(m // q, -1, q) % m))
-    return out
-
-
-def howell_batch(A, m):
-    """Howell forms of a stack of row modules over Z/m.
-
-    A: (B, r, c) int array.  Returns H (B, c, c): row j of H[b] is the
-    Howell row of A[b]'s row module with pivot column j, or zero when
-    there is none; its pivot divides m and the entries above it are
-    reduced below it, so the nonzero rows are howell_aug's H.  Composite
-    m splits by CRT into prime powers, each eliminated by _eliminate; a
-    single system goes through howell_aug, whose pure-Python loop beats
-    numpy's per-call overhead on one small matrix."""
-    A = np.asarray(A, dtype=np.int64)
-    B, r, c = A.shape
-    if B == 1 and r:
-        Hs, pivots, _T, _K = howell_aug(A[0].tolist(), m)
-        H = np.zeros((1, c, c), dtype=np.int64)
-        H[0, pivots] = np.array(Hs, dtype=np.int64).reshape(len(pivots), c)
-        return H
-    parts = _eliminations(A, m, c)
-    if len(parts) == 1:
-        P = parts[0][0]
-    else:
-        # scale each factor's row j so its pivot becomes g_j, the product
-        # over the factors of gcd(pivot, p^k), then glue the rows with the
-        # CRT idempotents
-        gs = [_chain_tables(p, k)[0][Pi[:, np.arange(c), np.arange(c)]]
-              .astype(np.int64) for Pi, _pool, p, k, _idem in parts]
-        g = np.prod(gs, axis=0)
-        P = sum(Pi * (g // gi % p ** k)[:, :, None] % p ** k * idem
-                for (Pi, _pool, p, k, idem), gi in zip(parts, gs)) % m
-    return _reduce_above(P, c, m)
-
-
 def howell_kernel(A, m):
     """Rows generating each {x : x A[b] = 0 mod m}, zero rows included:
-    the pools of the elimination of (A | 1) past column c, each factor's
-    lifted by its CRT idempotent.  The kernel is complete once every
-    column of A has pivoted, so neither the CRT glue of the pivot rows
-    nor the pass that reduces them runs."""
+    the pools of the elimination of (A | 1) past column c over each
+    prime-power factor q of m, lifted by the factor's CRT idempotent (1
+    when q = m).  The kernel is complete once every column of A has
+    pivoted, so the pivot rows are not read."""
     A = np.asarray(A, dtype=np.int64)
     B, r, c = A.shape
     if B == 1 and r:
@@ -398,21 +345,10 @@ def howell_kernel(A, m):
         return np.array(K, dtype=np.int64).reshape(1, len(K), r)
     W = np.concatenate([A, np.broadcast_to(np.eye(r, dtype=np.int64),
                                            (B, r, r))], axis=2)
-    return np.concatenate([pool[:, :, c:] if idem == 1
-                           else pool[:, :, c:] * idem % m
-                           for _P, pool, _p, _k, idem
-                           in _eliminations(W, m, c)], axis=1)
-
-
-def howell_reduce(H, Y, m):
-    """R for Howell rows H (B, c, c) of howell_batch and targets Y
-    (B, s, c): R[b, i] is the canonical representative of Y[b, i] modulo
-    H[b]'s row module (reduce_vec's greedy pass, pivot column by pivot
-    column), zero iff Y[b, i] lies in it."""
-    R = _mod(np.array(Y, dtype=np.int64), m)
-    for j in range(H.shape[1]):
-        pv = H[:, j, j]
-        R -= (R[:, :, j] // np.where(pv > 0, pv, m)[:, None])[:, :, None] \
-            * H[:, None, j]
-        _mod(R, m)
-    return R
+    parts = []
+    for p, k in prime_powers(m):
+        q = p ** k
+        pool = _eliminate(W, p, k, c)[1][:, :, c:]
+        idem = m // q * pow(m // q, -1, q) % m
+        parts.append(pool if idem == 1 else pool * idem % m)
+    return np.concatenate(parts, axis=1)

@@ -4,10 +4,11 @@ Everything downstream (unimodularity, splittings, unitary groups, posets)
 reduces to row-oriented problems  x * A = b  over Z/m; this module wraps the
 kernel calls with solving, kernels, membership, element enumeration and
 size bookkeeping, and turns ring matrices into such systems.  A
-LinearSolver factors one system; a (B, r, c) stack of them goes through
-kernels.howell_batch and kernels.howell_reduce, which answer each query for
-all B at once.  It keeps no cache: callers that repeat a system keep their
-solver.
+LinearSolver factors one system, for the questions that need a witness
+(a solution, a kernel, a canonical representative); a question that
+needs none, whether rows are independent or a ring matrix has a left
+inverse, is one rank test, invertible, for a whole (B, r, c) stack.  It
+keeps no cache: callers that repeat a system keep their solver.
 """
 
 import itertools
@@ -129,20 +130,23 @@ def invertible(A, m):
     """(B,) bool: are the r rows of each A[b] of a (B, r, c) stack
     independent over Z/m?  For a square A[b]: is it invertible?  Over
     Z/p^k rows are independent iff they are mod p, so this asks, for each
-    prime p dividing m, whether the elimination of A mod p has r unit
-    pivots: one kernels._eliminate over the stack (only its pivot
-    diagonal is read, so no Howell reduction runs), or for a single
+    prime p dividing m, whether A mod p has rank r.  The rank of A is
+    that of its transpose, so the stack is eliminated over the shorter
+    side, min(r, c) columns, and the unit pivots on the diagonal are
+    counted: one kernels._eliminate over the stack, or for a single
     system kernels.full_rank_mod_p, whose pure-Python loop is the faster
     of the two on one small matrix."""
     A = np.asarray(A, dtype=np.int64)
     B, r, c = A.shape
+    n = min(r, c)
     ok = np.ones(B, dtype=bool)
     for p, _k in kernels.prime_powers(m):
         if B == 1:
             ok &= kernels.full_rank_mod_p(A[0].tolist(), p)
         else:
-            P = kernels._eliminate(A, p, 1, c)[0]
-            ok &= (P[:, np.arange(c), np.arange(c)] == 1).sum(axis=1) == r
+            P = kernels._eliminate(A.transpose(0, 2, 1) if c > r else A,
+                                   p, 1, n)[0]
+            ok &= (P[:, np.arange(n), np.arange(n)] == 1).sum(axis=1) == r
     return ok
 
 
@@ -152,12 +156,16 @@ def invertible(A, m):
 
 
 def ring_left_rows(ring, C):
-    """The (n*d x k*d) int64 rows of x -> x C for an n x k ring matrix C:
-    row (l, t) holds the coordinates of b_t * C[l][j], d per column j."""
+    """The (n*d x k*d) int64 rows of x -> x C for an n x k ring matrix C,
+    or their (B, n*d, k*d) stack for a (B, n, k) stack: row (l, t) holds
+    the coordinates of b_t * C[l][j], d per column j."""
     C = np.asarray(C, dtype=np.int64)
-    n, k = C.shape
+    *lead, n, k = C.shape
     d = ring.base_dim
-    return ring.Rmat[C].transpose(0, 3, 1, 2).reshape(n * d, k * d)
+    # Rmat[c][s, t] is coordinate s of b_t * c: (..., n, k, s, t) is
+    # brought to (..., n, t, k, s)
+    X = ring.Rmat[C].swapaxes(-1, -2).swapaxes(-2, -3)
+    return X.reshape(*lead, n * d, k * d)
 
 
 def ring_left_inverse(ring, C, extra_rows=None):
@@ -177,30 +185,28 @@ def ring_left_inverse(ring, C, extra_rows=None):
             [sol[n * d:] for sol in sols])
 
 
-def rows_unimodular(ring, R):
-    """(S,) bool for an (S, k) array of ring indices: is row s of R^k
-    left-unimodular (some c with sum c_i R[s, i] = 1)?  One
-    kernels.howell_batch over the (k*d, d) systems x -> sum_i x_i R[s, i]
-    and one kernels.howell_reduce ask whether the unit's coordinates lie
-    in each row module."""
-    R = np.asarray(R, dtype=np.int64)
-    d, m = ring.base_dim, ring.base_mod
-    S = ring.Rmat[R].transpose(0, 1, 3, 2).reshape(len(R), R.shape[1] * d, d)
-    one = np.broadcast_to(ring.to_base[ring.one], (len(R), 1, d))
-    rest = kernels.howell_reduce(kernels.howell_batch(S, m), one, m)
-    return ~rest[:, 0].any(axis=1)
+def left_invertible(ring, C):
+    """(B,) bool for a (B, n, k) stack of ring matrices: has C[b] a left
+    inverse over R (for n = k: is it invertible)?  It has one iff
+    x -> x C maps R^n onto R^k, that is iff the rows of x -> x C span
+    (Z/m)^(k d), iff their k d columns are independent over Z/m: one
+    invertible call on the transposed rows.  A square matrix over a
+    finite ring with a left inverse is invertible."""
+    rows = ring_left_rows(ring, C)
+    return invertible(rows.transpose(0, 2, 1), ring.base_mod)
 
 
 def row_unimodular(ring, row):
     """Is a row of R^k left-unimodular (some c with sum c_i r_i = 1)?"""
-    return bool(rows_unimodular(ring, [list(row)])[0])
+    C = np.asarray(list(row), dtype=np.int64).reshape(1, -1, 1)
+    return bool(left_invertible(ring, C)[0])
 
 
 def unimodular_rows(ring, entries, memo):
     """Left-unimodularity of each row of an (N, k) array of ring indices.
     A unit among the entries settles a row; the others depend only on
     their set of entries, and the sets not yet in `memo` are settled by
-    one rows_unimodular call and kept there."""
+    one left_invertible call on them as columns and kept there."""
     ok = (ring.inv[entries] >= 0).any(axis=1)
     rest = np.flatnonzero(~ok)
     if len(rest):
@@ -209,8 +215,8 @@ def unimodular_rows(ring, entries, memo):
         keys = [frozenset(row) for row in sets.tolist()]
         new = [i for i, key in enumerate(keys) if key not in memo]
         if new:
-            memo.update(zip([keys[i] for i in new],
-                            rows_unimodular(ring, sets[new]).tolist()))
+            ok_new = left_invertible(ring, sets[new, :, None])
+            memo.update(zip([keys[i] for i in new], ok_new.tolist()))
         ok[rest] = np.array([memo[key] for key in keys],
                             dtype=bool)[inverse.reshape(-1)]
     return ok

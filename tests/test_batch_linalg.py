@@ -1,9 +1,8 @@
 """Batched linear algebra over Z/m against the per-system kernels.
 
-kernels.howell_batch, kernels.howell_kernel, kernels.howell_reduce,
-LinearSolver.kernel, linalg.invertible and linalg.rows_unimodular are
-checked system by system against howell_aug, LinearSolver and
-ring_left_inverse; the callers that use them (the EU
+kernels.howell_kernel, LinearSolver.kernel, linalg.invertible and
+linalg.left_invertible are checked system by system against howell_aug,
+LinearSolver and ring_left_inverse; the callers that use them (the EU
 generator check, is_isometry, the mu masks, _diagonal) against the scalar
 routes they replaced.
 """
@@ -18,8 +17,8 @@ from wittlab import stable_range as S
 from wittlab.linalg import (
     LinearSolver,
     invertible,
+    left_invertible,
     ring_left_inverse,
-    rows_unimodular,
 )
 from wittlab.modules import ModuleMap, free_module
 from wittlab.quadratic import (
@@ -64,18 +63,13 @@ def test_prime_powers():
 
 @pytest.mark.parametrize("m", MODULI)
 @pytest.mark.parametrize("B,r,c", SHAPES)
-def test_howell_batch_matches_howell_aug(m, B, r, c):
+def test_howell_kernel_matches_howell_aug(m, B, r, c):
     A = stack(m, B, r, c, 100 * m + 10 * r + c + B)
-    H = kernels.howell_batch(A, m)
     K = kernels.howell_kernel(A, m)
-    assert H.shape == (B, c, c)
     assert K.shape[0] == B and K.shape[2] == r
     eye = np.eye(r, dtype=np.int64)
     for b in range(B):
-        Hs, pivots, _Ts, Ks = kernels.howell_aug(A[b].tolist(), m)
-        live = [j for j in range(c) if H[b, j].any()]
-        assert [H[b, j].tolist() for j in live] == Hs
-        assert live == pivots
+        Ks = kernels.howell_aug(A[b].tolist(), m)[3]
         assert not (K[b] @ A[b] % m).any()
         assert module_size(K[b].tolist(), m, r) == module_size(Ks, m, r)
         # LinearSolver.kernel: the Howell rows of (A | 1) that vanish on
@@ -91,31 +85,12 @@ def test_howell_batch_matches_howell_aug(m, B, r, c):
 
 
 @pytest.mark.parametrize("m", MODULI)
-def test_howell_reduce_matches_linear_solver(m):
-    B, r, c = 5, 4, 5
-    rng = np.random.default_rng(m)
-    A = stack(m, B, r, c, m)
-    # targets: random vectors and combinations of each system's rows
-    Y = np.concatenate([rng.integers(0, m, size=(B, 3, c)),
-                        rng.integers(0, m, size=(B, 3, r)) @ A % m], axis=1)
-    R = kernels.howell_reduce(kernels.howell_batch(A, m), Y, m)
-    ok = ~R.any(axis=2)
-    assert ok[:, 3:].all()
-    for b in range(B):
-        sol = LinearSolver(A[b].tolist(), m)
-        for i, y in enumerate(Y[b].tolist()):
-            rep, _ = sol.reduce(y)
-            assert R[b, i].tolist() == rep
-            assert bool(ok[b, i]) == sol.contains(y)
-
-
-@pytest.mark.parametrize("m", MODULI)
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_invertible_matches_module_size(m, n):
     # r rows in c columns are independent iff they span m^r elements:
-    # square, wide (r < c) and tall (r > c) stacks
+    # square, wide (r < c), very wide and tall (r > c) stacks
     rng = np.random.default_rng(7 * m + n)
-    for r, c in ((n, n), (n, n + 2), (n + 1, n)):
+    for r, c in ((n, n), (n, n + 2), (2, n + 6), (n + 1, n)):
         A = rng.integers(0, m, size=(12, r, c))
         # unit upper triangular: independent when r <= c
         A[:4] = np.eye(r, c, dtype=np.int64) + np.triu(A[:4], 1)
@@ -137,7 +112,7 @@ def test_rows_unimodular_matches_left_inverse(name):
         R[:5] = R[:5] * 0  # zero rows
         want = [ring_left_inverse(ring, [[x] for x in row]) is not None
                 for row in R.tolist()]
-        assert rows_unimodular(ring, R).tolist() == want
+        assert left_invertible(ring, R[:, :, None]).tolist() == want
 
 
 @pytest.mark.parametrize("n", [150, 225])
@@ -154,9 +129,42 @@ def test_rows_unimodular_past_int8(n):
     want = [ring_left_inverse(ring, [[x] for x in row]) is not None
             for row in R.tolist()]
     assert want[0] and not want[1]
-    assert rows_unimodular(ring, R).tolist() == want
-    assert [bool(rows_unimodular(ring, R[i:i + 1])[0])
+    assert left_invertible(ring, R[:, :, None]).tolist() == want
+    assert [bool(left_invertible(ring, R[i:i + 1, :, None])[0])
             for i in range(len(R))] == want
+
+
+# n x k shapes: columns (k = 1), square, tall and one wide (1 x 2, never
+# left-invertible)
+LEFT_SHAPES = [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (1, 2), (3, 3)]
+LEFT_RINGS = {
+    "gf4": lambda: C.catalog_ring("gf4"),
+    "z3c2": lambda: C.catalog_ring("z3c2"),
+    "z8": lambda: C.catalog_ring("z8"),
+    "z150": lambda: make_ring({"kind": "zmod", "n": 150}),
+    "z225": lambda: make_ring({"kind": "zmod", "n": 225}),
+    # GF(2)[S3] is not commutative
+    "gf2s3": lambda: make_ring({"kind": "group_ring", "m": 2,
+                                "group": "S3"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEFT_RINGS))
+def test_left_invertible_matches_left_inverse(name):
+    ring = LEFT_RINGS[name]()
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for n, k in LEFT_SHAPES:
+        Cs = rng.integers(0, ring.size, size=(20, n, k))
+        Cs[0] = np.where(np.eye(n, k, dtype=bool), ring.one, ring.zero)
+        Cs[1] = ring.zero
+        Cs[2, -1] = ring.zero  # a zero row
+        if n > 1:
+            Cs[3, -1] = Cs[3, 0]  # a repeated row
+        want = [ring_left_inverse(ring, c) is not None for c in Cs.tolist()]
+        assert want[0] == (n >= k) and not want[1]
+        assert left_invertible(ring, Cs).tolist() == want
+        # the single-system route agrees with the batched one
+        assert [bool(left_invertible(ring, c[None])[0]) for c in Cs] == want
 
 
 @pytest.mark.parametrize("name", ["z4", "z8", "gf4", "z3c2"])

@@ -24,6 +24,7 @@ from wittlab.blocks import (
     transitive_move,
 )
 from wittlab.catalog import catalog_ring
+from wittlab.linalg import ring_left_inverse
 from wittlab.modules import Module, ModuleMap, cyclic_module, free_module
 from wittlab.quadratic import (
     direct_sum_quadratic,
@@ -110,6 +111,48 @@ def test_block_moves():
     D = [[1, 1], [0, 1]]
     Dinv = [[1, 1], [0, 1]]  # self-inverse over GF(2)
     assert block_act(block_act(A, ("right", D)), ("right", Dinv)) == A
+
+
+GL_RINGS = {
+    "z4": lambda: Z4,
+    "z2c2": lambda: catalog_ring("z2c2"),
+    "gf2s3": lambda: make_ring({"kind": "group_ring", "m": 2,
+                                "group": "S3"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GL_RINGS))
+def test_block_act_refuses_singular_matrices(name):
+    # seeded square C, some with a zero or a repeated row: left_gl and
+    # right raise exactly when C has no left inverse
+    ring = GL_RINGS[name]()
+    M = free_module(ring, 1)
+    funcs = [f for f in all_antifunctionals(M) if any(f.values)]
+    rng = random.Random(name)
+    for k in (1, 2, 3):
+        A = Block(M, [[rng.randrange(ring.size) for _ in range(k)]
+                      for _ in range(k)],
+                  [rng.choice(funcs) for _ in range(k)])
+        seen = set()
+        for t in range(30):
+            C = [[rng.randrange(ring.size) for _ in range(k)]
+                 for _ in range(k)]
+            if t == 0:
+                C = [[ring.one if i == j else ring.zero for j in range(k)]
+                     for i in range(k)]
+            elif t % 3 == 1:
+                C[-1] = [ring.zero] * k
+            elif t % 3 == 2 and k > 1:
+                C[-1] = list(C[0])
+            singular = ring_left_inverse(ring, C) is None
+            seen.add(singular)
+            for move in ("left_gl", "right"):
+                if singular:
+                    with pytest.raises(BlockError, match="not invertible"):
+                        block_act(A, (move, C))
+                else:
+                    block_act(A, (move, C))
+        assert seen == {True, False}
 
 
 def test_unimodularity_invariant_under_moves():
