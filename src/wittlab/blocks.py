@@ -239,9 +239,15 @@ def block_act(A, move):
         column = move[1]
         if len(column) != A.n:
             raise BlockError("module column has wrong length")
-        matrix = [[int(ring.add[A.matrix[i][j], A.funcs[j](column[i])])
-                   for j in range(A.k)] for i in range(A.n)]
-        return Block(A.module, matrix, A.funcs)
+        # f_j(m_i) for every i, j: one product of the column's coordinates
+        # with the stacked functional matrices
+        F = np.array([f.matrix for f in A.funcs], dtype=np.int64).reshape(
+            A.k, ring.base_dim, A.module.nd)
+        values = ring.indices(np.einsum("jsu,iu->ijs", F,
+                                        A.module.coord_rows(column)))
+        matrix = ring.add[np.array(A.matrix, dtype=np.int64).reshape(
+            A.n, A.k), values]
+        return Block(A.module, matrix.tolist(), A.funcs)
     if kind == "left_gl":
         C = move[1]
         _require_gl(ring, C, A.n, "GL_n")
@@ -491,8 +497,7 @@ class HyperbolicFrame:
         self.eps_inv = int(ring.inv[self.eps])
         # abstract copy of the hyperbolic part
         self.H_std = hyperbolic(Q.param, self.g) if self.g else None
-        V = np.array([x.vec for pair in self.pairs for x in pair],
-                     dtype=np.int64).reshape(2 * self.g, Q.module.nd)
+        V = Q.module.coord_rows([x for pair in self.pairs for x in pair])
         self._E = Q.module.canon_columns(act_columns(ring, V))
         self._Z = pair_coordinates(Q, V)
         # rows of Q's generators: P-parts (in Q) and H-coordinates, cached
@@ -617,8 +622,7 @@ def _dual_completion(H_std, zs, base, usr, cap):
 
     def try_duals(ys):
         gens = list(zs) + list(ys)
-        B = np.array([x.vec for x in gens], dtype=np.int64).reshape(
-            2 * k, module.nd)
+        B = module.coord_rows(gens)
         gram = act_columns(ring, B).T @ np.array(H_std.lam_rows(B)) % m
         if not invertible(gram[None], m)[0]:
             return None

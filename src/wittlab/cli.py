@@ -104,8 +104,14 @@ def _usr_from_args(args, ring, param):
 def cmd_suite(args):
     config = None
     if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except OSError as exc:
+            raise ValueError("cannot read --config: %s" % exc) from exc
+        if not isinstance(config, dict):
+            raise ValueError("--config must hold a JSON object, got %s"
+                             % type(config).__name__)
     rep = run_suite(args.name, config=config, seed=args.seed)
     print(render_table(rep))
     if args.json:

@@ -125,6 +125,15 @@ class LinearSolver:
             out.append(c)
         return tuple(reversed(out))
 
+    def rep_index(self, V):
+        """The positions in enumerate_canonical_reps of the canonical
+        representatives in the rows of the int array V: the inverse of
+        canonical_rep, one product with the mixed-radix weights."""
+        ranges = self._rep_ranges()
+        weights = np.cumprod(np.array([1] + ranges[::-1],
+                                      dtype=np.int64)[:len(ranges)])
+        return V @ weights[::-1]
+
 
 def invertible(A, m):
     """(B,) bool: are the r rows of each A[b] of a (B, r, c) stack

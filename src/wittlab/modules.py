@@ -25,7 +25,8 @@ class Module:
     def __init__(self, ring, ngens, relators=(), name=None):
         self.ring = ring
         self.ngens = int(ngens)
-        self.relators = tuple(tuple(int(c) for c in col) for col in relators)
+        self.relators = tuple(tuple(ring.check_indices(col, "relator"))
+                              for col in relators)
         for col in self.relators:
             if len(col) != self.ngens:
                 raise RingError("relator length != number of generators")
@@ -75,10 +76,8 @@ class Module:
         if len(blocks) != self.ngens:
             raise RingError("%d ring indices for %d generators"
                             % (len(blocks), self.ngens))
-        if not all(0 <= a < ring.size for a in blocks):
-            raise RingError("ring index outside [0, %d)" % ring.size)
         vec = []
-        for a in blocks:
+        for a in ring.check_indices(blocks, "element"):
             vec.extend(int(x) for x in ring.to_base[a])
         return ModuleElement(self, self.canon(vec))
 
@@ -107,11 +106,23 @@ class Module:
         without enumerating the others."""
         return ModuleElement(self, self.rel.canonical_rep(i))
 
+    def element_index(self, V):
+        """The positions in elements() of the rows of the (..., nd) int
+        array V, canonical or not: the inverse of element_at."""
+        V = np.asarray(V, dtype=np.int64)
+        lead = V.shape[:-1]
+        rows = self.canon_columns(V.reshape(int(np.prod(lead)), self.nd).T).T
+        return self.rel.rep_index(rows).reshape(lead)
+
     def element_rows(self, cap=ENUM_CAP):
         """The elements, and their coordinates as one (size, nd) array."""
         elems = list(self.elements(cap=cap))
-        V = np.array([x.vec for x in elems], dtype=np.int64)
-        return elems, V.reshape(len(elems), self.nd)
+        return elems, self.coord_rows(elems)
+
+    def coord_rows(self, elems):
+        """The (len(elems), nd) int64 array of the elements' coordinates."""
+        return np.array([x.vec for x in elems], dtype=np.int64).reshape(
+            len(elems), self.nd)
 
     def add_vec(self, u, v):
         m = self.ring.base_mod
@@ -193,7 +204,9 @@ def free_module(ring, n, name=None):
     return Module(ring, n, (), name=name or "%s^%d" % (ring.name, n))
 
 def cyclic_module(ring, a, name=None):
-    return Module(ring, 1, ((a,),), name=name or "%s/(%s)" % (ring.name, ring.label(a)))
+    M = Module(ring, 1, ((a,),))
+    M.name = name or "%s/(%s)" % (ring.name, ring.label(a))
+    return M
 
 
 def direct_sum_modules(A, B):
@@ -387,8 +400,7 @@ class ModuleMap:
 
     def __init__(self, domain, codomain, images, check=True):
         images = tuple(images)
-        X = np.array([x.vec for x in images], dtype=np.int64).reshape(
-            len(images), codomain.nd)
+        X = codomain.coord_rows(images)
         self._setup(domain, codomain, act_columns(domain.ring, X), images,
                     check)
 
@@ -502,9 +514,7 @@ def submodule(M, gens):
     d, m = ring.base_dim, ring.base_mod
     gens = [g for g in gens if not g.is_zero()]
     # rows (i, t): the canonical g_i * b_t
-    V = np.array([g.vec for g in gens], dtype=np.int64).reshape(
-        len(gens), M.nd)
-    A = M.canon_columns(act_columns(ring, V)).T
+    A = M.canon_columns(act_columns(ring, M.coord_rows(gens))).T
     if gens and not M.relators and _independent(A, m):
         K = Module(ring, len(gens), ())
         return K, ModuleMap(K, M, gens, check=False)

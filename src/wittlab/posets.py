@@ -366,11 +366,6 @@ def _lam_hook(Q, X):
     return _onto_hook(Q.ring, A)
 
 
-def _coord_rows(elems, nd):
-    return np.array([x.vec for x in elems], dtype=np.int64).reshape(
-        len(elems), nd)
-
-
 def gl_poset(M, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
     """O(X) cap U(M): sequences from X (all of M by default) unimodular in
     M."""
@@ -399,8 +394,7 @@ def lambda_poset(Q_ambient, universe, name=None, cap=SIMPLEX_ENTRY_CAP):
 
     return SequencePoset(
         name or "U(%s,lam)" % Q_ambient.name, universe, raw, entry_cap=cap,
-        extend=_lam_hook(Q_ambient, _coord_rows(universe,
-                                                Q_ambient.module.nd)))
+        extend=_lam_hook(Q_ambient, Q_ambient.module.coord_rows(universe)))
 
 
 def mu_poset(Q_ambient, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
@@ -408,7 +402,7 @@ def mu_poset(Q_ambient, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
     the mu-vanishing part of the universe (defaults to all of N)."""
     universe = list(Q_ambient.module.elements() if universe is None
                     else universe)
-    keep = Q_ambient.mu_zero_rows(_coord_rows(universe, Q_ambient.module.nd))
+    keep = Q_ambient.mu_zero_rows(Q_ambient.module.coord_rows(universe))
     return lambda_poset(Q_ambient, [x for x, k in zip(universe, keep) if k],
                         name=name or "U(%s,lam,mu)" % Q_ambient.name, cap=cap)
 
@@ -423,16 +417,10 @@ class _PairTables:
         if module.size > cap:
             raise PosetCapExceeded("module too large for pair tables")
         self.Q = Q
-        self.elems = list(module.elements(cap=cap))
+        self.elems, self.X = module.element_rows(cap=cap)
         self.index = {x.vec: i for i, x in enumerate(self.elems)}
-        ring = Q.ring
-        m = ring.base_mod
-        self.X = _coord_rows(self.elems, module.nd)
-        coords = (self.X @ Q.lam_coeffs @ self.X.T) % m  # [t, x, y]
-        powers = np.array([m ** k for k in range(ring.base_dim)],
-                          dtype=np.int64)
-        self.lam = np.tensordot(powers, coords, axes=1)
-        self.lam_zero = self.lam == ring.zero
+        self.lam = Q.lam_table(self.X, self.X)
+        self.lam_zero = self.lam == Q.ring.zero
         self.mu0 = Q.mu_zero_rows(self.X)
 
     def indices(self, elems):

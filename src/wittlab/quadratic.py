@@ -56,8 +56,8 @@ class QuadraticModule:
         if parameter.ring is not ring:
             raise RingError("form parameter belongs to a different ring")
         n = module.ngens
-        gram = [[int(v) for v in row] for row in gram]
-        mu = [parameter.coset_rep(int(v)) for v in mu]
+        gram = [ring.check_indices(row, "gram") for row in gram]
+        mu = [parameter.coset_rep(v) for v in ring.check_indices(mu, "mu")]
         if len(gram) != n or any(len(row) != n for row in gram) or len(mu) != n:
             raise RingError("gram/mu shapes do not match the generators")
         self.module = module
@@ -313,15 +313,9 @@ def is_lambda_unimodular(Q, seq):
 
 def is_isotropic(Q, elements):
     """mu vanishes and lambda vanishes pairwise on the given elements."""
-    elements = list(elements)
-    for x in elements:
-        if not Q.mu_zero(x):
-            return False
-    for x in elements:
-        for y in elements:
-            if Q.lam(x, y) != Q.ring.zero:
-                return False
-    return True
+    X = Q.module.coord_rows(list(elements))
+    return bool(Q.mu_zero_rows(X).all()
+                and (Q.lam_table(X, X) == Q.ring.zero).all())
 
 
 def isotropic_span_check(Q, elements, cap=GROUP_CAP):

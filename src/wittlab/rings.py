@@ -95,6 +95,16 @@ class Ring:
     def elements(self):
         return range(self.size)
 
+    def check_indices(self, values, what):
+        """The entries of values as ints; RingError if one lies outside
+        [0, size), so no index from outside wraps round or overruns a
+        table."""
+        values = [int(v) for v in values]
+        if not all(0 <= v < self.size for v in values):
+            raise RingError("%s: ring index outside [0, %d)"
+                            % (what, self.size))
+        return values
+
     def sub(self, a, b):
         return int(self.add[a, self.neg[b]])
 
@@ -383,37 +393,8 @@ class FormParameter:
         """coset_rep of every ring index in an int array."""
         return self._rep[idx]
 
-    def coset(self, r):
-        return LambdaCoset(self, self.coset_rep(r))
-
     def __repr__(self):
         return "FormParameter(%s)" % self.name
-
-
-class LambdaCoset:
-    """An element of R/Lambda, stored by its canonical representative."""
-
-    __slots__ = ("param", "rep")
-
-    def __init__(self, param, rep):
-        self.param = param
-        self.rep = int(rep)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LambdaCoset)
-            and self.param is other.param
-            and self.rep == other.rep
-        )
-
-    def __hash__(self):
-        return hash((id(self.param), self.rep))
-
-    def is_zero(self):
-        return self.rep == self.param.coset_rep(self.param.ring.zero)
-
-    def __repr__(self):
-        return "[%s]" % self.param.ring.label(self.rep)
 
 
 def make_form_parameter(ring, epsilon, generators=()):
@@ -423,7 +404,8 @@ def make_form_parameter(ring, epsilon, generators=()):
     escapes Lambda_max no form parameter contains the generators.
     """
     lam_min, lam_max = lambda_bounds(ring, epsilon)
-    lam = set(lam_min) | {int(g) for g in generators}
+    lam = set(lam_min) | set(ring.check_indices(generators,
+                                                "Lambda generator"))
     changed = True
     while changed:
         changed = False

@@ -453,8 +453,7 @@ def eu_search(H, xs, target=None, want=None, budget=DEFAULT_BUDGET, spent=0):
     if H.module.relators:  # the EU family is built on H^n
         raise ValueError("the EU-orbit engine needs a free module")
     m = H.ring.base_mod
-    start = np.array([x.vec for x in xs], dtype=np.int64).reshape(
-        len(xs), H.module.nd)
+    start = H.module.coord_rows(xs)
     if target is not None and target(start).all():
         return [], _codes(start.reshape(1, -1), m), "basis", spent
     for u_mode in ("basis", "all"):

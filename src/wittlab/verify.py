@@ -293,9 +293,7 @@ def _lambda_universe(Q, base, dec):
                 for p in dec.complement.module.elements()]
     for e, _f in dec.pairs:
         universe = _plus(universe, [lift(e) * c for c in range(Q.ring.size)])
-    keep = N.mu_zero_rows(np.array([v.vec for v in universe],
-                                   dtype=np.int64).reshape(len(universe),
-                                                           N.module.nd))
+    keep = N.mu_zero_rows(N.module.coord_rows(universe))
     return (N, [v for v, k in zip(universe, keep) if k],
             [lift(v) if v.module is Q.module else v for v in base])
 

@@ -25,7 +25,13 @@ from wittlab.blocks import (
 )
 from wittlab.catalog import catalog_ring
 from wittlab.linalg import ring_left_inverse
-from wittlab.modules import Module, ModuleMap, cyclic_module, free_module
+from wittlab.modules import (
+    Module,
+    ModuleMap,
+    cyclic_module,
+    direct_sum_modules,
+    free_module,
+)
 from wittlab.quadratic import (
     direct_sum_quadratic,
     hyperbolic,
@@ -87,6 +93,27 @@ def test_block_oracle_random_z4():
         A = Block(M, mat, fs)
         assert (is_unimodular_block(A) is not None) == \
             is_unimodular_block_bruteforce(A)
+
+
+def test_left_unipotent_adds_functional_values():
+    # the move's one product against AntiFunctional.__call__, on a
+    # presented module over a ring of base_dim 2, then on empty shapes
+    Z2C2 = catalog_ring("z2c2")
+    M = direct_sum_modules(free_module(Z2C2, 1), cyclic_module(Z2C2, 3))[0]
+    funcs = all_antifunctionals(M)
+    rng = random.Random(5)
+    for n, k in [(1, 1), (3, 2), (2, 3)]:
+        A = Block(M, [[rng.randrange(4) for _ in range(k)] for _ in range(n)],
+                  [rng.choice(funcs) for _ in range(k)])
+        col = [M.element_at(rng.randrange(M.size)) for _ in range(n)]
+        B = block_act(A, ("left_unipotent", col))
+        assert B.matrix == [[int(Z2C2.add[A.matrix[i][j], A.funcs[j](col[i])])
+                             for j in range(k)] for i in range(n)]
+    assert block_act(Block(M, [[], []], []), (
+        "left_unipotent", [M.gen(0), M.gen(1)])).matrix == [[], []]
+    Z = free_module(Z2C2, 0)
+    A = Block(Z, [[1, 2]], [AntiFunctional(Z, []), AntiFunctional(Z, [])])
+    assert block_act(A, ("left_unipotent", [Z.zero()])) == A
 
 
 def test_block_moves():

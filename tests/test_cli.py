@@ -115,6 +115,32 @@ def test_transitive_move_r_outside_the_ring_is_an_error(capsys, r):
     assert set(json.loads(out)) == {"error"}
 
 
+def _verify_argv(theorem, instance):
+    return ["complex", "verify", "--no-cache", "--theorem", theorem,
+            "--instance", json.dumps(instance)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["usr", "--ring", "z4", "--lambda", "9"],
+    _verify_argv("gl", {"ring": "z4", "module": {"generators": 1,
+                                                 "relations": [[9]]}}),
+    _verify_argv("gl", {"ring": "z4", "module": "cyclic:9"}),
+    _verify_argv("iu", {"ring": "z4", "quadratic": {
+        "module": "free:1", "gram": [[9]], "mu": [0]}}),
+    _verify_argv("gl", {"ring": "gf4", "module": {"generators": 1,
+                                                  "relations": [[-1]]}}),
+    _verify_argv("iu", {"ring": "z4", "quadratic": {
+        "module": "free:2", "gram": [[0, 1], [1, 0]], "mu": [0, -4]}}),
+], ids=["lambda-9", "relator-9", "cyclic-9", "gram-9", "relator--1",
+        "mu--4"])
+def test_ring_index_outside_the_ring_is_an_error(capsys, argv):
+    # 9 raised IndexError; -1 and -4 were read through negative indexing
+    # as the relator 3 over gf4 and as mu = 0
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert set(json.loads(out)) == {"error"}
+
+
 def test_malformed_element_list_is_an_error(capsys):
     for argv in (["straighten", "--ring", "gf2", "--qm", "H^2", "--seq", "5",
                   "--k", "1"],
@@ -419,6 +445,17 @@ def test_suite_config_file(tmp_path, capsys):
     cfg.write_text(json.dumps({"per_ring": 2}))
     code, out = run_cli(capsys, "suite", "straighten", "--config", str(cfg))
     assert code == 0
+
+
+@pytest.mark.parametrize("content", [None, "[1, 2]", "{"],
+                         ids=["missing", "list", "malformed"])
+def test_suite_bad_config_file_is_an_error(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    code, out = run_cli(capsys, "suite", "straighten", "--config", str(cfg))
+    assert code == 2
+    assert set(json.loads(out)) == {"error"}
 
 
 def test_complex_mu_poset_theorem(capsys):

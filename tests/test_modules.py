@@ -35,9 +35,19 @@ Z2S3 = make_ring({"kind": "group_ring", "m": 2, "group": "S3", "w1": [1] * 6})
     free_module(Z4, 2), cyclic_module(Z4, 2), cyclic_module(Z8, 4),
     direct_sum_modules(free_module(Z2C2, 1), cyclic_module(Z2C2, 3))[0],
     Module(GF3, 3, [(1, 2, 0)]),
-], ids=["z4^2", "z4/2", "z8/4", "z2c2+cyclic", "gf3^3/rel"])
+    Module(Z4, 2, ((2, 0), (0, 2))), cyclic_module(Z4, 1), free_module(Z4, 0),
+], ids=["z4^2", "z4/2", "z8/4", "z2c2+cyclic", "gf3^3/rel", "z4^2/2",
+        "z4/1", "zero"])
 def test_element_at_is_the_enumeration_order(M):
     assert [M.element_at(i) for i in range(M.size)] == list(M.elements())
+    # element_index inverts element_at, on the canonical rows and on rows
+    # shifted by elements of the relation module
+    X = M.element_rows()[1]
+    everything = np.arange(M.size)
+    assert (M.element_index(X) == everything).all()
+    rel = M.rel.module_rows()
+    shifted = X + rel[everything % len(rel)]
+    assert (M.element_index(shifted[None]) == everything[None]).all()
 
 
 def test_module_sizes():

@@ -1,10 +1,12 @@
 """Quadratic modules: axioms, hyperbolic forms, transvections, Witt index."""
 
+import copy
 import itertools
 
 import pytest
 
-from wittlab.modules import Module, free_module, is_unimodular
+from wittlab import catalog
+from wittlab.modules import Module, cyclic_module, free_module, is_unimodular
 from wittlab.quadratic import (
     direct_sum_quadratic,
     hyperbolic,
@@ -24,6 +26,7 @@ from wittlab.quadratic import (
     zero_quadratic,
 )
 from wittlab.rings import RingError, make_form_parameter, make_ring
+from wittlab.suites import _quad_axiom_sweep
 
 GF2 = make_ring({"kind": "gf", "q": 2})
 P2 = make_form_parameter(GF2, 1, ())          # Lambda = {0}
@@ -41,8 +44,15 @@ def test_hyperbolic_gram():
     assert H.mu_zero(e) and H.mu_zero(f)
 
 
+def _singular_sum(param, g, a):
+    """H^g + R/(a) with the zero form on R/(a): presented and singular."""
+    P = make_quadratic(cyclic_module(param.ring, a), [[0]], [0], param)
+    return direct_sum_quadratic(hyperbolic(param, g), P)[0]
+
+
 def test_axioms_exhaustive_small():
-    for Q in [hyperbolic(P2, 1), hyperbolic(P4, 1), hyperbolic(P2, 2)]:
+    for Q in [hyperbolic(P2, 1), hyperbolic(P4, 1), hyperbolic(P2, 2),
+              _singular_sum(P4, 1, 2)]:
         ring = Q.ring
         eps = Q.param.epsilon
         elems = list(Q.module.elements())
@@ -68,6 +78,39 @@ def test_axioms_exhaustive_small():
 def test_zero_module_valid():
     Q = zero_quadratic(P2)
     assert Q.size == 1
+
+
+def _tampered(Q, **coeffs):
+    """A copy of Q whose cached coefficient arrays are replaced."""
+    T = copy.copy(Q)
+    T.__dict__.update(coeffs)
+    return T
+
+
+def test_quad_axiom_sweep_statuses():
+    # presented modules, one past the old 256-element fallback cap, and
+    # the zero quadratic module pass
+    Z3C2 = catalog.default_parameter("z3c2")
+    for Q in [_singular_sum(P4, 1, 2), _singular_sum(P4, 2, 2),
+              _singular_sum(Z3C2, 1, 4), zero_quadratic(P4)]:
+        assert _quad_axiom_sweep(Q) == "pass", Q.name
+    # over GF(4) (base_dim 2, conj the Frobenius, eps = 1, Lambda =
+    # {0, 1}): each tampered copy breaks exactly one axiom
+    Q = hyperbolic(catalog.default_parameter("gf4"), 1)
+    lam, q = Q.lam_coeffs, Q.q_coeffs
+    one_sided = lam.copy()
+    one_sided[0, 0, 2] += 1  # lambda(e, f) moves, lambda(f, e) does not
+    assert _quad_axiom_sweep(_tampered(Q, lam_coeffs=one_sided)) == \
+        "axiom1-fails"
+    # the zero form is hermitian, but mu(e + f w) - mu(e) - mu(f w) = w
+    assert _quad_axiom_sweep(_tampered(Q, lam_coeffs=0 * lam)) == \
+        "axiom3-fails"
+    # q + D for the symmetric Z/2-form D(x, y) = x_0 y_0 w: lambda and
+    # axiom (3) stay, but mu(e) = w while mu(e w) = 0
+    plus_d = q.copy()
+    plus_d[1, 0, 0] += 1
+    assert _quad_axiom_sweep(_tampered(Q, q_coeffs=plus_d)) == \
+        "axiom2-fails"
 
 
 def test_axiom1_rejection():

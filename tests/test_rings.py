@@ -134,10 +134,10 @@ def test_form_parameter_rejects_escape():
 def test_cosets():
     Z4 = make_ring({"kind": "zmod", "n": 4})
     p = make_form_parameter(Z4, 3, ())  # Lambda = {0, 2}
-    assert p.coset(3) == p.coset(1)
-    assert p.coset(0) != p.coset(1)
+    assert p.coset_rep(3) == p.coset_rep(1)
+    assert p.coset_rep(0) != p.coset_rep(1)
     assert p.coset_rep(3) == 1
-    assert p.coset(0).is_zero()
+    assert p.coset_rep(0) == Z4.zero
     # coset equality consistent with addition: rep(a)+rep(b) ~ a+b
     for a in range(4):
         for b in range(4):

@@ -45,3 +45,31 @@ def test_library_uses_every_name_it_imports():
         unused += ["%s:%d %s" % (rel, line, bound)
                    for bound, line in imported.items() if bound not in used]
     assert not unused
+
+
+def _referenced_names(node):
+    """The names a node reads: bare names, attributes and imported names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def test_every_private_helper_is_called():
+    # a module-level _name function or class that no other top-level
+    # statement of the library references (its own body aside) is dead
+    nodes = [(rel, node, _referenced_names(node))
+             for rel, tree in _trees() for node in tree.body]
+    unused = ["%s:%d %s" % (rel, node.lineno, node.name)
+              for rel, node, _names in nodes
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_")
+              and not node.name.startswith("__")
+              and not any(node.name in names
+                          for _rel, other, names in nodes if other is not node)]
+    assert not unused
