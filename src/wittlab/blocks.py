@@ -276,13 +276,13 @@ def is_unimodular_block(A):
     return rprime, [A.module.from_vec(tail) for tail in tails]
 
 
-def is_unimodular_block_bruteforce(A, cap=1 << 22):
+def is_unimodular_block_bruteforce(A):
     """Exhaustive left-inverse search (oracle for small blocks)."""
     ring = A.ring
     M = A.module
     elems = list(M.elements())
     count = (ring.size ** A.n) * len(elems)
-    if count ** A.k > cap:
+    if count ** A.k > 1 << 22:
         raise BlockError("oracle too large")
     singles = []
     for rvals in itertools.product(range(ring.size), repeat=A.n):
@@ -301,13 +301,7 @@ def is_unimodular_block_bruteforce(A, cap=1 << 22):
                 return False
         return True
 
-    options = []
-    for i in range(A.k):
-        opts = [cand for cand in singles if row_ok(i, cand)]
-        if not opts:
-            return False
-        options.append(opts)
-    return True
+    return all(any(row_ok(i, cand) for cand in singles) for i in range(A.k))
 
 
 # -- matrix reducibility -------------------------------------------------------
@@ -766,8 +760,7 @@ def hyperbolic_straighten(Q, seq, k=None, frame=None, usr=1, cap=1 << 12,
     return _verified(phi) if verify else phi
 
 
-def transitive_move(Q, v, r, frame=None, usr=1, cap=1 << 12, budget=1 << 22,
-                    verify=True):
+def transitive_move(Q, v, r, frame=None, usr=1, budget=1 << 22, verify=True):
     """phi in U(M) with phi(v) = e_1 + f_1 r, for lambda-unimodular v with
     mu(v) = r + Lambda; needs witt index >= usr + 1.  The straightening,
     its extension and the transvections are built unchecked, and phi
@@ -775,14 +768,14 @@ def transitive_move(Q, v, r, frame=None, usr=1, cap=1 << 12, budget=1 << 22,
     ring = Q.ring
     param = Q.param
     if frame is None:
-        frame = frame_for(Q, usr=usr, cap=cap)
+        frame = frame_for(Q, usr=usr)
     if frame.g < usr + 1:
         raise BlockError("needs witt index >= usr + 1")
     if not 0 <= int(r) < ring.size:
         raise BlockError("r is not a ring index in [0, %d)" % ring.size)
     if param.coset_rep(int(r)) != Q.mu_rep(v):
         raise BlockError("r does not represent mu(v)")
-    phi1 = hyperbolic_straighten(Q, [v], 1, frame=frame, usr=usr, cap=cap,
+    phi1 = hyperbolic_straighten(Q, [v], 1, frame=frame, usr=usr,
                                  verify=False)
     w1 = phi1(v)
     z = frame.project_std(w1)
@@ -845,7 +838,7 @@ def _eu_reach_first_pair(H_std, z, budget):
 # -- cancellation --------------------------------------------------------------
 
 
-def cancel_H(Qm, Qn, iso, sums, usr=1, cap=1 << 12, budget=1 << 22):
+def cancel_H(Qm, Qn, iso, sums, usr=1):
     """From an isometry M + H = N + H (the sums, with H appended last) with
     g(M) >= usr, produce an explicit isometry M = N: move the image of the
     appended hyperbolic pair onto the standard one by a transitive move plus
@@ -872,7 +865,7 @@ def cancel_H(Qm, Qn, iso, sums, usr=1, cap=1 << 12, budget=1 << 22):
     x = iso(e_m)
     y = iso(f_m)
     # frame for N + H with the appended pair first
-    dec_n = witt_index(Qn, usr=usr, cap=cap)
+    dec_n = witt_index(Qn, usr=usr)
     if dec_n.g < usr:
         raise BlockError("needs g(N) >= usr for the pipeline")
     pairs = [(e_n, f_n)] + [(lift_n(a), lift_n(b)) for a, b in dec_n.pairs]
@@ -882,7 +875,7 @@ def cancel_H(Qm, Qn, iso, sums, usr=1, cap=1 << 12, budget=1 << 22):
                        check=False)
     frame = HyperbolicFrame(NH, pairs, P, P_incl)
     phi_a, target = transitive_move(NH, x, ring.zero, frame=frame, usr=usr,
-                                    cap=cap, budget=budget, verify=False)
+                                    verify=False)
     if target != e_n:
         raise BlockError("transitive move missed the appended e (internal)")
     y1 = phi_a(y)

@@ -102,13 +102,13 @@ def degenerate_point(param):
                           name="degenerate(%s)" % ring.name)
 
 
-def catalog_quadratics(ring_name, size_cap=4096, g_max=5):
-    """Named quadratic instances: H^g within the cap, plus P + H^g mixes
-    with a degenerate P."""
+def catalog_quadratics(ring_name, size_cap=4096):
+    """Named quadratic instances: H^g for g <= 5 within the cap, plus
+    P + H^g mixes with a degenerate P."""
     out = []
     for pname, param in catalog_parameters(ring_name):
         ring = param.ring
-        for g in range(1, g_max + 1):
+        for g in range(1, 6):
             if ring.size ** (2 * g) > size_cap:
                 break
             out.append(("%s:H^%d" % (pname, g), lambda param=param, g=g:
@@ -143,7 +143,7 @@ def resolve_parameter(ring, epsilon=None, lam_generators=None):
         if not eps_list:
             raise RingError("ring has no valid epsilon")
         epsilon = eps_list[0]
-    return make_form_parameter(ring, int(epsilon), tuple(lam_generators or ()))
+    return make_form_parameter(ring, epsilon, tuple(lam_generators or ()))
 
 
 def resolve_module(ring, ref):
@@ -154,7 +154,7 @@ def resolve_module(ring, ref):
         if ref.startswith("cyclic:"):
             return cyclic_module(ring, int(ref.split(":")[1]))
         raise KeyError("cannot resolve module reference %r" % ref)
-    return Module(ring, int(ref["generators"]),
+    return Module(ring, ref["generators"],
                   [tuple(col) for col in ref.get("relations", [])])
 
 

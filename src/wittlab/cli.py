@@ -15,6 +15,7 @@ the cache key also covers the package version and sources.
 """
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -30,7 +31,7 @@ from wittlab import stable_range as S
 from wittlab import verify as V
 from wittlab.modules import CapExceeded
 from wittlab.posets import PosetCapExceeded
-from wittlab.reports import render_csv, render_table
+from wittlab.reports import SuiteReport, render_csv, render_table
 from wittlab.suites import SUITES, run_suite
 
 
@@ -75,11 +76,7 @@ def _json_list(value):
 
 def _element(module, blocks):
     """A module element from a JSON list of ring indices."""
-    if not all(isinstance(b, int) and not isinstance(b, bool)
-               for b in _json_list(blocks)):
-        raise ValueError("an element is a JSON list of integer ring "
-                         "indices, got %s" % json.dumps(blocks))
-    return module.element(blocks)
+    return module.element(_json_list(blocks))
 
 
 USR_NMAX = 2
@@ -93,6 +90,8 @@ def _usr_from_args(args, ring, param):
     """An explicit --usr as given, otherwise usr(R) measured up to
     USR_NMAX; raises Inconclusive when the measurement finds none."""
     if args.usr is not None:
+        if args.usr < 0:
+            raise ValueError("--usr must be >= 0, got %d" % args.usr)
         return args.usr
     usr = S.unitary_stable_rank(ring, param, USR_NMAX).value
     if usr is None:
@@ -112,14 +111,17 @@ def cmd_suite(args):
         if not isinstance(config, dict):
             raise ValueError("--config must hold a JSON object, got %s"
                              % type(config).__name__)
-    rep = run_suite(args.name, config=config, seed=args.seed)
-    print(render_table(rep))
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(rep.to_json())
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(render_csv(rep))
+    with contextlib.ExitStack() as stack:
+        try:  # a bad report path ends the run before the suite starts
+            files = [(stack.enter_context(open(path, "w")), render)
+                     for path, render in ((args.json, SuiteReport.to_json),
+                                          (args.csv, render_csv)) if path]
+        except OSError as exc:
+            raise ValueError("cannot write the report: %s" % exc) from exc
+        rep = run_suite(args.name, config=config, seed=args.seed)
+        print(render_table(rep))
+        for fh, render in files:
+            fh.write(render(rep))
     return rep.exit_code
 
 

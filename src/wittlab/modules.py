@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from wittlab.linalg import LinearSolver, invertible, ring_left_rows
-from wittlab.rings import RingError
+from wittlab.rings import RingError, check_integer
 
 ENUM_CAP = 4096
 
@@ -24,7 +24,9 @@ class CapExceeded(RuntimeError):
 class Module:
     def __init__(self, ring, ngens, relators=(), name=None):
         self.ring = ring
-        self.ngens = int(ngens)
+        self.ngens = check_integer(ngens, "generators")
+        if self.ngens < 0:
+            raise RingError("generators must be >= 0, got %d" % ngens)
         self.relators = tuple(tuple(ring.check_indices(col, "relator"))
                               for col in relators)
         for col in self.relators:
@@ -200,13 +202,12 @@ class ModuleElement:
                                   for b in self.ring_blocks()))
 
 
-def free_module(ring, n, name=None):
-    return Module(ring, n, (), name=name or "%s^%d" % (ring.name, n))
+def free_module(ring, n):
+    return Module(ring, n, (), name="%s^%d" % (ring.name, n))
 
-def cyclic_module(ring, a, name=None):
-    M = Module(ring, 1, ((a,),))
-    M.name = name or "%s/(%s)" % (ring.name, ring.label(a))
-    return M
+def cyclic_module(ring, a):
+    return Module(ring, 1, ((a,),),
+                  name="%s/(%s)" % (ring.name, ring.label(a)))
 
 
 def direct_sum_modules(A, B):
@@ -290,9 +291,9 @@ def functional_from_coords(M, gamma):
     return Functional(M, values)
 
 
-def all_functionals(M, cap=ENUM_CAP):
+def all_functionals(M):
     space = functional_space(M)
-    if space.module_size > cap:
+    if space.module_size > ENUM_CAP:
         raise CapExceeded("functional space too large")
     return [functional_from_coords(M, v) for v in space.enumerate_module()]
 
@@ -319,12 +320,12 @@ def is_unimodular(M, seq):
     return [functional_from_coords(M, gamma) for gamma in gammas]
 
 
-def is_unimodular_bruteforce(M, seq, cap=ENUM_CAP):
+def is_unimodular_bruteforce(M, seq):
     """Definitional oracle: search all functional tuples for an invertible
     value matrix (an invertible matrix corrects to Kronecker duals),
     independent of the solver path."""
     seq = list(seq)
-    funcs = all_functionals(M, cap=cap)
+    funcs = all_functionals(M)
     k = len(seq)
     for combo in itertools.product(funcs, repeat=k):
         B = [[combo[j](seq[i]) for j in range(k)] for i in range(k)]
@@ -343,7 +344,7 @@ def ring_matrix_invertible(ring, B):
     return bool(invertible(rows, ring.base_mod)[0])
 
 
-def rank(M, cap=ENUM_CAP):
+def rank(M):
     """Largest n with a unimodular length-n sequence (incremental search)."""
     if M.size == 1:
         return 0
@@ -354,7 +355,7 @@ def rank(M, cap=ENUM_CAP):
         bound += 1
     if bound == 0:
         return 0
-    elems = list(M.elements(cap=cap))
+    elems = list(M.elements())
     best = [0]
 
     def dfs(seq, span_rows):
@@ -554,14 +555,13 @@ def _independent(rows, m):
     return bool(invertible(rows[None], m)[0])
 
 
-def split_summand(M, seq, witnesses=None):
+def split_summand(M, seq):
     """Split M as R^k + complement along a unimodular sequence.
 
     Returns (K, incl, duals) with K the kernel of the dual tuple, incl its
     inclusion, duals the corrected functionals.
     """
-    if witnesses is None:
-        witnesses = is_unimodular(M, seq)
+    witnesses = is_unimodular(M, seq)
     if witnesses is None:
         raise RingError("sequence is not unimodular")
     ring = M.ring
@@ -576,8 +576,8 @@ def split_summand(M, seq, witnesses=None):
     return K, incl, witnesses
 
 
-def is_isomorphic(M, N, cap=ENUM_CAP):
-    """An explicit isomorphism M -> N, or None (exhaustive within cap)."""
+def is_isomorphic(M, N):
+    """An explicit isomorphism M -> N, or None (exhaustive search)."""
     if M.size != N.size:
         return None
     if M.size == 1:
@@ -586,7 +586,7 @@ def is_isomorphic(M, N, cap=ENUM_CAP):
         return None
     ring = M.ring
     m = ring.base_mod
-    n_elems = list(N.elements(cap=cap))
+    n_elems = list(N.elements())
     anns = [_generator_annihilator(M, i) for i in range(M.ngens)]
 
     rel_cols = list(M.relators)

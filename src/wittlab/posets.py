@@ -34,7 +34,7 @@ import numpy as np
 
 from wittlab.kernels import howell_kernel
 from wittlab.linalg import ring_left_rows, unimodular_rows
-from wittlab.modules import _evaluation_matrix, is_unimodular
+from wittlab.modules import ENUM_CAP, _evaluation_matrix, is_unimodular
 from wittlab.quadratic import is_lambda_unimodular
 
 SIMPLEX_ENTRY_CAP = 5_000_000
@@ -160,16 +160,15 @@ class SequencePoset:
 
     # -- chain condition spot check ----------------------------------------
 
-    def chain_condition_check(self, rng, samples=50, max_p=3):
-        """Every facet (and hence subsequence) of a member is a member.
+    def chain_condition_check(self, rng, max_p=3):
+        """Every facet of 50 sampled p-simplices per p <= max_p is a member.
         A level past the simplex cap raises PosetCapExceeded."""
         for p in range(1, max_p + 1):
             level = self.simplices(p)
             if not len(level):
                 break
-            if len(level) > samples:
-                level = level[[rng.randrange(len(level))
-                               for _ in range(samples)]]
+            if len(level) > 50:
+                level = level[[rng.randrange(len(level)) for _ in range(50)]]
             for seq in level.tolist():
                 for i in range(len(seq)):
                     if not self.member_ids(tuple(seq[:i] + seq[i + 1:])):
@@ -192,7 +191,7 @@ def _parent_member(F, index, base_ids=()):
     return member
 
 
-def link(F, base_atoms, name=None):
+def link(F, base_atoms):
     """F_v: sequences w with (w, v) in F; the vertex universe drops v's atoms.
 
     v must be a simplex of F by F's raw test through its memo, not its hook:
@@ -214,13 +213,13 @@ def link(F, base_atoms, name=None):
             return F.extend(np.hstack([kept[P], np.broadcast_to(
                 tail, (len(P), len(tail)))]), kept[cols])
 
-    return SequencePoset(name or "%s_link" % F.name,
+    return SequencePoset("%s_link" % F.name,
                          [F.atoms[i] for i in kept],
                          _parent_member(F, index, base_ids),
                          entry_cap=F.entry_cap, extend=extend)
 
 
-def decorate(F, decorations, name=None):
+def decorate(F, decorations):
     """F<S>: atoms (v, s), membership tested on the v-part; the hook is F's
     on the v-parts, which excludes every atom whose v-part is in the
     prefix."""
@@ -236,7 +235,7 @@ def decorate(F, decorations, name=None):
     def raw(seq):
         return member(tuple(v for v, _s in seq))
 
-    return SequencePoset(name or "%s<S>" % F.name, atoms, raw,
+    return SequencePoset("%s<S>" % F.name, atoms, raw,
                          entry_cap=F.entry_cap, extend=extend)
 
 
@@ -385,7 +384,7 @@ def gl_poset(M, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
                          extend=_onto_hook(ring, A[:, nrel:, :], lead))
 
 
-def lambda_poset(Q_ambient, universe, name=None, cap=SIMPLEX_ENTRY_CAP):
+def lambda_poset(Q_ambient, universe, name=None):
     """O(universe) cap U(N, lambda): lambda-unimodular sequences in N."""
     universe = list(universe)
 
@@ -393,31 +392,31 @@ def lambda_poset(Q_ambient, universe, name=None, cap=SIMPLEX_ENTRY_CAP):
         return is_lambda_unimodular(Q_ambient, list(seq)) is not None
 
     return SequencePoset(
-        name or "U(%s,lam)" % Q_ambient.name, universe, raw, entry_cap=cap,
+        name or "U(%s,lam)" % Q_ambient.name, universe, raw,
         extend=_lam_hook(Q_ambient, Q_ambient.module.coord_rows(universe)))
 
 
-def mu_poset(Q_ambient, universe=None, name=None, cap=SIMPLEX_ENTRY_CAP):
+def mu_poset(Q_ambient, universe=None):
     """U(N, lambda, mu) = O(I(N, mu)) cap U(N, lambda): the lambda-poset on
     the mu-vanishing part of the universe (defaults to all of N)."""
     universe = list(Q_ambient.module.elements() if universe is None
                     else universe)
     keep = Q_ambient.mu_zero_rows(Q_ambient.module.coord_rows(universe))
     return lambda_poset(Q_ambient, [x for x, k in zip(universe, keep) if k],
-                        name=name or "U(%s,lam,mu)" % Q_ambient.name, cap=cap)
+                        name="U(%s,lam,mu)" % Q_ambient.name)
 
 
 class _PairTables:
     """Precomputed lambda values and mu flags over an enumerated module;
     lam_zero is the |M| x |M| table lam == 0 that the IU and HU hooks and
-    raw tests read."""
+    raw tests read, for a module of at most ENUM_CAP elements."""
 
-    def __init__(self, Q, cap=4096):
+    def __init__(self, Q):
         module = Q.module
-        if module.size > cap:
+        if module.size > ENUM_CAP:
             raise PosetCapExceeded("module too large for pair tables")
         self.Q = Q
-        self.elems, self.X = module.element_rows(cap=cap)
+        self.elems, self.X = module.element_rows()
         self.index = {x.vec: i for i, x in enumerate(self.elems)}
         self.lam = Q.lam_table(self.X, self.X)
         self.lam_zero = self.lam == Q.ring.zero
@@ -436,7 +435,7 @@ def _off_diagonal(k, blocks=1):
     return mask
 
 
-def iu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
+def iu_poset(Q, tables=None, cap=SIMPLEX_ENTRY_CAP):
     """Isotropic lambda-unimodular sequences I U(M)."""
     if tables is None:
         tables = _PairTables(Q)
@@ -459,11 +458,11 @@ def iu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
             return False
         return is_lambda_unimodular(Q, list(seq)) is not None
 
-    return SequencePoset(name or "IU(%s)" % Q.name, universe, raw,
+    return SequencePoset("IU(%s)" % Q.name, universe, raw,
                          entry_cap=cap, extend=extend)
 
 
-def hu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
+def hu_poset(Q, tables=None, cap=SIMPLEX_ENTRY_CAP):
     """Hyperbolic lambda-unimodular sequences H U(M): atoms are pairs (x, y)
     with mu(x) = mu(y) = 0 and lambda(x, y) = 1, all of them vertices;
     sequence membership reduces to pairwise lambda conditions (the
@@ -500,5 +499,5 @@ def hu_poset(Q, tables=None, name=None, cap=SIMPLEX_ENTRY_CAP):
                     and (B[_off_diagonal(k, 2)] == zero).all()
                     and (B.diagonal(k) == one).all())
 
-    return SequencePoset(name or "HU(%s)" % Q.name, atoms, raw,
+    return SequencePoset("HU(%s)" % Q.name, atoms, raw,
                          entry_cap=cap, extend=extend)

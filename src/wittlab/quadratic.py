@@ -247,7 +247,7 @@ def zero_quadratic(parameter):
     return QuadraticModule(Module(ring, 0, (), name="0"), [], [], parameter, name="0")
 
 
-def hyperbolic(parameter, g, name=None):
+def hyperbolic(parameter, g):
     """H^g: generators ordered e_1, f_1, ..., e_g, f_g."""
     ring = parameter.ring
     module = Module(ring, 2 * g, (), name="H^%d(%s)" % (g, ring.name))
@@ -257,7 +257,7 @@ def hyperbolic(parameter, g, name=None):
         gram[2 * l][2 * l + 1] = ring.one
         gram[2 * l + 1][2 * l] = parameter.epsilon
     Q = QuadraticModule(module, gram, [ring.zero] * n, parameter,
-                        name=name or "H^%d over %s" % (g, ring.name))
+                        name="H^%d over %s" % (g, ring.name))
     gens = [ModuleElement(module, tuple(x))
             for x in module.gen_columns.T.tolist()]
     Q.hyperbolic_pairs = list(zip(gens[0::2], gens[1::2]))
@@ -318,12 +318,12 @@ def is_isotropic(Q, elements):
                 and (Q.lam_table(X, X) == Q.ring.zero).all())
 
 
-def isotropic_span_check(Q, elements, cap=GROUP_CAP):
+def isotropic_span_check(Q, elements):
     """Exhaustive check that the whole R-span is isotropic (small spans)."""
     K, incl = submodule(Q.module, list(elements))
-    if K.size > cap:
+    if K.size > GROUP_CAP:
         raise CapExceeded("span too large")
-    span = [incl(x) for x in K.elements(cap=cap)]
+    span = [incl(x) for x in K.elements(cap=GROUP_CAP)]
     return is_isotropic(Q, span)
 
 
@@ -343,7 +343,7 @@ def lambda_nonsingular(Q):
     return functional_space(Q.module).module_size == Q.module.size
 
 
-def nonsingular_promotion_check(Q, seq, witnesses=None):
+def nonsingular_promotion_check(Q, seq):
     """Nonsingularity promotes unimodular sequences to lambda-unimodular.
 
     When x -> lambda(-, x) is bijective, the witnesses w_i = w'_i * eps
@@ -356,8 +356,7 @@ def nonsingular_promotion_check(Q, seq, witnesses=None):
     module = Q.module
     ring = Q.ring
     m = ring.base_mod
-    if witnesses is None:
-        witnesses = is_unimodular(module, seq)
+    witnesses = is_unimodular(module, seq)
     if witnesses is None:
         raise RingError("sequence is not unimodular")
     units = np.eye(module.nd, dtype=np.int64)
@@ -514,12 +513,12 @@ def transvection(Q, e, u, x, check=True):
 # -- sub-quadratic-structures ------------------------------------------------
 
 
-def sub_quadratic(Q, gens, name=None):
+def sub_quadratic(Q, gens):
     """Quadratic structure on the R-span of `gens`; returns (K, incl)."""
     K, incl = submodule(Q.module, list(gens))
     X = incl.generator_images()
     QK = QuadraticModule(K, Q.lam_table(X, X).tolist(), Q.mu_reps(X).tolist(),
-                         Q.param, name=name)
+                         Q.param)
     return QK, incl
 
 
@@ -677,7 +676,7 @@ def _witt_search(Q, usr, cap):
     return best
 
 
-def stable_witt_index(Q, k_max, usr=None, cap=GROUP_CAP):
+def stable_witt_index(Q, k_max, usr=None):
     """max over 0 <= k <= k_max of witt(Q + H^k) - k, with certificates."""
     results = []
     for k in range(k_max + 1):
@@ -685,7 +684,7 @@ def stable_witt_index(Q, k_max, usr=None, cap=GROUP_CAP):
             Qk = Q
         else:
             Qk, _, _ = direct_sum_quadratic(Q, hyperbolic(Q.param, k))
-        dec = witt_index(Qk, usr=usr, cap=cap)
+        dec = witt_index(Qk, usr=usr)
         results.append(dec.g - k)
     gbar = max(results)
     report = {
@@ -770,15 +769,15 @@ def unitary_group(Q, cap=GROUP_CAP):
     return [UnitaryMap(Q, f, check=False) for f in maps]
 
 
-def is_quad_isomorphic(Q1, Q2, cap=GROUP_CAP):
-    """An explicit isometry Q1 -> Q2, or None (exhaustive within cap)."""
+def is_quad_isomorphic(Q1, Q2):
+    """An explicit isometry Q1 -> Q2, or None (exhaustive search)."""
     if Q1.param is not Q2.param:
         return None
     if Q1.size != Q2.size:
         return None
     if Q1.module.ngens == 0:
         return ModuleMap(Q1.module, Q2.module, [], check=False)
-    maps = _quad_dfs(Q1, Q2, collect_all=False, cap=cap)
+    maps = _quad_dfs(Q1, Q2, collect_all=False, cap=GROUP_CAP)
     return maps[0] if maps else None
 
 

@@ -25,6 +25,13 @@ class RingError(ValueError):
     pass
 
 
+def check_integer(value, what):
+    """value as an int; RingError for a float, a bool or other non-int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise RingError("%s must be an integer, got %r" % (what, value))
+    return int(value)
+
+
 class Ring:
     """A finite ring with anti-involution, tabulated up to SIZE_CAP elements.
 
@@ -96,10 +103,10 @@ class Ring:
         return range(self.size)
 
     def check_indices(self, values, what):
-        """The entries of values as ints; RingError if one lies outside
-        [0, size), so no index from outside wraps round or overruns a
-        table."""
-        values = [int(v) for v in values]
+        """The entries of values as ints; RingError if one is not an
+        integer or lies outside [0, size), so no index from outside is
+        truncated, wraps round or overruns a table."""
+        values = [check_integer(v, what) for v in values]
         if not all(0 <= v < self.size for v in values):
             raise RingError("%s: ring index outside [0, %d)"
                             % (what, self.size))
@@ -191,7 +198,8 @@ def _group_structure(group, w1):
         raise RingError("group table has an element without inverse")
     w1 = w1 or [1] * ng
     if isinstance(w1, dict):
-        w1 = [int(w1.get(str(g), w1.get(g, 1))) for g in range(ng)]
+        w1 = [check_integer(w1.get(str(g), w1.get(g, 1)), "w1")
+              for g in range(ng)]
     if len(w1) != ng or any(v not in (1, -1) for v in w1):
         raise RingError("w1 must map each group element to +-1")
     w1 = np.array(w1, dtype=np.int64)
@@ -298,19 +306,19 @@ def make_ring(spec):
     """
     kind = spec["kind"]
     if kind == "zmod":
-        n = int(spec["n"])
+        n = check_integer(spec["n"], "zmod n")
         if n < 2:
             raise RingError("zmod needs n >= 2")
         return Ring(spec.get("name", "Z/%d" % n), kind, n, [[[1]]], [[1]])
     if kind == "gf":
-        q = int(spec["q"])
+        q = check_integer(spec["q"], "gf q")
         mode = spec.get("conj", "id")
         p, T, C = _gf_structure(q, mode)
         tilde = "~" if mode == "frobenius" and q != p else ""
         name = spec.get("name", "GF(%d)%s" % (q, tilde))
         return Ring(name, kind, p, T, C)
     if kind == "group_ring":
-        m = int(spec["m"])
+        m = check_integer(spec["m"], "group_ring m")
         if m < 2:
             raise RingError("group_ring needs m >= 2")
         group = spec["group"]
@@ -341,6 +349,7 @@ def lambda_bounds(ring, epsilon):
 
 
 def _check_epsilon(ring, epsilon):
+    check_integer(epsilon, "epsilon")
     if epsilon not in ring.units:
         raise RingError("epsilon is not a unit")
     if epsilon not in ring.central:

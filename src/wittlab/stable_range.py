@@ -13,9 +13,8 @@ import functools
 import numpy as np
 
 from wittlab.linalg import unimodular_rows
-from wittlab.modules import (ENUM_CAP, ModuleMap, act_columns,
-                             functional_space, is_isomorphic, rank,
-                             split_summand)
+from wittlab.modules import (ModuleMap, act_columns, functional_space,
+                             is_isomorphic, rank, split_summand)
 from wittlab.posets import gl_poset
 from wittlab.quadratic import (
     UnitaryMap,
@@ -127,11 +126,11 @@ class StableRankResult:
         return "sr=%s" % (self.value if self.value is not None else ">max")
 
 
-def stable_rank(ring, n_max, budget=DEFAULT_BUDGET):
+def stable_rank(ring, n_max):
     """Least n <= n_max with (S_n), walking upward."""
     reports = []
     for n in range(1, n_max + 1):
-        rep = check_Sn(ring, n, budget=budget)
+        rep = check_Sn(ring, n)
         reports.append(rep)
         if rep.verdict == "holds":
             return StableRankResult(n, reports)
@@ -552,7 +551,7 @@ def _gl_generators(M):
     return _gen_permutations(M, BT[np.sort(keep)])
 
 
-def gl_transitive_check(M, sr=None, cap=ENUM_CAP):
+def gl_transitive_check(M, sr=None):
     """Do all split injections R -> M lie in one GL(M)-orbit?
 
     _bfs walks the orbits of the elementary automorphisms on the canonical
@@ -562,8 +561,8 @@ def gl_transitive_check(M, sr=None, cap=ENUM_CAP):
     """
     if sr is None:
         sr = stable_rank(M.ring, 3).value
-    rk = rank(M, cap=cap)
-    F = gl_poset(M, universe=M.elements(cap=cap))
+    rk = rank(M)
+    F = gl_poset(M)
     report = {"module": M.name, "rank": rk, "sr": sr,
               "applicable": sr is not None and rk >= sr + 1,
               "unimodular_count": len(F.vertex_ids)}

@@ -24,17 +24,17 @@ from wittlab.reports import SuiteReport
 from wittlab.verify import verify, verify_link_isos
 
 
-def _quad_axiom_sweep(Q, cap=2048):
+def _quad_axiom_sweep(Q):
     """Exhaustive axiom (1)-(3) check over all element pairs, for any
     presentation: lambda of every pair from one lam_table, mu from one
     mu_reps product, and x + y and x * a located among the elements by
     Module.element_index, one block of rows at a time."""
-    if Q.size > cap:
+    if Q.size > 2048:
         return "skipped(cap)"
     ring, module = Q.ring, Q.module
     mul, add, conj = ring.mul, ring.add, ring.conj
     rep = Q.param.coset_reps
-    X = module.element_rows(cap=cap)[1]
+    X = module.element_rows()[1]
     n = len(X)
     lam = Q.lam_table(X, X)
     if not np.array_equal(lam, mul[Q.param.epsilon][conj[lam.T]]):
@@ -186,18 +186,16 @@ def suite_blocks(config=None, seed=0):
     return rep.finish()
 
 
-def random_in_hypothesis_instance(rng, param, usr, k=1, max_g=3,
-                                  size_cap=8192):
-    """A random quadratic module P + H^g with g >= usr + k and a random
-    lambda-unimodular length-k sequence in it."""
+def random_in_hypothesis_instance(rng, param, usr, k=1, max_g=3):
+    """A random quadratic module P + H^g of at most 8192 elements with
+    g >= usr + k and a random lambda-unimodular length-k sequence in it."""
     ring = param.ring
     g = rng.randrange(usr + k, max_g + 1) if max_g >= usr + k else usr + k
     Q = hyperbolic(param, g)
-    if rng.random() < 0.5 and Q.size * ring.size <= size_cap:
+    if rng.random() < 0.5 and Q.size * ring.size <= 8192:
         Q, _, _ = direct_sum_quadratic(Q, C.degenerate_point(param))
-    if Q.size > size_cap:
-        raise CapExceeded("module has %d elements, cap %d"
-                          % (Q.size, size_cap))
+    if Q.size > 8192:
+        raise CapExceeded("module has %d elements, cap 8192" % Q.size)
     for _ in range(400):
         seq = [Q.module.element_at(rng.randrange(Q.size)) for _ in range(k)]
         if len({x.vec for x in seq}) < k:
@@ -207,9 +205,9 @@ def random_in_hypothesis_instance(rng, param, usr, k=1, max_g=3,
     raise RuntimeError("failed to sample a lambda-unimodular sequence")
 
 
-def suite_straighten(config=None, seed=0, per_ring=None):
+def suite_straighten(config=None, seed=0):
     config = config or {}
-    per_ring = per_ring or config.get("per_ring", 25)
+    per_ring = config.get("per_ring", 25)
     rep = SuiteReport("straighten", seed=seed, config=config)
     rng = random.Random(seed)
     for rname in C.ring_names():
@@ -326,11 +324,11 @@ def _add_theorem(rep, case, report):
             inconclusive=report.verdict.result == "inconclusive")
 
 
-def suite_gl_connectivity(config=None, seed=0, n_max=4):
+def suite_gl_connectivity(config=None, seed=0):
     rep = SuiteReport("gl-connectivity", seed=seed, config=config)
     GF2 = C.catalog_ring("gf2")
     sr = S.stable_rank(GF2, 2).value
-    for n in range(2, n_max + 1):
+    for n in range(2, 5):
         M = free_module(GF2, n)
         _add_theorem(rep, "gf2^%d" % n, verify("gl", M, sr))
         _add_theorem(rep, "gf2^%d:link" % n,
@@ -341,12 +339,12 @@ def suite_gl_connectivity(config=None, seed=0, n_max=4):
     return rep.finish()
 
 
-def suite_quad_connectivity(config=None, seed=0, g_max=4):
+def suite_quad_connectivity(config=None, seed=0):
     rep = SuiteReport("quad-connectivity", seed=seed, config=config)
     pname, param = C.catalog_parameters("gf2")[0]
     usr = measured_usr("gf2", param)
     rep.add("usr", "usr=%d" % usr, {})
-    for g in range(1, g_max + 1):
+    for g in range(1, 5):
         Q = hyperbolic(param, g)
         for theorem in ("iu", "hu"):
             _add_theorem(rep, "%s:H^%d" % (theorem, g),

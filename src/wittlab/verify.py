@@ -46,6 +46,7 @@ from wittlab.quadratic import (
 # "refuted" and "inconclusive"
 PROVED = ("vacuous", "nonempty-verified", "homology-verified",
           "fully-verified")
+PI1_BUDGET = 200000  # relator visits of the pi1 simplification
 
 
 class ConnectivityVerdict:
@@ -95,7 +96,7 @@ def _free_reduce(word):
     return out[i:j]
 
 
-def _pi1_trivial(poset, chain, budget=200000):
+def _pi1_trivial(poset, chain):
     """Spanning-tree edge-path presentation plus length-1/2 Tietze
     eliminations (`_presentation_trivial`); True only when every generator
     dies.  Each triangle's edges are its rows in d_2 of chain, the poset's
@@ -127,10 +128,10 @@ def _pi1_trivial(poset, chain, budget=200000):
     E = chain.boundaries.get(2, (np.zeros(0, dtype=np.intp),))[0].reshape(
         -1, 3)[:, [2, 0, 1]]
     relators = np.where(tree[E], 0, (E + 1) * [1, 1, -1]).tolist()
-    return _presentation_trivial(ngens, relators, budget)
+    return _presentation_trivial(ngens, relators)
 
 
-def _presentation_trivial(ngens, relators, budget=200000):
+def _presentation_trivial(ngens, relators):
     """True when length-1/2 Tietze eliminations kill all ngens generators
     of the presentation; relators are words in signed generators (g or -g
     for the inverse, g > 0, and 0 for the identity).
@@ -154,7 +155,7 @@ def _presentation_trivial(ngens, relators, budget=200000):
 
     steps = 0
     changed = True
-    while changed and len(dead) < ngens and steps < budget:
+    while changed and len(dead) < ngens and steps < PI1_BUDGET:
         changed = False
         kept = []
         for word in relators:
@@ -182,7 +183,9 @@ def exit_reason(exc):
     return str(exc)
 
 
-def connectivity_verdict(poset, d, pi1_budget=200000):
+def connectivity_verdict(poset, d):
+    """The verdict on d-connectivity (see the module docstring); the pi1
+    simplification stops after PI1_BUDGET relator visits."""
     if d <= -2:
         return ConnectivityVerdict(d, "vacuous")
     if poset.is_empty():
@@ -215,7 +218,7 @@ def connectivity_verdict(poset, d, pi1_budget=200000):
                  "torsion": hom["torsion"][p], "cells": hom["cells"]})
     detail = {"betti": hom["betti"], "torsion": hom["torsion"],
               "cells": hom["cells"]}
-    if d >= 1 and _pi1_trivial(poset, chain, budget=pi1_budget):
+    if d >= 1 and _pi1_trivial(poset, chain):
         detail["pi1"] = "trivial"
         return ConnectivityVerdict(d, "fully-verified", detail)
     return ConnectivityVerdict(d, "homology-verified", detail)
@@ -252,7 +255,7 @@ class TheoremReport:
 # key the bound reads; bound(invariant, rank, k) is the connectivity of the
 # poset's link at a base of k entries (k = 0: the poset itself).  A base
 # entry is an element of X's module or, for base "pair", a hyperbolic pair.
-# build(X, base, cap, dec) returns the poset and the base as atoms of it;
+# build(X, base, dec) returns the poset and the base as atoms of it;
 # dec is the Witt decomposition when the invariant is g.
 Theorem = collections.namedtuple(
     "Theorem", "statement rank invariant bound build base needs_base",
@@ -271,15 +274,14 @@ def _plus(universe, shifts):
     return out
 
 
-def _gl_translated(M, base, cap, dec):
+def _gl_translated(M, base, dec):
     """O(M u (M + e)) inside S = M + R, e the new basis vector; a base entry
     of M is lifted into S, one of S is kept."""
     R = free_module(M.ring, 1)
     S, inj, inj_new = direct_sum_modules(M, R)
     universe = _plus([inj(x) for x in M.elements()],
                      (S.zero(), inj_new(R.gen(0))))
-    return (gl_poset(S, universe, name="U(%s u %s+e)" % (M.name, M.name),
-                     cap=cap),
+    return (gl_poset(S, universe, name="U(%s u %s+e)" % (M.name, M.name)),
             [inj(v) if v.module is M else v for v in base])
 
 
@@ -298,27 +300,27 @@ def _lambda_universe(Q, base, dec):
             [lift(v) if v.module is Q.module else v for v in base])
 
 
-def _lambda_poset(Q, base, cap, dec):
+def _lambda_poset(Q, base, dec):
     """O(I(P + <e_1..e_g>, mu)) cap U(N, lambda), N = Q + H."""
     N, universe, base = _lambda_universe(Q, base, dec)
-    return lambda_poset(N, universe, cap=cap), base
+    return lambda_poset(N, universe), base
 
 
-def _lambda_translated(Q, base, cap, dec):
+def _lambda_translated(Q, base, dec):
     """The lambda-poset's universe U with its translate U + e, e the new
     hyperbolic basis vector of N = Q + H: orthogonal to U and isotropic, so
     U + e has mu = 0 too."""
     N, universe, base = _lambda_universe(Q, base, dec)
     universe = _plus(universe, (N.module.zero(), N.hyperbolic_pairs[-1][0]))
     return (lambda_poset(N, universe, name="I(P+(E u E+e)) cap U(%s,lam)"
-                         % N.name, cap=cap), base)
+                         % N.name), base)
 
 
-def _perp_poset(Q, base, cap, dec):
+def _perp_poset(Q, base, dec):
     """U(Q, lambda, mu) on the universe <base>-perp."""
     perp, incl = orthogonal_complement(Q, list(base))
     universe = [incl(x) for x in perp.module.elements()]
-    return mu_poset(Q, universe=universe, cap=cap), base
+    return mu_poset(Q, universe=universe), base
 
 
 # Each builder names its poset function at call time, so a patched or
@@ -327,23 +329,23 @@ THEOREMS = {
     "gl": Theorem(
         "O(M) cap U(M-inf) and its links: (rk - sr - k - 1)-connected",
         "sr", "rank", lambda rk, sr, k: rk - sr - k - 1,
-        lambda M, base, cap, dec: (gl_poset(M, cap=cap), base)),
+        lambda M, base, dec: (gl_poset(M), base)),
     "gl-translated": Theorem(
         "O(M u (M+e)) cap U(M+R) and its links: (rk - sr - k)-connected",
         "sr", "rank", lambda rk, sr, k: rk - sr - k, _gl_translated),
     "iu": Theorem(
         "IU(M)_x: floor((g - usr - |x| - 2)/2)-connected",
         "usr", "g", lambda g, usr, k: (g - usr - k - 2) // 2,
-        lambda Q, base, cap, dec: (iu_poset(Q, cap=cap), base)),
+        lambda Q, base, dec: (iu_poset(Q), base)),
     "hu": Theorem(
         "HU(M)_x: floor((g - usr - |x| - 3)/2)-connected",
         "usr", "g", lambda g, usr, k: (g - usr - k - 3) // 2,
-        lambda Q, base, cap, dec: (hu_poset(Q, cap=cap), base),
+        lambda Q, base, dec: (hu_poset(Q), base),
         base="pair"),
     "hu-stable": Theorem(
         "HU(M)_x: floor((gbar - usr - |x| - 3)/2)-connected",
         "usr", "gbar", lambda gbar, usr, k: (gbar - usr - k - 3) // 2,
-        lambda Q, base, cap, dec: (hu_poset(Q, cap=cap), base),
+        lambda Q, base, dec: (hu_poset(Q), base),
         base="pair"),
     "lambda-poset": Theorem(
         "O(I(P+E_g,mu)) cap U(N,lam) and its links: "
@@ -356,7 +358,7 @@ THEOREMS = {
     "mu-poset": Theorem(
         "O(M) cap U(N,lam,mu) and its links: (g - usr - k - 1)-connected",
         "usr", "g", lambda g, usr, k: g - usr - k - 1,
-        lambda Q, base, cap, dec: (mu_poset(Q, cap=cap), base)),
+        lambda Q, base, dec: (mu_poset(Q), base)),
     "perp-link": Theorem(
         "O(<v>-perp) cap U(M,lam,mu)_v: (g - usr - |v| - 1)-connected",
         "usr", "g", lambda g, usr, k: g - usr - k - 1, _perp_poset,
@@ -379,19 +381,18 @@ def lookup(theorem):
                    % (theorem, ", ".join(NAMES)))
 
 
-def _invariant(key, X, rank, k_max):
+def _invariant(key, X, rank):
     """The invariant a bound reads, with the Witt decomposition when it
-    is g."""
+    is g; gbar stabilizes by one hyperbolic summand."""
     if key == "rank":
         return module_rank(X), None
     if key == "gbar":
-        return stable_witt_index(X, k_max, usr=rank)["gbar"], None
+        return stable_witt_index(X, 1, usr=rank)["gbar"], None
     dec = witt_index(X, usr=rank)
     return dec.g, dec
 
 
-def theorem_poset(theorem, X, rank, base=None, cap=5_000_000, k_max=1,
-                  hypothesis=None):
+def theorem_poset(theorem, X, rank, base=None, hypothesis=None):
     """(bound, poset) of a registry theorem: the poset verify checks, linked
     at base when one is given.  The invariant is recorded in hypothesis as
     soon as it is known.  Cap exits in the Witt search, the module
@@ -401,20 +402,20 @@ def theorem_poset(theorem, X, rank, base=None, cap=5_000_000, k_max=1,
     if (name != theorem or entry.needs_base) and not base:
         raise ValueError("%s needs a base" % theorem)
     hypothesis = {} if hypothesis is None else hypothesis
-    value, dec = _invariant(entry.invariant, X, rank, k_max)
+    value, dec = _invariant(entry.invariant, X, rank)
     hypothesis[entry.invariant] = value
-    poset, atoms = entry.build(X, base, cap, dec)
+    poset, atoms = entry.build(X, base, dec)
     if base:
         poset = link(poset, atoms)
     return entry.bound(value, rank, len(base)), poset
 
 
-def verify(theorem, X, rank, base=None, cap=5_000_000, k_max=1):
+def verify(theorem, X, rank, base=None):
     """Report on a registry theorem (a name of NAMES) for X at rank sr or
-    usr, on its link at base if given; k_max is the stabilization depth of
-    the gbar invariant.  A cap exit ends as inconclusive with the reason,
-    and with no bound or poset name; so does running out of memory while
-    the poset is built, and after that with the bound and the name."""
+    usr, on its link at base if given, under the library's caps.  A cap
+    exit ends as inconclusive with the reason, and with no bound or poset
+    name; so does running out of memory while the poset is built, and
+    after that with the bound and the name."""
     name, entry = lookup(theorem)
     if base and not entry.needs_base:
         name += "-link"
@@ -422,8 +423,7 @@ def verify(theorem, X, rank, base=None, cap=5_000_000, k_max=1):
     if base:
         hypothesis["k"] = len(base)
     try:
-        bound, poset = theorem_poset(theorem, X, rank, base, cap, k_max,
-                                     hypothesis)
+        bound, poset = theorem_poset(theorem, X, rank, base, hypothesis)
     except (CapExceeded, PosetCapExceeded, MemoryError) as exc:
         verdict = ConnectivityVerdict(None, "inconclusive",
                                       {"reason": exit_reason(exc)})
@@ -436,21 +436,19 @@ def verify(theorem, X, rank, base=None, cap=5_000_000, k_max=1):
     return TheoremReport(name, bound, verdict, hypothesis, poset.name)
 
 
-def verify_gl_connectivity(M, sr, base=None, cap=5_000_000):
-    """The "gl" theorem, linked at base if given."""
-    return verify("gl", M, sr, base=base, cap=cap)
+def verify_gl_connectivity(M, sr, base=None):
+    """verify("gl"), linked at base if given."""
+    return verify("gl", M, sr, base=base)
 
 
-def verify_iu_connectivity(Q, usr, base=None, cap=5_000_000):
-    """The "iu" theorem, linked at base if given."""
-    return verify("iu", Q, usr, base=base, cap=cap)
+def verify_iu_connectivity(Q, usr):
+    """verify("iu") on the poset itself."""
+    return verify("iu", Q, usr)
 
 
-def verify_hu_connectivity(Q, usr, base=None, cap=5_000_000, stable=False,
-                           k_max=1):
-    """The "hu" theorem ("hu-stable" if stable), linked at base if given."""
-    return verify("hu-stable" if stable else "hu", Q, usr, base=base,
-                  cap=cap, k_max=k_max)
+def verify_hu_connectivity(Q, usr, base=None):
+    """verify("hu"), linked at base if given."""
+    return verify("hu", Q, usr, base=base)
 
 
 # -- link isomorphisms (the Y := V-perp cap W-perp decompositions) -------------
@@ -531,10 +529,10 @@ def _link_iso_results(Q, x_pairs, usr, cap):
     return results
 
 
-def _poset_iso_check(lhs, rhs, fwd, max_p=3):
+def _poset_iso_check(lhs, rhs, fwd):
     """fwd: map on lhs vertices.  Read as lhs atom id -> rhs atom id, it
     must be a bijection onto rhs's vertices that maps each level through
-    max_p onto rhs's, the levels compared as sorted row keys.  A level past
+    3 onto rhs's, the levels compared as sorted row keys.  A level past
     either poset's simplex cap raises PosetCapExceeded."""
     index = {a: i for i, a in enumerate(rhs.atoms)}
     perm = np.full(len(lhs.atoms), -1, dtype=np.int64)
@@ -542,7 +540,7 @@ def _poset_iso_check(lhs, rhs, fwd, max_p=3):
                             for i in lhs.vertex_ids]
     if not np.array_equal(np.sort(perm[lhs.vertex_ids]), rhs.vertex_ids):
         return False
-    for p in range(0, max_p + 1):
+    for p in range(4):
         image, level = perm[lhs.simplices(p)], rhs.simplices(p)
         if not np.array_equal(np.sort(_row_keys(image, len(rhs.atoms))),
                               np.sort(_row_keys(level, len(rhs.atoms)))):

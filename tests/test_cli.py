@@ -79,8 +79,9 @@ def test_cancel_command(capsys):
     {"kind": "group_ring", "m": 2, "group": []},
     {"kind": "group_ring", "m": 2, "group": [[0, 1], [1, 2]]},
     {"kind": "group_ring", "m": 2, "group": [[0, 0], [0, 1]]},
+    {"kind": "group_ring", "m": 3, "group": "C2", "w1": {"1": -1.5}},
 ], ids=["gf-q1", "gf-q0", "group-m0", "group-m1", "group-empty",
-        "group-out-of-range", "group-no-inverses"])
+        "group-out-of-range", "group-no-inverses", "group-w1-float"])
 def test_malformed_ring_spec_is_an_error(capsys, spec):
     code, out = run_cli(capsys, "stable-rank", "--ring", json.dumps(spec))
     assert code == 2
@@ -139,6 +140,34 @@ def test_ring_index_outside_the_ring_is_an_error(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2
     assert set(json.loads(out)) == {"error"}
+
+
+@pytest.mark.parametrize("argv,key", [
+    (_verify_argv("gl", {"ring": "z4", "module": {
+        "generators": 2, "relations": [[2.5, 0]]}}), "relator"),
+    (_verify_argv("iu", {"ring": "gf3", "epsilon": 1.9, "quadratic": "H^2"}),
+     "epsilon"),
+    (_verify_argv("iu", {"ring": "gf2", "quadratic": {
+        "module": "free:2", "gram": [[0, 1], [1, 0]], "mu": [0.7, 0]}}),
+     "mu"),
+    (_verify_argv("gl", {"ring": {"kind": "zmod", "n": 4.7},
+                         "module": "free:2"}), "zmod n"),
+    (_verify_argv("gl", {"ring": "gf2", "module": {"generators": 2.5}}),
+     "generators"),
+    (_verify_argv("gl", {"ring": "gf2", "module": {"generators": True}}),
+     "generators"),
+    (_verify_argv("gl", {"ring": "gf2", "module": {"generators": -1}}),
+     "generators"),
+], ids=["relator-2.5", "epsilon-1.9", "mu-0.7", "zmod-4.7", "generators-2.5",
+        "generators-true", "generators--1"])
+def test_non_integer_instance_number_is_an_error(capsys, argv, key):
+    # int() truncated these, so the verdict certified another instance
+    # than the one its instance_digest names; -1 generators died in a
+    # numpy reshape.  The error names the number's key
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    data = json.loads(out)
+    assert set(data) == {"error"} and key in data["error"]
 
 
 def test_malformed_element_list_is_an_error(capsys):
@@ -277,6 +306,17 @@ def test_unmeasured_usr_is_inconclusive(capsys, monkeypatch, command, target,
     assert "usr" in verdict["detail"]["reason"]
 
 
+@pytest.mark.parametrize("command,target,argv", PIPELINES,
+                         ids=[p[0] for p in PIPELINES])
+def test_negative_usr_is_an_error(capsys, monkeypatch, command, target,
+                                  argv):
+    seen = spy_usr(monkeypatch, target)
+    code, out = run_cli(capsys, command, "--ring", "gf2", "--usr", "-1",
+                        *argv)
+    assert code == 2 and seen == []
+    assert set(json.loads(out)) == {"error"}
+
+
 def test_complex_verify_and_cache(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("WITTLAB_CACHE_DIR", str(tmp_path))
     instance = json.dumps({"ring": "gf2", "module": "free:2"})
@@ -399,6 +439,21 @@ def test_suite_command_and_reports(tmp_path, capsys):
     assert csv_text.splitlines()[0] == "suite,case,status,critical,inconclusive"
     # round trip: parse then re-render matches
     assert render_csv(rep) == csv_text
+
+
+def test_suite_bad_report_path_is_an_error(tmp_path, capsys, monkeypatch):
+    # the report files are opened before the suite runs, which it never does
+    from wittlab import cli
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the suite ran before its report path failed")
+
+    monkeypatch.setattr(cli, "run_suite", unused)
+    for flag in ("--json", "--csv"):
+        code, out = run_cli(capsys, "suite", "axioms", flag,
+                            str(tmp_path / "missing" / "rep"))
+        assert code == 2
+        assert set(json.loads(out)) == {"error"}
 
 
 def test_report_determinism():
